@@ -140,11 +140,18 @@ def build_intervals(records, use_charge_counter: str = "auto") -> list[Discharge
     the level delta.  A pair whose raw drop is negative is excluded as
     well: remaining energy cannot rise during an uninterrupted discharge,
     so a rise is evidence of an unobserved charging episode inside the
-    pair.  Contiguous intervals with the same active set coalesce, which
-    absorbs level quantization over steady spans.
+    pair.  A pair that touches an empty battery is censored, since its
+    drop understates what was consumed: a counter drop is excluded when
+    either end reads 0 µAh, a level drop when its start reads 0 %.
+    Contiguous intervals with the same active set coalesce, which absorbs
+    level quantization over steady spans.
     """
     mode = check_charge_counter_mode(use_charge_counter)
-    records = check_records(records)
+    return _discharge_intervals(check_records(records), mode)
+
+
+def _discharge_intervals(records: list, mode: str) -> list[DischargeInterval]:
+    """build_intervals on records already checked by check_records."""
     if len(records) < 2:
         raise TooFewSamples(f"need at least 2 records, got {len(records)}")
 
@@ -161,12 +168,15 @@ def build_intervals(records, use_charge_counter: str = "auto") -> list[Discharge
         if mode == "on" and not have_charge:
             raise ChargeCounterUnavailable(f"charge_uah missing on a discharging sample at ts {sa.ts_ms}")
         if have_charge:
+            if sa.charge_uah == 0 or sb.charge_uah == 0:
+                continue
             drop = (sa.charge_uah - sb.charge_uah) / full_scale * 100.0
         else:
+            if sa.level_pct == 0:
+                continue
             drop = float(sa.level_pct - sb.level_pct)
         if drop < 0:
             continue
-        drop = max(drop, 0.0)
         if intervals and intervals[-1].t_end_ms == sa.ts_ms and intervals[-1].active == a.apps:
             prev = intervals[-1]
             intervals[-1] = DischargeInterval(
@@ -201,29 +211,38 @@ class Grouping:
 
 
 def merge_identifiability_groups(intervals, all_apps=None) -> Grouping:
-    """Merge apps with identical interval-membership patterns into groups."""
+    """Merge apps with identical interval-membership patterns into groups.
+
+    One pass over the intervals fills a boolean intervals x apps
+    incidence matrix; apps whose columns are equal form one group, and
+    the design takes that shared column once per group.
+    """
     intervals = list(intervals)
     if not intervals:
         raise TooFewSamples("no intervals to group")
     seen = sorted({name for iv in intervals for name in iv.active})
-    patterns: dict[tuple[bool, ...], list[str]] = {}
-    for name in seen:
-        pattern = tuple(name in iv.active for iv in intervals)
-        patterns.setdefault(pattern, []).append(name)
+    index = {name: j for j, name in enumerate(seen)}
+    incidence = np.zeros((len(intervals), len(seen)), dtype=bool)
+    rows = np.repeat(np.arange(len(intervals)), [len(iv.active) for iv in intervals])
+    cols = np.fromiter((index[name] for iv in intervals for name in iv.active), dtype=np.intp, count=rows.size)
+    incidence[rows, cols] = True
 
-    always_on = tuple(True for _ in intervals)
-    inseparable = make_app_set(patterns.pop(always_on, []))
-    groups = sorted(make_app_set(apps) for apps in patterns.values())
+    patterns: dict[bytes, list[str]] = {}
+    always_on: list[str] = []
+    for name, column in zip(seen, incidence.T):
+        if column.all():
+            always_on.append(name)
+        else:
+            patterns.setdefault(column.tobytes(), []).append(name)
+    ranked = sorted((make_app_set(apps), index[apps[0]]) for apps in patterns.values())
+    groups = tuple(group for group, _ in ranked)
 
-    columns = [np.ones(len(intervals))]
-    for group in groups:
-        member = group[0]
-        columns.append(np.array([float(member in iv.active) for iv in intervals]))
-    design = np.column_stack(columns)
+    design = np.ones((len(intervals), len(groups) + 1))
+    design[:, 1:] = incidence[:, np.array([j for _, j in ranked], dtype=np.intp)]
 
     universe = set(all_apps) if all_apps is not None else set(seen)
     unobserved = make_app_set(universe - set(seen))
-    return Grouping(design=design, groups=tuple(groups), inseparable=inseparable, unobserved=unobserved)
+    return Grouping(design=design, groups=groups, inseparable=make_app_set(always_on), unobserved=unobserved)
 
 
 def _rank(groups) -> tuple[GroupRate, ...]:
@@ -241,7 +260,7 @@ def attribute(records, use_charge_counter: str = "auto") -> AttributionResult:
     baseline estimate rather than split arbitrarily.
     """
     records = check_records(records)
-    intervals = build_intervals(records, use_charge_counter)
+    intervals = _discharge_intervals(records, check_charge_counter_mode(use_charge_counter))
     universe = {
         name
         for record in records

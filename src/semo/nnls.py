@@ -1,12 +1,20 @@
 """Non-negative least squares by the classic active-set iteration.
 
 Solves min_beta sum_i w_i * (y_i - X_i . beta)^2 subject to beta >= 0.
-Weights fold in as a sqrt(w) row scaling, after which this is the
-Lawson-Hanson procedure: the coefficient with the largest positive
-gradient leaves the zero bound, a least-squares solve runs on the free
-columns, and a line search pins any coefficient the solve drove
-negative back at zero.  Finite and deterministic; ties break on the
-lowest column index.
+Weights fold in as a sqrt(w) row scaling.  The scaled system
+[sqrt(w) X | sqrt(w) y] is then reduced, a block of rows at a time, to
+the triangular factor R of its QR factorization, so the iteration works
+on at most n + 1 rows whatever the row count.  The reduction is exact:
+with A = sqrt(w) X and b = sqrt(w) y, [A | b] = Q R for a Q with
+orthonormal columns, so ||b - A beta|| = ||R[:, n] - R[:, :n] beta|| for
+every beta.  The objective, the gradient A'(b - A beta) and every
+least-squares solution on a column subset are those of the full system,
+and R keeps the condition number of A (a Gram-matrix X'WX solve would
+square it).  On the reduced system this is the Lawson-Hanson procedure:
+the coefficient with the largest positive gradient leaves the zero
+bound, a least-squares solve runs on the free columns, and a line search
+pins any coefficient the solve drove negative back at zero.  Finite and
+deterministic; ties break on the lowest column index.
 """
 
 from __future__ import annotations
@@ -14,6 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateSystem
+
+# Rows of the scaled system folded into R per QR, so no full-size copy is made.
+BLOCK_ROWS = 1024
 
 
 def weighted_sse(X, y, beta, weights=None) -> float:
@@ -26,6 +37,19 @@ def weighted_sse(X, y, beta, weights=None) -> float:
         return float(residual @ residual)
     w = np.asarray(weights, dtype=float)
     return float(w @ (residual * residual))
+
+
+def _reduce_rows(X, y, sw):
+    """Triangular factor R of [sw X | sw y], folding BLOCK_ROWS rows per QR."""
+    m, n = X.shape
+    R = np.empty((0, n + 1))
+    for start in range(0, m, BLOCK_ROWS):
+        rows = slice(start, min(start + BLOCK_ROWS, m))
+        block = np.column_stack([X[rows], y[rows]])
+        if sw is not None:
+            block *= sw[rows, None]
+        R = np.linalg.qr(np.vstack([R, block]), mode="r")
+    return R
 
 
 def _free_ls(A, b, free):
@@ -41,28 +65,32 @@ def solve_nnls(X, y, weights=None, tol: float = 1e-9, max_iter: int | None = Non
     over columns held at zero).  Raises DegenerateSystem when the design
     has no usable columns (empty, or an all-zero column).
     """
-    A = np.asarray(X, dtype=float)
-    b = np.asarray(y, dtype=float)
-    if A.ndim != 2:
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2:
         raise ValueError("X must be a 2-D matrix")
-    m, n = A.shape
-    if b.shape != (m,):
-        raise ValueError(f"y has shape {b.shape}, expected ({m},)")
+    m, n = X.shape
+    if y.shape != (m,):
+        raise ValueError(f"y has shape {y.shape}, expected ({m},)")
     if m == 0 or n == 0:
         raise DegenerateSystem("empty design matrix")
+    sw = None
     if weights is not None:
         w = np.asarray(weights, dtype=float)
         if w.shape != (m,):
             raise ValueError(f"weights have shape {w.shape}, expected ({m},)")
-        if not np.all(w > 0):
-            raise ValueError("weights must be strictly positive")
+        if not np.all((w > 0) & np.isfinite(w)):
+            raise ValueError("weights must be finite and strictly positive")
         sw = np.sqrt(w)
-        A = A * sw[:, None]
-        b = b * sw
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(b))):
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("X and y must be finite")
-    if np.any(np.linalg.norm(A, axis=0) == 0.0):
+    if not np.all(X.any(axis=0)):
         raise DegenerateSystem("design matrix has an all-zero column")
+
+    R = _reduce_rows(X, y, sw)
+    if not np.all(np.isfinite(R)):
+        raise ValueError("X and y must be finite")
+    A, b = R[:, :n], R[:, n]
 
     if max_iter is None:
         max_iter = 3 * n

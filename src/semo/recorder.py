@@ -6,16 +6,19 @@ One record per line, field names and order exactly:
      "charge_uah":<int|null>,"status":"<enum>","health":"<enum>","apps":[...]}
 
 Loading is strict: any malformed line aborts with its line number, since
-silently dropping rows would corrupt downstream attribution.  Timestamps
-must increase strictly record-to-record.  The writer holds an advisory
-exclusive lock so at most one recorder owns a log at a time; readers are
-unrestricted.
+silently dropping rows would corrupt downstream attribution.  A record
+counts only once its newline is written, so an unterminated final line,
+left by a write that power loss cut short, is ignored with a warning.
+Timestamps must increase strictly record-to-record.  The writer holds an
+advisory exclusive lock so at most one recorder owns a log at a time;
+readers are unrestricted.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -132,10 +135,23 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
 
 
 def _iter_log(fh):
-    """Yield validated records from an open log, enforcing ts monotonicity."""
+    """Yield validated records from a log opened in binary mode.
+
+    Enforces ts monotonicity.  A record is committed once its newline is
+    on disk: an unterminated final line, a write cut short by power loss,
+    is skipped with a warning.  The file is left positioned just past the
+    last committed line, where LogWriter cuts it off.
+    """
     last_ts = None
     for lineno, raw in enumerate(fh, start=1):
-        line = raw.rstrip("\n")
+        if not raw.endswith(b"\n"):
+            log.warning("ignoring unterminated final line %d of the log (%d bytes)", lineno, len(raw))
+            fh.seek(-len(raw), os.SEEK_CUR)
+            return
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError:
+            raise LogParseError(lineno, "invalid UTF-8") from None
         record = record_from_json(line, lineno)
         ts = record.sample.ts_ms
         if last_ts is not None and ts <= last_ts:
@@ -146,7 +162,7 @@ def _iter_log(fh):
 
 def load_log(path: str | Path) -> list[LogRecord]:
     """Load and validate a whole log; empty file yields an empty list."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return list(_iter_log(fh))
 
 
@@ -161,13 +177,14 @@ class LogWriter:
     """Append-only writer owning the log through an advisory exclusive lock.
 
     Opening validates any existing content (strict parse, streaming) and
-    resumes after its last timestamp.  Keeps O(1) state regardless of log
+    resumes after its last timestamp.  An unterminated final line is cut
+    off before the first append.  Keeps O(1) state regardless of log
     length.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._fh = open(self.path, "a+", encoding="utf-8")
+        self._fh = open(self.path, "a+b")
         if fcntl is not None:
             try:
                 fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -179,6 +196,8 @@ class LogWriter:
             self._last_ts = None
             for record in _iter_log(self._fh):
                 self._last_ts = record.sample.ts_ms
+            committed = self._fh.tell()
+            self._torn_at = committed if self._fh.seek(0, os.SEEK_END) > committed else None
         except Exception:
             self._fh.close()
             raise
@@ -191,7 +210,10 @@ class LogWriter:
         ts = record.sample.ts_ms
         if self._last_ts is not None and ts <= self._last_ts:
             raise NonMonotonicTimestamp(f"ts {ts} not above last written {self._last_ts}")
-        self._fh.write(record_to_json(record) + "\n")
+        if self._torn_at is not None:
+            self._fh.truncate(self._torn_at)
+            self._torn_at = None
+        self._fh.write((record_to_json(record) + "\n").encode("utf-8"))
         self._fh.flush()
         self._last_ts = ts
 

@@ -167,3 +167,42 @@ def random_exact_scenario(rng: np.random.Generator):
     truth = {name: power / e_full * 100.0 for name, power in powers.items()}
     truth["baseline"] = baseline / e_full * 100.0
     return scenario, truth
+
+
+def churn_scenario(n_records: int, n_apps: int, seed: int, capacity_share: float) -> tuple[Scenario, dict]:
+    """Noise-free churn: one of n_apps toggles every 2 minutes, sampled each minute.
+
+    The exactness recipe of random_exact_scenario (1000 mV, powers in
+    multiples of 60 mW, a start at 100 %) with nearly one distinct
+    active set per interval.  Capacity is the schedule's energy times
+    capacity_share, so a share below 1 empties the battery before the
+    log ends.  Returns (scenario, truth) like random_exact_scenario.
+    """
+    rng = np.random.default_rng([seed, 2])
+    names = [f"app{i:03d}" for i in range(n_apps)]
+    powers = dict(zip(names, map(float, 60.0 * (rng.choice(400, size=n_apps, replace=False) + 1))))
+    baseline = 60.0 * int(rng.integers(1, 11))
+    n_min = n_records - 1
+    events = []
+    running: set[str] = set()
+    total_mwh = 0.0
+    for k in range(0, n_min, 2):
+        app = names[int(rng.integers(n_apps))]
+        events.append(ScheduleEvent(k * 60, EventKind.STOP if app in running else EventKind.START, app))
+        running ^= {app}
+        total_mwh += (baseline + sum(powers[a] for a in running)) * min(2, n_min - k) / 60.0
+    scenario = Scenario(
+        capacity_mah=float(math.ceil(total_mwh * capacity_share)),
+        nominal_voltage_mv=1000,
+        baseline_mw=baseline,
+        apps=powers,
+        schedule=tuple(events),
+        duration_s=n_min * 60,
+        sample_interval_s=60,
+        noise=NoiseModel(sigma_mw=0.0, seed=seed),
+        initial_level_pct=100.0,
+    )
+    e_full = scenario.full_energy_mwh
+    truth = {name: power / e_full * 100.0 for name, power in powers.items()}
+    truth["baseline"] = baseline / e_full * 100.0
+    return scenario, truth

@@ -8,7 +8,9 @@ from semo import (
     AttributionResult,
     BatteryStatus,
     ChargeCounterUnavailable,
+    DischargeInterval,
     EnergyAttributor,
+    Grouping,
     INSEPARABLE_FLAG,
     NotFittedError,
     TooFewSamples,
@@ -17,11 +19,14 @@ from semo import (
     merge_identifiability_groups,
     rate_to_power,
     export_csv,
+    make_app_set,
     simulate,
 )
+import semo.analyzer as analyzer_module
 from semo.nnls import weighted_sse
+from semo.validation import check_records
 
-from _helpers import make_record, random_exact_scenario
+from _helpers import churn_scenario, make_record, random_exact_scenario
 
 MIN = 60_000  # one minute in ms
 HOUR = 3_600_000
@@ -204,6 +209,43 @@ class TestChargeCounter:
             build_intervals(self.cc_records(), "sometimes")
 
 
+class TestEmptyBattery:
+    """A pair that touches an empty battery is censored: its drop understates consumption."""
+
+    def test_counter_pair_touching_zero_charge_excluded(self):
+        records = [
+            make_record(0, 100, apps=("A",), charge_uah=1_000_000),
+            make_record(MIN, 1, apps=("A",), charge_uah=10_000),
+            make_record(2 * MIN, 0, apps=("B",), charge_uah=0),
+            make_record(3 * MIN, 0, apps=("B",), charge_uah=0),
+        ]
+        intervals = build_intervals(records, "on")
+        assert [(iv.t_start_ms, iv.t_end_ms) for iv in intervals] == [(0, MIN)]
+
+    def test_level_pair_starting_at_zero_excluded(self):
+        records = [
+            make_record(0, 2, apps=("A",)),
+            make_record(MIN, 1, apps=("B",)),
+            make_record(2 * MIN, 0, apps=("C",)),
+            make_record(3 * MIN, 0, apps=("C",)),
+        ]
+        intervals = build_intervals(records, "off")
+        assert [(iv.t_start_ms, iv.t_end_ms) for iv in intervals] == [(0, MIN), (MIN, 2 * MIN)]
+        assert [iv.drop_pct for iv in intervals] == [1.0, 1.0]
+
+    def test_churn_run_to_empty_recovers_true_rates(self):
+        # capacity covers 70 % of the schedule, so about 3,000 samples sit at 0 %
+        scenario, truth = churn_scenario(10_000, 50, seed=1, capacity_share=0.7)
+        records = simulate(scenario)
+        assert sum(r.sample.charge_uah == 0 for r in records) > 1000
+        result = attribute(records)
+        assert result.baseline_pct_per_h == pytest.approx(truth["baseline"], rel=1e-9)
+        assert result.groups
+        for group in result.groups:
+            assert len(group.apps) == 1 and group.flags == ()
+            assert group.rate_pct_per_h == pytest.approx(truth[group.apps[0]], rel=1e-9)
+
+
 class TestMergeGroups:
     def test_identical_patterns_merge(self):
         records = records_from_segments([(2, 1, ()), (2, 1, ("A", "B"))])
@@ -240,6 +282,63 @@ class TestMergeGroups:
             merge_identifiability_groups([])
 
 
+def tuple_pattern_grouping(intervals, all_apps=None) -> Grouping:
+    """Reference grouping: one membership tuple per app, scanned interval by interval."""
+    intervals = list(intervals)
+    seen = sorted({name for iv in intervals for name in iv.active})
+    patterns: dict[tuple[bool, ...], list[str]] = {}
+    for name in seen:
+        patterns.setdefault(tuple(name in iv.active for iv in intervals), []).append(name)
+    inseparable = make_app_set(patterns.pop(tuple(True for _ in intervals), []))
+    groups = sorted(make_app_set(apps) for apps in patterns.values())
+    columns = [np.ones(len(intervals))]
+    for group in groups:
+        columns.append(np.array([float(group[0] in iv.active) for iv in intervals]))
+    universe = set(all_apps) if all_apps is not None else set(seen)
+    return Grouping(
+        design=np.column_stack(columns),
+        groups=tuple(groups),
+        inseparable=inseparable,
+        unobserved=make_app_set(universe - set(seen)),
+    )
+
+
+@st.composite
+def interval_sets(draw):
+    """Intervals over apps that are always on, share a pattern, vary freely or never run."""
+    n = draw(st.integers(1, 12))
+    free = [f"f{i}" for i in range(draw(st.integers(0, 5)))]
+    always = [f"on{i}" for i in range(draw(st.integers(0, 2)))]
+    active = [set(always) | draw(st.sets(st.sampled_from(free))) if free else set(always) for _ in range(n)]
+    # twins copy the pattern of a free app, so they must land in its group
+    for i in range(draw(st.integers(0, 3)) if free else 0):
+        source = draw(st.sampled_from(free))
+        for apps in active:
+            if source in apps:
+                apps.add(f"twin{i}")
+    ghosts = {f"ghost{i}" for i in range(draw(st.integers(0, 2)))}
+    intervals = [
+        DischargeInterval(t_start_ms=k * MIN, t_end_ms=(k + 1) * MIN, drop_pct=1.0, active=make_app_set(apps))
+        for k, apps in enumerate(active)
+    ]
+    universe = None if draw(st.booleans()) else {a for apps in active for a in apps} | ghosts
+    return intervals, universe
+
+
+class TestGroupingMatchesTuplePatterns:
+    @settings(max_examples=200, deadline=None)
+    @given(case=interval_sets())
+    def test_same_grouping_as_reference(self, case):
+        intervals, universe = case
+        got = merge_identifiability_groups(intervals, all_apps=universe)
+        want = tuple_pattern_grouping(intervals, all_apps=universe)
+        assert got.groups == want.groups
+        assert got.inseparable == want.inseparable
+        assert got.unobserved == want.unobserved
+        assert got.design.dtype == want.design.dtype
+        np.testing.assert_array_equal(got.design, want.design)
+
+
 class TestAttribute:
     def exact_additive_records(self):
         # hour-long spans with active sets {}, {A}, {B}, {A,B} and
@@ -261,6 +360,18 @@ class TestAttribute:
         assert rates[("B",)] == pytest.approx(5.0, abs=1e-9)
         assert result.residual_rms == pytest.approx(0.0, abs=1e-9)
         assert [g.apps for g in result.ranking] == [("B",), ("A",)]
+
+    def test_records_checked_once_and_generators_accepted(self, monkeypatch):
+        calls = []
+
+        def counting(records):
+            calls.append(1)
+            return check_records(records)
+
+        monkeypatch.setattr(analyzer_module, "check_records", counting)
+        result = attribute(iter(self.exact_additive_records()))
+        assert len(calls) == 1
+        assert result == attribute(self.exact_additive_records())
 
     def test_equal_rates_rank_lexicographically(self):
         records = [

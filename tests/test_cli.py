@@ -168,6 +168,15 @@ class TestAnalyze:
         assert code == 1
         assert "line 1" in err
 
+    def test_torn_final_line_is_ignored(self, capsys, caplog, sample_log):
+        _, whole, _ = run_cli(capsys, "analyze", str(sample_log), "--format", "json")
+        with open(sample_log, "a", encoding="utf-8") as fh:
+            fh.write('{"ts_ms":18000000,"level_pct":7')
+        code, out, _ = run_cli(capsys, "analyze", str(sample_log), "--format", "json")
+        assert code == 0
+        assert out == whole
+        assert "unterminated final line 6 of the log (31 bytes)" in caplog.text
+
 
 class TestExport:
     def test_records_csv(self, capsys, sample_log, tmp_path):

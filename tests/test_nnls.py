@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import semo.nnls as nnls_module
 from semo import DegenerateSystem, solve_nnls, weighted_sse
 
 from _helpers import nnls_oracle
@@ -135,3 +136,56 @@ class TestSolutionQuality:
             ours = weighted_sse(X, y, solve_nnls(X, y))
             ref_x, ref_rnorm = scipy_optimize.nnls(X, y)
             assert ours == pytest.approx(ref_rnorm**2, abs=1e-8)
+
+
+def tall_instance(rng, m, n, kind):
+    """Binary activity design behind an always-on column, weights over four decades."""
+    X = np.column_stack([np.ones(m), rng.random((m, n - 1)) < rng.uniform(0.1, 0.9, size=n - 1)]).astype(float)
+    if kind == "duplicated":
+        X[:, -1] = X[:, 1]
+    elif kind == "rank-deficient":
+        X[:, -1] = X[:, 1] + X[:, 2]
+    w = 10.0 ** rng.uniform(-2.0, 2.0, size=m)
+    y = X @ rng.uniform(-1.0, 3.0, size=n) + rng.normal(scale=0.5, size=m) / np.sqrt(w)
+    return X, y, w
+
+
+TALL_SHAPES = [(50, 5), (400, 30), (2000, 60), (5000, 101)]
+TALL_KINDS = ["full-rank", "duplicated", "rank-deficient"]
+
+
+class TestTallWeighted:
+    """Weighted problems of the analyzer's shape, up to five reduction blocks tall."""
+
+    @pytest.mark.parametrize("kind", TALL_KINDS)
+    @pytest.mark.parametrize("m,n", TALL_SHAPES)
+    def test_matches_scipy_on_scaled_system(self, m, n, kind):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        X, y, w = tall_instance(np.random.default_rng([m, n, TALL_KINDS.index(kind)]), m, n, kind)
+        sw = np.sqrt(w)
+        _, ref_rnorm = scipy_optimize.nnls(X * sw[:, None], y * sw, maxiter=50 * n)
+        ours = weighted_sse(X, y, solve_nnls(X, y, weights=w), w)
+        assert abs(ours - ref_rnorm**2) <= 1e-9 * max(1.0, ref_rnorm**2)
+
+    @pytest.mark.parametrize("kind", TALL_KINDS)
+    @pytest.mark.parametrize("m,n", TALL_SHAPES)
+    def test_kkt_conditions_hold(self, m, n, kind):
+        X, y, w = tall_instance(np.random.default_rng([m, n, TALL_KINDS.index(kind), 1]), m, n, kind)
+        beta = solve_nnls(X, y, weights=w)
+        sw = np.sqrt(w)
+        A, b = X * sw[:, None], y * sw
+        grad = A.T @ (b - A @ beta)
+        # the gradient is recomputed on the full system, so allow its rounding
+        slack = 1e-9 + 1e-13 * np.linalg.norm(A) * np.linalg.norm(b)
+        assert np.all(beta >= 0)
+        positive = beta > 0
+        if positive.any():
+            assert np.max(np.abs(grad[positive])) <= slack
+        if (~positive).any():
+            assert np.max(grad[~positive]) <= slack
+
+    def test_block_size_does_not_change_the_solution(self, monkeypatch):
+        X, y, w = tall_instance(np.random.default_rng(11), 3000, 40, "full-rank")
+        default = solve_nnls(X, y, weights=w)
+        monkeypatch.setattr(nnls_module, "BLOCK_ROWS", 7)
+        np.testing.assert_allclose(solve_nnls(X, y, weights=w), default, rtol=1e-9, atol=1e-12)

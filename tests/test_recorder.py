@@ -176,6 +176,46 @@ def test_log_serialization_is_byte_stable(tmp_path):
     assert rewritten == original
 
 
+class TestTornFinalLine:
+    """A record counts once its newline is on disk; power loss can cut the last one short."""
+
+    def records(self):
+        return [make_record(1000 * k, 80 - k, apps=("browser", "café")) for k in range(1, 6)]
+
+    def test_cut_anywhere_in_last_line(self, tmp_path, caplog):
+        path = tmp_path / "log.jsonl"
+        write_log(path, self.records())
+        data = path.read_bytes()
+        last_start = data.rindex(b"\n", 0, len(data) - 1) + 1
+        for cut in range(last_start + 1, len(data)):
+            path.write_bytes(data[:cut])
+            caplog.clear()
+            assert load_log(path) == self.records()[:-1]
+            assert f"({cut - last_start} bytes)" in caplog.text
+            with LogWriter(path) as writer:
+                assert writer.last_ts_ms == 4000
+                writer.append(make_record(9000, 70))
+            assert load_log(path) == self.records()[:-1] + [make_record(9000, 70)]
+
+    def test_open_without_append_leaves_file_alone(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_log(path, self.records())
+        torn = path.read_bytes()[:-10]
+        path.write_bytes(torn)
+        LogWriter(path).close()
+        assert path.read_bytes() == torn
+
+    def test_terminated_bad_line_before_torn_line_still_aborts(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        good = record_to_json(make_record(1000, 80))
+        path.write_text(good + "\n{not json\n" + good[:20])
+        with pytest.raises(LogParseError) as exc:
+            load_log(path)
+        assert exc.value.line == 2
+        with pytest.raises(LogParseError):
+            LogWriter(path)
+
+
 class TestCurveSeries:
     def test_history_projection(self):
         records = [make_record(t, lv) for t, lv in ((1, 80), (2, 79), (3, 79))]
