@@ -160,6 +160,10 @@ def _discharge_intervals(records: list, mode: str) -> list[DischargeInterval]:
         raise ChargeCounterUnavailable("log has no discharging sample with a charge counter")
 
     intervals: list[DischargeInterval] = []
+    # The open run of coalesced pairs; it becomes one interval when it closes.
+    start = end = None
+    run_drop = 0.0
+    run_active = None
     for a, b in zip(records, records[1:]):
         sa, sb = a.sample, b.sample
         if sa.status is not BatteryStatus.DISCHARGING or sb.status is not BatteryStatus.DISCHARGING:
@@ -177,18 +181,15 @@ def _discharge_intervals(records: list, mode: str) -> list[DischargeInterval]:
             drop = float(sa.level_pct - sb.level_pct)
         if drop < 0:
             continue
-        if intervals and intervals[-1].t_end_ms == sa.ts_ms and intervals[-1].active == a.apps:
-            prev = intervals[-1]
-            intervals[-1] = DischargeInterval(
-                t_start_ms=prev.t_start_ms,
-                t_end_ms=sb.ts_ms,
-                drop_pct=prev.drop_pct + drop,
-                active=prev.active,
-            )
-        else:
-            intervals.append(
-                DischargeInterval(t_start_ms=sa.ts_ms, t_end_ms=sb.ts_ms, drop_pct=drop, active=a.apps)
-            )
+        if end == sa.ts_ms and run_active == a.apps:
+            end = sb.ts_ms
+            run_drop += drop
+            continue
+        if start is not None:
+            intervals.append(DischargeInterval(start, end, run_drop, run_active))
+        start, end, run_drop, run_active = sa.ts_ms, sb.ts_ms, drop, a.apps
+    if start is not None:
+        intervals.append(DischargeInterval(start, end, run_drop, run_active))
     if not intervals:
         raise TooFewSamples("no usable discharge intervals in the log")
     return intervals

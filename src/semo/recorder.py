@@ -6,7 +6,17 @@ One record per line, field names and order exactly:
      "charge_uah":<int|null>,"status":"<enum>","health":"<enum>","apps":[...]}
 
 Loading is strict: any malformed line aborts with its line number, since
-silently dropping rows would corrupt downstream attribution.  A record
+silently dropping rows would corrupt downstream attribution.  A line in
+the exact form record_to_json writes is read with one regular expression
+instead of json.loads.  That path is exact, not a looser second parser:
+the pattern admits only the written bytes (fixed keys in fixed order, no
+whitespace, integers in JSON's own grammar spelled with ASCII digits),
+and anything it leaves open (an unknown status or health, an apps list
+that fails the apps check, a sample out of range) sends the line to
+record_from_json, as does every line that does not match.  So each line
+yields the record, or raises the error, that record_from_json gives it.
+The apps list is decoded once per distinct text in a load, and records
+with the same text share one tuple.  A record
 counts only once its newline is written, so an unterminated final line,
 left by a write that power loss cut short, is ignored with a warning.
 Timestamps must increase strictly record-to-record.  The writer holds an
@@ -19,6 +29,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,8 +57,17 @@ _FIELD_SET = frozenset(LOG_FIELDS)
 _STATUS_BY_WIRE = {status.value: status for status in BatteryStatus}
 _HEALTH_BY_WIRE = {health.value: health for health in BatteryHealth}
 
+# The exact bytes record_to_json writes, newline included.  [0-9], never
+# \d: \d would also match non-ASCII digits, which JSON rejects.
+_INT = r"-?(?:0|[1-9][0-9]*)"
+_CANONICAL_LINE = re.compile(
+    rf'\{{"ts_ms":({_INT}),"level_pct":({_INT}),"voltage_mv":({_INT}),"temp_dc":({_INT}),'
+    rf'"charge_uah":(null|{_INT}),"status":"([A-Za-z]*)","health":"([A-Za-z]*)",'
+    r'"apps":(\[.*\])\}\n'
+)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One recorder row: a battery sample plus the apps running at that tick."""
 
@@ -87,6 +107,22 @@ def _require_int(payload: dict, key: str, lineno: int) -> int:
     return value
 
 
+def _apps_error(apps) -> str | None:
+    """Why a decoded apps field is not an AppSet, or None when it is one."""
+    if type(apps) is not list:
+        return "field apps must be a list of strings"
+    prev = None
+    for app in apps:
+        if type(app) is not str or not app.strip():
+            return "app names must be non-empty strings"
+        if app != app.strip():
+            return f"app name {app!r} has surrounding whitespace"
+        if prev is not None and app <= prev:
+            return "apps must be sorted and unique"
+        prev = app
+    return None
+
+
 def record_from_json(line: str, lineno: int = 1) -> LogRecord:
     """Strictly parse one log line; raises LogParseError on any defect."""
     try:
@@ -109,15 +145,9 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
         raise LogParseError(lineno, f"unknown status/health: {payload['status']!r}/{payload['health']!r}")
 
     apps = payload["apps"]
-    if type(apps) is not list:
-        raise LogParseError(lineno, "field apps must be a list of strings")
-    prev = None
-    for app in apps:
-        if type(app) is not str or not app.strip():
-            raise LogParseError(lineno, "app names must be non-empty strings")
-        if prev is not None and app <= prev:
-            raise LogParseError(lineno, "apps must be sorted and unique")
-        prev = app
+    error = _apps_error(apps)
+    if error is not None:
+        raise LogParseError(lineno, error)
 
     try:
         sample = BatterySample(
@@ -134,6 +164,45 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
     return LogRecord(sample=sample, apps=tuple(apps))
 
 
+def _read_written_form(line: str, app_sets: dict[str, AppSet]) -> LogRecord | None:
+    """The record of a line in the exact form record_to_json writes.
+
+    None means the line needs record_from_json, which accepts it or
+    raises.  app_sets maps each apps text already seen in this load to
+    its validated tuple, so repeated lists are decoded once and shared.
+    """
+    m = _CANONICAL_LINE.fullmatch(line)
+    if m is None:
+        return None
+    ts, level, voltage, temp, charge, status, health, apps_text = m.groups()
+    status = _STATUS_BY_WIRE.get(status)
+    health = _HEALTH_BY_WIRE.get(health)
+    if status is None or health is None:
+        return None
+    apps = app_sets.get(apps_text)
+    if apps is None:
+        try:
+            decoded = json.loads(apps_text)
+        except ValueError:
+            return None
+        if _apps_error(decoded) is not None:
+            return None
+        apps = app_sets[apps_text] = tuple(decoded)
+    try:
+        sample = BatterySample(
+            ts_ms=int(ts),
+            level_pct=int(level),
+            voltage_mv=int(voltage),
+            temp_dc=int(temp),
+            charge_uah=None if charge == "null" else int(charge),
+            status=status,
+            health=health,
+        )
+    except ValueError:
+        return None
+    return LogRecord(sample=sample, apps=apps)
+
+
 def _iter_log(fh):
     """Yield validated records from a log opened in binary mode.
 
@@ -143,6 +212,7 @@ def _iter_log(fh):
     last committed line, where LogWriter cuts it off.
     """
     last_ts = None
+    app_sets: dict[str, AppSet] = {}
     for lineno, raw in enumerate(fh, start=1):
         if not raw.endswith(b"\n"):
             log.warning("ignoring unterminated final line %d of the log (%d bytes)", lineno, len(raw))
@@ -152,7 +222,9 @@ def _iter_log(fh):
             line = raw.decode()
         except UnicodeDecodeError:
             raise LogParseError(lineno, "invalid UTF-8") from None
-        record = record_from_json(line, lineno)
+        record = _read_written_form(line, app_sets)
+        if record is None:
+            record = record_from_json(line, lineno)
         ts = record.sample.ts_ms
         if last_ts is not None and ts <= last_ts:
             raise LogParseError(lineno, f"timestamp {ts} not above previous {last_ts}")

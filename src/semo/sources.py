@@ -97,7 +97,7 @@ _HEALTH_BY_SOURCE = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BatterySample:
     """One instantaneous battery reading.
 
@@ -139,11 +139,19 @@ def resolve_source_root(source_root: str | Path | None = None) -> Path:
 
 
 def _read_field(root: Path, name: str) -> str:
+    """A field file's stripped text.
+
+    A missing file raises MissingField; any other read error (EIO from a
+    detached battery, a directory in the file's place, undecodable
+    bytes) raises MalformedField with its text.
+    """
     path = root / name
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise MissingField(name, path) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedField(name, str(exc)) from None
     return text.strip()
 
 
@@ -160,8 +168,8 @@ def read_battery_sample(source_root: str | Path | None = None, clock=None) -> Ba
 
     The timestamp comes from the clock, everything else from the files.
     Raises MissingField when a mandatory file is absent (charge_now is
-    optional) and MalformedField when a value does not parse or the
-    assembled sample breaks an invariant.
+    optional) and MalformedField when a file cannot be read, a value does
+    not parse or the assembled sample breaks an invariant.
     """
     root = resolve_source_root(source_root)
     now_ms = (clock if clock is not None else SystemClock()).now_ms()

@@ -143,6 +143,67 @@ class TestBuildIntervals:
             build_intervals(records)
 
 
+def pairwise_intervals(records, mode="auto"):
+    """Reference interval building: every usable pair rebuilds the open interval."""
+    full_scale = analyzer_module._infer_full_scale_uah(records) if mode != "off" else None
+    intervals = []
+    for a, b in zip(records, records[1:]):
+        sa, sb = a.sample, b.sample
+        if sa.status is not BatteryStatus.DISCHARGING or sb.status is not BatteryStatus.DISCHARGING:
+            continue
+        if full_scale is not None and sa.charge_uah is not None and sb.charge_uah is not None:
+            if sa.charge_uah == 0 or sb.charge_uah == 0:
+                continue
+            drop = (sa.charge_uah - sb.charge_uah) / full_scale * 100.0
+        else:
+            if sa.level_pct == 0:
+                continue
+            drop = float(sa.level_pct - sb.level_pct)
+        if drop < 0:
+            continue
+        if intervals and intervals[-1].t_end_ms == sa.ts_ms and intervals[-1].active == a.apps:
+            prev = intervals[-1]
+            intervals[-1] = DischargeInterval(prev.t_start_ms, sb.ts_ms, prev.drop_pct + drop, prev.active)
+        else:
+            intervals.append(DischargeInterval(sa.ts_ms, sb.ts_ms, drop, a.apps))
+    return intervals
+
+
+@st.composite
+def long_run_logs(draw):
+    """Logs of long same-set runs with counter noise, charging spans and level rises."""
+    records = []
+    ts, level, charge = 0, 100, 4_000_000
+    for _ in range(draw(st.integers(1, 8))):
+        apps = draw(st.sampled_from([(), ("a",), ("a", "b"), ("b",)]))
+        status = draw(st.sampled_from([BatteryStatus.DISCHARGING] * 4 + [BatteryStatus.CHARGING]))
+        for _ in range(draw(st.integers(1, 40))):
+            charge = max(0, charge - draw(st.integers(-2_000, 9_000)))
+            level = max(0, min(100, level - draw(st.integers(-1, 2))))
+            with_counter = draw(st.integers(0, 9)) > 0
+            records.append(
+                make_record(ts, level, apps=apps, status=status, charge_uah=charge if with_counter else None)
+            )
+            ts += draw(st.integers(1, 3)) * MIN
+    return records
+
+
+class TestIntervalsMatchPairwiseCoalescing:
+    @settings(max_examples=150, deadline=None)
+    @given(records=long_run_logs(), mode=st.sampled_from(["auto", "off"]))
+    def test_same_intervals_as_reference(self, records, mode):
+        want = pairwise_intervals(records, mode)
+        if not want:
+            with pytest.raises(TooFewSamples):
+                build_intervals(records, mode)
+            return
+        assert build_intervals(records, mode) == want  # float drops compared bit for bit
+
+    def test_simulated_churn_log(self):
+        records = simulate(churn_scenario(3_000, 20, seed=4, capacity_share=0.7)[0])
+        assert build_intervals(records) == pairwise_intervals(records)
+
+
 class TestChargeCounter:
     def cc_records(self):
         # 1_000_000 µAh full scale; the counter moves inside one level unit

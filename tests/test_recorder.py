@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from semo import (
     BatteryHealth,
     BatteryStatus,
+    FileTreeSource,
     LogLocked,
     LogParseError,
     LogRecord,
@@ -23,7 +24,7 @@ from semo import (
     sample_once,
     write_log,
 )
-from semo.recorder import record_from_json, record_to_json
+from semo.recorder import _read_written_form, record_from_json, record_to_json
 from semo.sources import make_app_set
 
 from _helpers import make_record, make_sample, write_source_dir
@@ -176,6 +177,116 @@ def test_log_serialization_is_byte_stable(tmp_path):
     assert rewritten == original
 
 
+def outcome(read, line):
+    """What reading one line gives: the record, or the error with its line and message."""
+    try:
+        return read(line)
+    except (LogParseError, ValueError) as exc:
+        return type(exc), getattr(exc, "line", None), str(exc)
+
+
+def fields_of(record):
+    """(key, value text) pairs of record_to_json's line, in written order."""
+    payload = json.loads(record_to_json(record))
+    return [(key, json.dumps(value, ensure_ascii=False, separators=(",", ":"))) for key, value in payload.items()]
+
+
+def join_fields(fields, end="\n"):
+    return "{" + ",".join(f'"{key}":{text}' for key, text in fields) + "}" + end
+
+
+NUMBER_SPELLINGS = ["-0", "007", "00", "1.0", "1e3", "5\u0660", "\u0665", "+5", "- 5", "true", '"5"', "2" * 30]
+WORD_SPELLINGS = ['"Draining"', '"discharging"', '"Good "', '"Dis\\u0063harging"', '"G\\u006fod"', "null", "1"]
+APPS_SPELLINGS = [
+    "[]", '["a\\"b"]', '["\u00e9"]', '["\\u00e9"]', '[" game"]', '["game "]', '["\\tgame"]', '["b","a"]',
+    '["a","a"]', '[""]', "[1]", "[[]]", '[ "a" ]', '["a",]', '["a"]]', '["a"],"x":["b"]', '["\\ud800"]',
+    '"a"', "null",
+]
+
+
+SPELLINGS = {
+    "ts_ms": NUMBER_SPELLINGS, "level_pct": NUMBER_SPELLINGS, "voltage_mv": NUMBER_SPELLINGS,
+    "temp_dc": NUMBER_SPELLINGS, "charge_uah": NUMBER_SPELLINGS,
+    "status": WORD_SPELLINGS, "health": WORD_SPELLINGS, "apps": APPS_SPELLINGS,
+}
+
+
+def mutate_line(data, record):
+    """record_to_json's line for record, often changed so that the direct path misses it."""
+    fields = fields_of(record)
+    kind = data.draw(st.sampled_from(["none", "space", "order", "end", "value"]))
+    end = "\n"
+    if kind == "space":
+        i = data.draw(st.integers(0, len(fields) - 1))
+        key, text = fields[i]
+        ws = data.draw(st.sampled_from([" ", "\t", "\r", "\u00a0"]))
+        fields[i] = (key, data.draw(st.sampled_from([ws + text, text + ws])))
+    elif kind == "order":
+        fields = data.draw(st.permutations(fields))
+    elif kind == "end":
+        end = data.draw(st.sampled_from(["\r\n", " \n", "\n\n"]))
+    elif kind == "value":
+        i = data.draw(st.integers(0, len(fields) - 1))
+        key = fields[i][0]
+        fields[i] = (key, data.draw(st.sampled_from(SPELLINGS[key])))
+    return join_fields(fields, end)
+
+
+class TestDirectReading:
+    """The reader's regex path gives exactly what record_from_json gives."""
+
+    def test_fields_of_rebuilds_the_written_line(self):
+        record = make_record(5, 50, apps=("a", "é"), charge_uah=7)
+        assert join_fields(fields_of(record)) == record_to_json(record) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(ts=st.integers(0, 2**53), body=record_bodies, data=st.data())
+    def test_same_outcome_as_record_from_json(self, ts, body, data):
+        level, voltage, temp, charge, status, health, apps = body
+        sample = make_sample(ts, level, status=status, charge_uah=charge, voltage_mv=voltage, temp_dc=temp, health=health)
+        line = mutate_line(data, LogRecord(sample=sample, apps=make_app_set(apps)))
+        want = outcome(lambda text: record_from_json(text, 7), line)
+        app_sets = {}
+
+        def read(text):  # what the log reader does with one line
+            return _read_written_form(text, app_sets) or record_from_json(text, 7)
+
+        for _ in range(2):  # the second read finds the apps text already decoded
+            assert outcome(read, line) == want
+
+    @pytest.mark.parametrize(
+        "key,text",
+        [("level_pct", "101"), ("level_pct", "-1"), ("charge_uah", "-5"), ("voltage_mv", "0"), ("temp_dc", "-0")]
+        + [(key, text) for key in ("ts_ms", "charge_uah") for text in NUMBER_SPELLINGS]
+        + [("status", text) for text in WORD_SPELLINGS]
+        + [("apps", text) for text in APPS_SPELLINGS],
+    )
+    def test_every_spelling_loads_as_record_from_json_reads_it(self, tmp_path, key, text):
+        fields = fields_of(make_record(1000, 80, apps=("a", "b"), charge_uah=10))
+        fields[[k for k, _ in fields].index(key)] = (key, text)
+        line = join_fields(fields)
+        want = outcome(lambda text: [record_from_json(text, 2)], line)
+        path = tmp_path / "log.jsonl"
+        path.write_text(record_to_json(make_record(-1, 90)) + "\n" + line, encoding="utf-8")
+        assert outcome(lambda _: load_log(path)[1:], line) == want
+
+    def test_equal_app_lists_share_one_tuple(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_log(path, [make_record(1000 * k, 80, apps=("browser", "café")) for k in range(1, 4)])
+        records = load_log(path)
+        assert records[0].apps == ("browser", "café")
+        assert records[0].apps is records[1].apps is records[2].apps
+
+    def test_app_name_with_surrounding_whitespace_rejected(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        good = record_to_json(make_record(1000, 80, apps=("game",)))
+        path.write_text(good + "\n" + good.replace('"game"', '" game"').replace(":1000,", ":2000,") + "\n")
+        with pytest.raises(LogParseError) as exc:
+            load_log(path)
+        assert exc.value.line == 2
+        assert "whitespace" in exc.value.detail
+
+
 class TestTornFinalLine:
     """A record counts once its newline is on disk; power loss can cut the last one short."""
 
@@ -245,8 +356,6 @@ class TestCurveSeries:
 class TestSampleOnce:
     def test_composes_sources(self, tmp_path):
         root = write_source_dir(tmp_path)
-        from semo import FileTreeSource
-
         record = sample_once(FileTreeSource(root), SimulatedClock(42))
         assert record.sample.ts_ms == 42
         assert record.sample.level_pct == 80
@@ -254,8 +363,6 @@ class TestSampleOnce:
 
     def test_missing_apps_propagates(self, tmp_path):
         root = write_source_dir(tmp_path, apps=None)
-        from semo import FileTreeSource
-
         with pytest.raises(MissingField):
             sample_once(FileTreeSource(root), SimulatedClock())
 
@@ -327,6 +434,29 @@ class TestRunLoop:
         run_loop(config, FlakySource(), clock, stop)
         timestamps = [r.sample.ts_ms for r in load_log(config.out_path)]
         assert timestamps == [1, 120_001, 180_001, 240_001]  # tick 2 missing
+
+    def test_unreadable_source_field_skips_the_tick(self, tmp_path, caplog):
+        root = write_source_dir(tmp_path / "bat")
+        (root / "temp").unlink()
+        (root / "temp").mkdir()
+        clock = SimulatedClock(0)
+        stop = threading.Event()
+        _stop_after(clock, stop, 120_000)
+        config = RecorderConfig(out_path=tmp_path / "log.jsonl")
+        assert run_loop(config, FileTreeSource(root), clock, stop) == 0
+        assert load_log(config.out_path) == []
+        assert caplog.text.count("sampling tick skipped") == 3
+
+    def test_log_write_error_propagates(self, tmp_path, monkeypatch):
+        class FailingWriter(LogWriter):
+            def append(self, record):
+                raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("semo.recorder.LogWriter", FailingWriter)
+        root = write_source_dir(tmp_path / "bat")
+        config = RecorderConfig(out_path=tmp_path / "log.jsonl")
+        with pytest.raises(OSError):
+            run_loop(config, FileTreeSource(root), SimulatedClock(0), threading.Event())
 
     def test_deterministic_with_replay_and_simulated_clock(self, tmp_path):
         outputs = []

@@ -87,6 +87,22 @@ class TestReadBatterySample:
         with pytest.raises(MalformedField):
             read_battery_sample(root, SimulatedClock())
 
+    @pytest.mark.parametrize("name", ["temp", "charge_now", "status"])
+    def test_unreadable_field_is_malformed(self, tmp_path, name):
+        root = write_source_dir(tmp_path, charge_now="1200000")
+        (root / name).unlink()
+        (root / name).mkdir()
+        with pytest.raises(MalformedField) as exc:
+            read_battery_sample(root, SimulatedClock())
+        assert exc.value.field == name
+
+    def test_undecodable_field_is_malformed(self, tmp_path):
+        root = write_source_dir(tmp_path)
+        (root / "status").write_bytes(b"Dis\xffcharging\n")
+        with pytest.raises(MalformedField) as exc:
+            read_battery_sample(root, SimulatedClock())
+        assert exc.value.field == "status"
+
     def test_no_trailing_newline_accepted(self, tmp_path):
         root = write_source_dir(tmp_path)
         (root / "capacity").write_text("55")
@@ -136,6 +152,12 @@ class TestReadRunningApps:
         root = write_source_dir(tmp_path)
         (root / "running_apps").write_text("a\n\n  \nb\n")
         assert read_running_apps(root) == ("a", "b")
+
+    def test_unreadable_listing_is_malformed(self, tmp_path):
+        root = write_source_dir(tmp_path, apps=None)
+        (root / "running_apps").mkdir()
+        with pytest.raises(MalformedField):
+            read_running_apps(root)
 
     def test_missing_listing(self, tmp_path):
         root = write_source_dir(tmp_path, apps=None)
