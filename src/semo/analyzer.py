@@ -9,21 +9,34 @@ share one identifiability group instead of receiving an arbitrary split;
 applications running in every interval are folded into the baseline and
 flagged, and applications never seen in a usable discharge interval are
 reported as unobserved.
+
+The intervals are computed on the log's columns (recorder.LogColumns):
+pair masks, counter and level drops, censoring and run boundaries are
+array operations, and only each run's drops are summed one by one, in
+pair order, so every interval is bit-identical to a pair-by-pair loop.
+attribute and build_intervals build those columns from records;
+`semo analyze` reads them from the log with recorder.load_columns.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ChargeCounterUnavailable, NotFittedError, TooFewSamples
 from .nnls import solve_nnls, weighted_sse
+from .recorder import STATUSES, LogColumns
 from .sources import AppSet, BatteryStatus, make_app_set
 from .validation import check_charge_counter_mode, check_positive, check_records
 
 MS_PER_HOUR = 3_600_000.0
+
+_DISCHARGING = STATUSES.index(BatteryStatus.DISCHARGING)
 
 INSEPARABLE_FLAG = "inseparable-from-baseline"
 
@@ -110,24 +123,18 @@ def rate_to_power(rate_pct_per_h: float, capacity_mah: float, nominal_voltage_mv
     return rate_pct_per_h / 100.0 * capacity_mah * nominal_voltage_mv / 1000.0
 
 
-def _infer_full_scale_uah(records) -> float | None:
+def _infer_full_scale_uah(columns: LogColumns) -> float | None:
     """Estimate the full battery charge in µAh from the log itself.
 
     Uses charge_uah / level_pct at the best-populated discharging sample
     (highest level, earliest on ties); only discharging samples count so
     the estimate is unchanged when charging spans are dropped from a log.
     """
-    best = None
-    for record in records:
-        s = record.sample
-        if s.status is not BatteryStatus.DISCHARGING:
-            continue
-        if s.charge_uah is None or s.level_pct <= 0:
-            continue
-        key = (s.level_pct, -s.ts_ms)
-        if best is None or key > best[0]:
-            best = (key, s.charge_uah * 100.0 / s.level_pct)
-    return None if best is None else best[1]
+    rows = np.flatnonzero((columns.status == _DISCHARGING) & ~columns.charge_null & (columns.level > 0))
+    if not rows.size:
+        return None
+    best = rows[np.argmax(columns.level[rows])]  # argmax takes the first of equals: the earliest
+    return int(columns.charge[best]) * 100.0 / int(columns.level[best])
 
 
 def build_intervals(records, use_charge_counter: str = "auto") -> list[DischargeInterval]:
@@ -147,52 +154,75 @@ def build_intervals(records, use_charge_counter: str = "auto") -> list[Discharge
     level quantization over steady spans.
     """
     mode = check_charge_counter_mode(use_charge_counter)
-    return _discharge_intervals(check_records(records), mode)
+    columns = LogColumns.from_records(check_records(records))
+    found = _discharge_intervals(columns, mode)
+    return [
+        DischargeInterval(start, end, drop, columns.app_sets[apps])
+        for start, end, drop, apps in zip(
+            found.start.tolist(), found.end.tolist(), found.drop.tolist(), found.apps.tolist()
+        )
+    ]
 
 
-def _discharge_intervals(records: list, mode: str) -> list[DischargeInterval]:
-    """build_intervals on records already checked by check_records."""
-    if len(records) < 2:
-        raise TooFewSamples(f"need at least 2 records, got {len(records)}")
+class _Intervals(NamedTuple):
+    """Discharge intervals as columns: the fields of DischargeInterval, apps as app ids."""
 
-    full_scale = _infer_full_scale_uah(records) if mode != "off" else None
+    start: np.ndarray
+    end: np.ndarray
+    drop: np.ndarray
+    apps: np.ndarray
+
+
+def _discharge_intervals(columns: LogColumns, mode: str) -> _Intervals:
+    """build_intervals on the columns of records whose ts increase strictly."""
+    n = len(columns)
+    if n < 2:
+        raise TooFewSamples(f"need at least 2 records, got {n}")
+
+    full_scale = _infer_full_scale_uah(columns) if mode != "off" else None
     if mode == "on" and full_scale is None:
         raise ChargeCounterUnavailable("log has no discharging sample with a charge counter")
 
-    intervals: list[DischargeInterval] = []
-    # The open run of coalesced pairs; it becomes one interval when it closes.
-    start = end = None
-    run_drop = 0.0
-    run_active = None
-    for a, b in zip(records, records[1:]):
-        sa, sb = a.sample, b.sample
-        if sa.status is not BatteryStatus.DISCHARGING or sb.status is not BatteryStatus.DISCHARGING:
-            continue
-        have_charge = full_scale is not None and sa.charge_uah is not None and sb.charge_uah is not None
-        if mode == "on" and not have_charge:
-            raise ChargeCounterUnavailable(f"charge_uah missing on a discharging sample at ts {sa.ts_ms}")
-        if have_charge:
-            if sa.charge_uah == 0 or sb.charge_uah == 0:
-                continue
-            drop = (sa.charge_uah - sb.charge_uah) / full_scale * 100.0
-        else:
-            if sa.level_pct == 0:
-                continue
-            drop = float(sa.level_pct - sb.level_pct)
-        if drop < 0:
-            continue
-        if end == sa.ts_ms and run_active == a.apps:
-            end = sb.ts_ms
-            run_drop += drop
-            continue
-        if start is not None:
-            intervals.append(DischargeInterval(start, end, run_drop, run_active))
-        start, end, run_drop, run_active = sa.ts_ms, sb.ts_ms, drop, a.apps
-    if start is not None:
-        intervals.append(DischargeInterval(start, end, run_drop, run_active))
-    if not intervals:
+    # Pair i joins rows i and i + 1.
+    ts, level, charge, apps = columns.ts, columns.level, columns.charge, columns.apps
+    discharging = columns.status == _DISCHARGING
+    pairs = discharging[:-1] & discharging[1:]
+    counted = np.zeros(n - 1, dtype=bool)
+    if full_scale is not None:
+        counted = ~columns.charge_null[:-1] & ~columns.charge_null[1:]
+    if mode == "on":
+        missing = np.flatnonzero(pairs & ~counted)
+        if missing.size:
+            first = int(ts[missing[0]])
+            raise ChargeCounterUnavailable(f"charge_uah missing on a discharging sample at ts {first}")
+
+    drop = (level[:-1] - level[1:]).astype(float)
+    censored = np.where(counted, (charge[:-1] == 0) | (charge[1:] == 0), level[:-1] == 0)
+    by_counter = np.flatnonzero(pairs & counted & ~censored)
+    if by_counter.size:
+        # A full scale of 0 raises here, as the division of Python floats would.
+        with np.errstate(divide="raise", invalid="raise"):
+            drop[by_counter] = (charge[by_counter] - charge[by_counter + 1]) / full_scale * 100.0
+    used = np.flatnonzero(pairs & ~censored & (drop >= 0))
+    if not used.size:
         raise TooFewSamples("no usable discharge intervals in the log")
-    return intervals
+
+    # A run of coalesced pairs goes on while the next used pair is the
+    # next pair and starts with the same app set.
+    opens = np.ones(used.size, dtype=bool)
+    opens[1:] = (used[1:] != used[:-1] + 1) | (apps[used[1:]] != apps[used[:-1]])
+    firsts = np.flatnonzero(opens)
+    lasts = np.append(firsts[1:], used.size) - 1
+    # Each run's drops are added one by one in pair order, so that every
+    # sum is the one a running total gives (np.add.reduceat adds pairwise).
+    drops = drop[used].tolist()
+    sums = [reduce(add, drops[first : last + 1]) for first, last in zip(firsts.tolist(), lasts.tolist())]
+    return _Intervals(
+        start=ts[used[firsts]],
+        end=ts[used[lasts] + 1],
+        drop=np.array(sums, dtype=float),
+        apps=apps[used[firsts]],
+    )
 
 
 @dataclass(frozen=True)
@@ -214,19 +244,30 @@ class Grouping:
 def merge_identifiability_groups(intervals, all_apps=None) -> Grouping:
     """Merge apps with identical interval-membership patterns into groups.
 
-    One pass over the intervals fills a boolean intervals x apps
-    incidence matrix; apps whose columns are equal form one group, and
-    the design takes that shared column once per group.
+    A boolean incidence matrix of the distinct active sets x apps, taken
+    once per interval, gives the intervals x apps incidence; apps whose
+    columns are equal form one group, and the design takes that shared
+    column once per group.
     """
     intervals = list(intervals)
     if not intervals:
         raise TooFewSamples("no intervals to group")
-    seen = sorted({name for iv in intervals for name in iv.active})
+    ids: dict[AppSet, int] = {}
+    active = np.fromiter((ids.setdefault(iv.active, len(ids)) for iv in intervals), np.intp, len(intervals))
+    return _grouping(active, list(ids), all_apps)
+
+
+def _grouping(active: np.ndarray, app_sets: list[AppSet], all_apps=None) -> Grouping:
+    """merge_identifiability_groups of intervals whose active sets are app_sets[active]."""
+    used, rows = np.unique(active, return_inverse=True)
+    used_sets = [app_sets[i] for i in used.tolist()]
+    seen = sorted({name for apps in used_sets for name in apps})
     index = {name: j for j, name in enumerate(seen)}
-    incidence = np.zeros((len(intervals), len(seen)), dtype=bool)
-    rows = np.repeat(np.arange(len(intervals)), [len(iv.active) for iv in intervals])
-    cols = np.fromiter((index[name] for iv in intervals for name in iv.active), dtype=np.intp, count=rows.size)
-    incidence[rows, cols] = True
+    set_incidence = np.zeros((len(used_sets), len(seen)), dtype=bool)
+    set_rows = np.repeat(np.arange(len(used_sets)), [len(apps) for apps in used_sets])
+    cols = np.fromiter((index[name] for apps in used_sets for name in apps), dtype=np.intp, count=set_rows.size)
+    set_incidence[set_rows, cols] = True
+    incidence = set_incidence[rows]
 
     patterns: dict[bytes, list[str]] = {}
     always_on: list[str] = []
@@ -238,7 +279,7 @@ def merge_identifiability_groups(intervals, all_apps=None) -> Grouping:
     ranked = sorted((make_app_set(apps), index[apps[0]]) for apps in patterns.values())
     groups = tuple(group for group, _ in ranked)
 
-    design = np.ones((len(intervals), len(groups) + 1))
+    design = np.ones((len(active), len(groups) + 1))
     design[:, 1:] = incidence[:, np.array([j for _, j in ranked], dtype=np.intp)]
 
     universe = set(all_apps) if all_apps is not None else set(seen)
@@ -260,18 +301,18 @@ def attribute(records, use_charge_counter: str = "auto") -> AttributionResult:
     flagged inseparable-from-baseline with their drain folded into the
     baseline estimate rather than split arbitrarily.
     """
-    records = check_records(records)
-    intervals = _discharge_intervals(records, check_charge_counter_mode(use_charge_counter))
-    universe = {
-        name
-        for record in records
-        if record.sample.status is BatteryStatus.DISCHARGING
-        for name in record.apps
-    }
-    grouping = merge_identifiability_groups(intervals, all_apps=universe)
+    return attribute_columns(LogColumns.from_records(check_records(records)), use_charge_counter)
 
-    y = np.array([iv.rate_pct_per_h for iv in intervals])
-    w = np.array([iv.duration_h for iv in intervals])
+
+def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> AttributionResult:
+    """attribute on a log's columns, as load_columns gives them; ts must increase strictly."""
+    found = _discharge_intervals(columns, check_charge_counter_mode(use_charge_counter))
+    discharging_sets = np.unique(columns.apps[columns.status == _DISCHARGING]).tolist()
+    universe = {name for i in discharging_sets for name in columns.app_sets[i]}
+    grouping = _grouping(found.apps, columns.app_sets, all_apps=universe)
+
+    w = np.asarray((found.end - found.start) / MS_PER_HOUR, dtype=float)
+    y = found.drop / w
     beta = solve_nnls(grouping.design, y, weights=w)
 
     baseline = float(beta[0])

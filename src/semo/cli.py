@@ -22,14 +22,14 @@ import threading
 
 from . import __version__
 from .analyzer import (
-    attribute,
+    attribute_columns,
     export_csv,
     rate_to_power,
     write_result_csv,
 )
 from .errors import DegenerateSystem, SemoError, TooFewSamples
 from .inspector import InspectorConfig, describe, evaluate
-from .recorder import RecorderConfig, curve_series, load_log, run_loop, write_log
+from .recorder import RecorderConfig, load_columns, load_log, run_loop, write_log
 from .simulator import load_scenario, simulate
 from .sources import FileTreeSource, read_battery_sample, resolve_source_root
 
@@ -95,8 +95,7 @@ def cmd_record(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    records = load_log(args.log)
-    series = curve_series(records, tail=args.tail)
+    series = load_columns(args.log).curve(tail=args.tail)
     if args.json:
         print(json.dumps({"series": [[ts, level] for ts, level in series]}))
     else:
@@ -132,9 +131,9 @@ def _print_result_table(result, capacity_mah, voltage_mv) -> None:
 
 
 def cmd_analyze(args) -> int:
-    records = load_log(args.log)
+    columns = load_columns(args.log)
     try:
-        result = attribute(records, use_charge_counter=args.use_charge_counter)
+        result = attribute_columns(columns, use_charge_counter=args.use_charge_counter)
     except (TooFewSamples, DegenerateSystem) as exc:
         print(f"error: analysis degenerate: {exc}", file=sys.stderr)
         return EXIT_WARNINGS

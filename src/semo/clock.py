@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 
@@ -11,8 +12,16 @@ class SystemClock:
     def now_ms(self) -> int:
         return time.time_ns() // 1_000_000
 
-    def sleep(self, seconds: float) -> None:
-        time.sleep(seconds)
+    def sleep(self, seconds: float, stop: threading.Event | None = None) -> None:
+        """Block for `seconds`, or until `stop` is set.
+
+        time.sleep alone would resume after a signal handler sets the stop
+        event (PEP 475), so a recorder would exit only when its interval ends.
+        """
+        if stop is None:
+            time.sleep(seconds)
+        else:
+            stop.wait(seconds)
 
 
 class SimulatedClock:
@@ -29,7 +38,8 @@ class SimulatedClock:
     def now_ms(self) -> int:
         return self._now_ms
 
-    def sleep(self, seconds: float) -> None:
+    def sleep(self, seconds: float, stop: threading.Event | None = None) -> None:
+        """Advance by `seconds` at once; `stop` is not waited on."""
         self._now_ms += int(round(seconds * 1000))
         if self.on_advance is not None:
             self.on_advance(self._now_ms)

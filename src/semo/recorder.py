@@ -6,22 +6,28 @@ One record per line, field names and order exactly:
      "charge_uah":<int|null>,"status":"<enum>","health":"<enum>","apps":[...]}
 
 Loading is strict: any malformed line aborts with its line number, since
-silently dropping rows would corrupt downstream attribution.  A line in
-the exact form record_to_json writes is read with one regular expression
-instead of json.loads.  That path is exact, not a looser second parser:
-the pattern admits only the written bytes (fixed keys in fixed order, no
-whitespace, integers in JSON's own grammar spelled with ASCII digits),
-and anything it leaves open (an unknown status or health, an apps list
-that fails the apps check, a sample out of range) sends the line to
-record_from_json, as does every line that does not match.  So each line
-yields the record, or raises the error, that record_from_json gives it.
-The apps list is decoded once per distinct text in a load, and records
-with the same text share one tuple.  A record
-counts only once its newline is written, so an unterminated final line,
-left by a write that power loss cut short, is ignored with a warning.
-Timestamps must increase strictly record-to-record.  The writer holds an
-advisory exclusive lock so at most one recorder owns a log at a time;
-readers are unrestricted.
+silently dropping rows would corrupt downstream attribution.  The log is
+read in blocks of about BLOCK_BYTES, each cut after its last newline,
+and each block becomes numpy columns (LogColumns) without a record or a
+JSON parse per line.  One regular expression finds the lines in the
+exact form record_to_json writes: fixed keys in fixed order, no
+whitespace, integers in JSON's own grammar spelled with ASCII digits and
+at most 18 of them, so that every value fits in int64 and so does the
+difference of any two.  Whole columns are then checked with numpy
+against the rules record_from_json applies (the BatterySample ranges,
+known status and health), each distinct apps text is decoded and checked
+once, and the timestamps must increase strictly, across blocks too.  A
+line the pattern leaves out (other spacing or key order, escapes, longer
+integers) and the first line that fails a check go to record_from_json,
+so each line yields the record, or raises the error, that
+record_from_json gives it: that function stays the one validator.
+Integers too long for int64 make their column an object column of
+Python ints.  Records with equal app lists share one tuple, and equal
+app names one string.  A record counts only once its newline is written,
+so an unterminated final line, left by a write that power loss cut
+short, is ignored with a warning.  The writer holds an advisory
+exclusive lock so at most one recorder owns a log at a time; readers
+are unrestricted.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 try:
     import fcntl
@@ -53,17 +61,30 @@ log = logging.getLogger(__name__)
 
 LOG_FIELDS = ("ts_ms", "level_pct", "voltage_mv", "temp_dc", "charge_uah", "status", "health", "apps")
 
+# Bytes read from the log at a time; a block then ends after its last newline.
+BLOCK_BYTES = 1 << 20
+
 _FIELD_SET = frozenset(LOG_FIELDS)
 _STATUS_BY_WIRE = {status.value: status for status in BatteryStatus}
 _HEALTH_BY_WIRE = {health.value: health for health in BatteryHealth}
 
-# The exact bytes record_to_json writes, newline included.  [0-9], never
-# \d: \d would also match non-ASCII digits, which JSON rejects.
-_INT = r"-?(?:0|[1-9][0-9]*)"
+# Column codes of status and health: indices into these tuples.
+STATUSES = tuple(BatteryStatus)
+HEALTHS = tuple(BatteryHealth)
+_STATUS_CODE_BY_WIRE = {status.value.encode(): code for code, status in enumerate(STATUSES)}
+_HEALTH_CODE_BY_WIRE = {health.value.encode(): code for code, health in enumerate(HEALTHS)}
+_UNKNOWN_STATUS = STATUSES.index(BatteryStatus.UNKNOWN)
+
+# Each line in the exact bytes record_to_json writes, newline included.
+# [0-9], never \d: \d would also match non-ASCII digits, which JSON
+# rejects.  At most 18 digits: every such value and every difference of
+# two fit in int64; longer integers go to record_from_json.
+_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
 _CANONICAL_LINE = re.compile(
-    rf'\{{"ts_ms":({_INT}),"level_pct":({_INT}),"voltage_mv":({_INT}),"temp_dc":({_INT}),'
-    rf'"charge_uah":(null|{_INT}),"status":"([A-Za-z]*)","health":"([A-Za-z]*)",'
-    r'"apps":(\[.*\])\}\n'
+    rb'^\{"ts_ms":(' + _INT + rb'),"level_pct":(' + _INT + rb'),"voltage_mv":(' + _INT + rb'),'
+    rb'"temp_dc":(' + _INT + rb'),"charge_uah":(null|' + _INT + rb'),"status":"([A-Za-z]*)",'
+    rb'"health":"([A-Za-z]*)","apps":(\[.*\])\}\n',
+    re.M,
 )
 
 
@@ -129,6 +150,8 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
         payload = json.loads(line)
     except json.JSONDecodeError as exc:
         raise LogParseError(lineno, f"invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # an integer over Python's digit limit; nesting too deep
+        raise LogParseError(lineno, f"invalid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise LogParseError(lineno, "record must be a JSON object")
     if payload.keys() != _FIELD_SET:
@@ -164,78 +187,301 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
     return LogRecord(sample=sample, apps=tuple(apps))
 
 
-def _read_written_form(line: str, app_sets: dict[str, AppSet]) -> LogRecord | None:
-    """The record of a line in the exact form record_to_json writes.
-
-    None means the line needs record_from_json, which accepts it or
-    raises.  app_sets maps each apps text already seen in this load to
-    its validated tuple, so repeated lists are decoded once and shared.
-    """
-    m = _CANONICAL_LINE.fullmatch(line)
-    if m is None:
-        return None
-    ts, level, voltage, temp, charge, status, health, apps_text = m.groups()
-    status = _STATUS_BY_WIRE.get(status)
-    health = _HEALTH_BY_WIRE.get(health)
-    if status is None or health is None:
-        return None
-    apps = app_sets.get(apps_text)
-    if apps is None:
-        try:
-            decoded = json.loads(apps_text)
-        except ValueError:
-            return None
-        if _apps_error(decoded) is not None:
-            return None
-        apps = app_sets[apps_text] = tuple(decoded)
+def _int_column(values) -> np.ndarray:
+    """Python ints as an int64 column, or as an object column when one does not fit."""
     try:
-        sample = BatterySample(
-            ts_ms=int(ts),
-            level_pct=int(level),
-            voltage_mv=int(voltage),
-            temp_dc=int(temp),
-            charge_uah=None if charge == "null" else int(charge),
-            status=status,
-            health=health,
-        )
-    except ValueError:
-        return None
-    return LogRecord(sample=sample, apps=apps)
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _iter_log(fh):
-    """Yield validated records from a log opened in binary mode.
+_COLUMNS = ("ts", "level", "voltage", "temp", "charge", "charge_null", "status", "health", "apps")
 
-    Enforces ts monotonicity.  A record is committed once its newline is
-    on disk: an unterminated final line, a write cut short by power loss,
-    is skipped with a warning.  The file is left positioned just past the
-    last committed line, where LogWriter cuts it off.
+
+@dataclass(frozen=True)
+class LogColumns:
+    """A log as numpy columns: row i holds record i, in log order.
+
+    ts, level, voltage, temp and charge are int64, or object columns of
+    Python ints when a value does not fit in int64; charge holds 0 where
+    charge_null is set.  status and health hold codes, indices into
+    STATUSES and HEALTHS.  apps holds ids, indices into app_sets, which
+    lists each distinct app list once, so equal lists have equal ids.
     """
-    last_ts = None
-    app_sets: dict[str, AppSet] = {}
-    for lineno, raw in enumerate(fh, start=1):
-        if not raw.endswith(b"\n"):
-            log.warning("ignoring unterminated final line %d of the log (%d bytes)", lineno, len(raw))
-            fh.seek(-len(raw), os.SEEK_CUR)
-            return
+
+    ts: np.ndarray
+    level: np.ndarray
+    voltage: np.ndarray
+    temp: np.ndarray
+    charge: np.ndarray
+    charge_null: np.ndarray
+    status: np.ndarray
+    health: np.ndarray
+    apps: np.ndarray
+    app_sets: list[AppSet]
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    @classmethod
+    def from_records(cls, records) -> "LogColumns":
+        """The columns of LogRecords, in their order."""
+        return _columns_of_records(list(records), _AppTable())
+
+    def records(self) -> list[LogRecord]:
+        """The LogRecords of the rows; equal app lists share one tuple."""
+        charge = self.charge.astype(object)
+        charge[self.charge_null] = None
+        samples = map(
+            BatterySample,
+            self.ts.tolist(),
+            self.level.tolist(),
+            self.voltage.tolist(),
+            self.temp.tolist(),
+            charge.tolist(),
+            map(STATUSES.__getitem__, self.status.tolist()),
+            map(HEALTHS.__getitem__, self.health.tolist()),
+        )
+        return list(map(LogRecord, samples, map(self.app_sets.__getitem__, self.apps.tolist())))
+
+    def curve(self, tail: int | None = None) -> list[tuple[int, int]]:
+        """(ts_ms, level_pct) pairs, as curve_series gives them for the records."""
+        return list(zip(_tail(self.ts, tail).tolist(), _tail(self.level, tail).tolist()))
+
+    def _take(self, rows) -> "LogColumns":
+        return LogColumns(**{name: getattr(self, name)[rows] for name in _COLUMNS}, app_sets=self.app_sets)
+
+
+def _concat(parts: list[LogColumns], apps: _AppTable) -> LogColumns:
+    """One LogColumns of parts whose app ids all come from apps."""
+    if not parts:
+        return _columns_of_records([], apps)
+    columns = {name: np.concatenate([getattr(part, name) for part in parts]) for name in _COLUMNS}
+    return LogColumns(**columns, app_sets=apps.sets)
+
+
+class _AppTable:
+    """The distinct app lists of one read, each apps text decoded and checked once.
+
+    Equal lists get one id and share one tuple; equal names decoded from
+    the log share one string.
+    """
+
+    def __init__(self):
+        self.sets: list[AppSet] = []
+        self._ids: dict[AppSet, int] = {}
+        self._names: dict[str, str] = {}
+        self._text_ids: dict[bytes, int] = {}
+
+    def id_of(self, apps: AppSet) -> int:
+        found = self._ids.get(apps)
+        if found is None:
+            found = self._ids[apps] = len(self.sets)
+            self.sets.append(apps)
+        return found
+
+    def text_ids(self, texts) -> np.ndarray:
+        """The id of each apps text, or -1 where it is not a valid apps list."""
+        for text in dict.fromkeys(texts):
+            if text not in self._text_ids:
+                self._text_ids[text] = self._decode(text)
+        return np.fromiter(map(self._text_ids.__getitem__, texts), np.intp, len(texts))
+
+    def _decode(self, text: bytes) -> int:
         try:
-            line = raw.decode()
-        except UnicodeDecodeError:
-            raise LogParseError(lineno, "invalid UTF-8") from None
-        record = _read_written_form(line, app_sets)
-        if record is None:
-            record = record_from_json(line, lineno)
-        ts = record.sample.ts_ms
-        if last_ts is not None and ts <= last_ts:
-            raise LogParseError(lineno, f"timestamp {ts} not above previous {last_ts}")
-        last_ts = ts
-        yield record
+            apps = json.loads(text.decode())
+        except (ValueError, RecursionError):  # invalid UTF-8 or JSON
+            return -1
+        if _apps_error(apps) is not None:
+            return -1
+        return self.id_of(tuple(self._names.setdefault(name, name) for name in apps))
+
+
+def _member_codes(members, all_members: tuple) -> np.ndarray:
+    """Each enum member's index in all_members (compared by identity: Enum hashes in Python)."""
+    column = np.fromiter(members, dtype=object, count=len(members))
+    codes = np.zeros(len(column), dtype=np.int8)
+    for code, member in enumerate(all_members):
+        codes[column == member] = code
+    return codes
+
+
+def _columns_of_records(records: list, apps: _AppTable) -> LogColumns:
+    samples = [record.sample for record in records]
+    charge = [s.charge_uah for s in samples]
+    app_lists = [record.apps for record in records]
+    ids = {app_list: apps.id_of(app_list) for app_list in dict.fromkeys(app_lists)}
+    return LogColumns(
+        ts=_int_column([s.ts_ms for s in samples]),
+        level=_int_column([s.level_pct for s in samples]),
+        voltage=_int_column([s.voltage_mv for s in samples]),
+        temp=_int_column([s.temp_dc for s in samples]),
+        charge=_int_column([0 if c is None else c for c in charge]),
+        charge_null=np.array([c is None for c in charge], dtype=bool),
+        status=_member_codes([s.status for s in samples], STATUSES),
+        health=_member_codes([s.health for s in samples], HEALTHS),
+        apps=np.array(list(map(ids.__getitem__, app_lists)), dtype=np.intp),
+        app_sets=apps.sets,
+    )
+
+
+def _ints(text: bytes) -> np.ndarray:
+    """int64 column of comma-separated integers the pattern matched (at most 18 digits each)."""
+    return np.fromstring(text, dtype=np.int64, sep=",")
+
+
+def _codes(words, code_by_wire: dict[bytes, int]) -> np.ndarray:
+    """Code of each status or health word, -1 where it is unknown."""
+    codes = {word: code_by_wire.get(word, -1) for word in set(words)}
+    return np.fromiter(map(codes.__getitem__, words), np.int8, len(words))
+
+
+def _columns_of_lines(rows: list[tuple], apps: _AppTable) -> LogColumns:
+    """The columns of lines the pattern matched, given as their groups."""
+    if not rows:
+        return _columns_of_records([], apps)
+    ts, level, voltage, temp, charge, status, health, app_texts = zip(*rows)
+    charge_text = b",".join(charge)
+    charge_null = np.zeros(len(rows), dtype=bool)
+    if b"null" in charge_text:
+        charge_null = np.array(charge) == b"null"
+    return LogColumns(
+        ts=_ints(b",".join(ts)),
+        level=_ints(b",".join(level)),
+        voltage=_ints(b",".join(voltage)),
+        temp=_ints(b",".join(temp)),
+        charge=_ints(charge_text.replace(b"null", b"0")),
+        charge_null=charge_null,
+        status=_codes(status, _STATUS_CODE_BY_WIRE),
+        health=_codes(health, _HEALTH_CODE_BY_WIRE),
+        apps=apps.text_ids(app_texts),
+        app_sets=apps.sets,
+    )
+
+
+def _faulty(c: LogColumns) -> np.ndarray:
+    """Rows that break a rule record_from_json enforces, which then judges them."""
+    return (
+        (c.level < 0)
+        | (c.level > 100)
+        | ((c.voltage <= 0) & (c.status != _UNKNOWN_STATUS))
+        | (c.charge < 0)
+        | (c.status < 0)
+        | (c.health < 0)
+        | (c.apps < 0)
+    )
+
+
+def _record_of_line(raw: bytes, lineno: int) -> LogRecord:
+    try:
+        line = raw.decode()
+    except UnicodeDecodeError:
+        raise LogParseError(lineno, "invalid UTF-8") from None
+    return record_from_json(line, lineno)
+
+
+def _mend(block: bytes, first_line: int, cols: LogColumns, faulty: np.ndarray, apps: _AppTable):
+    """Send the lines the pattern left out, and the faulty rows, to record_from_json.
+
+    Returns the columns of every line before the first one it rejects,
+    and that line's LogParseError (None when it rejects none).
+    """
+    ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")) + 1
+    starts = np.concatenate(([0], ends[:-1]))
+    matched_at = np.fromiter((m.start() for m in _CANONICAL_LINE.finditer(block)), np.intp, len(cols))
+    line_of_row = np.searchsorted(starts, matched_at)
+    judged = np.ones(len(starts), dtype=bool)
+    judged[line_of_row[~faulty]] = False
+    records, lines, error, end = [], [], None, len(starts)
+    for line in np.flatnonzero(judged).tolist():
+        try:
+            records.append(_record_of_line(block[starts[line] : ends[line]], first_line + line))
+        except LogParseError as exc:
+            error, end = exc, line
+            break
+        lines.append(line)
+    kept = ~faulty & (line_of_row < end)
+    merged = _concat([cols._take(kept), _columns_of_records(records, apps)], apps)
+    order = np.argsort(np.concatenate((line_of_row[kept], lines)), kind="stable")
+    return merged._take(order), error
+
+
+def _check_increasing(ts: np.ndarray, first_line: int, prev_ts: int | None) -> None:
+    """Raise at the first row whose ts is not above the one before it (prev_ts for row 0)."""
+    if len(ts) and prev_ts is not None and int(ts[0]) <= prev_ts:
+        row, prev = 0, prev_ts
+    else:
+        down = np.flatnonzero(ts[1:] <= ts[:-1])
+        if not down.size:
+            return
+        row = int(down[0]) + 1
+        prev = ts[row - 1]
+    raise LogParseError(first_line + row, f"timestamp {int(ts[row])} not above previous {int(prev)}")
+
+
+def _block_columns(block: bytes, first_line: int, apps: _AppTable, prev_ts: int | None) -> LogColumns:
+    """The columns of block, whole lines of which the first is line first_line.
+
+    Raises the LogParseError of the first line that record_from_json
+    rejects or whose timestamp is not above the one before it (prev_ts
+    before the block's first line), as reading line by line would.
+    """
+    rows = _CANONICAL_LINE.findall(block)
+    cols = _columns_of_lines(rows, apps)
+    faulty = _faulty(cols)
+    error = None
+    if len(rows) < block.count(b"\n") or faulty.any():
+        cols, error = _mend(block, first_line, cols, faulty, apps)
+    _check_increasing(cols.ts, first_line, prev_ts)
+    if error is not None:
+        raise error
+    return cols
+
+
+def _iter_columns(fh, apps: _AppTable | None = None):
+    """Yield the LogColumns of each block of a log opened in binary mode.
+
+    apps is the table of every block's app lists; without one each block
+    gets its own, so that memory stays bounded by the block size.
+    Timestamps must increase strictly, across blocks too.  A record is
+    committed once its newline is on disk: an unterminated final line,
+    a write cut short by power loss, is skipped with a warning.  The
+    file is left positioned just past the last committed line, where
+    LogWriter cuts it off.
+    """
+    committed = fh.tell()
+    line, prev_ts, rest = 1, None, b""
+    while chunk := fh.read(BLOCK_BYTES):
+        rest += chunk
+        del chunk
+        cut = rest.rfind(b"\n") + 1
+        if not cut:
+            continue
+        cols = _block_columns(rest[:cut], line, apps if apps is not None else _AppTable(), prev_ts)
+        rest = rest[cut:]
+        line += len(cols)
+        committed += cut
+        if len(cols):
+            prev_ts = int(cols.ts[-1])
+        yield cols
+        del cols  # hold one block at a time
+    if rest:
+        log.warning("ignoring unterminated final line %d of the log (%d bytes)", line, len(rest))
+    fh.seek(committed)
 
 
 def load_log(path: str | Path) -> list[LogRecord]:
     """Load and validate a whole log; empty file yields an empty list."""
+    apps = _AppTable()
     with open(path, "rb") as fh:
-        return list(_iter_log(fh))
+        return [record for cols in _iter_columns(fh, apps) for record in cols.records()]
+
+
+def load_columns(path: str | Path) -> LogColumns:
+    """Load and validate a whole log as columns, with load_log's checks and errors."""
+    apps = _AppTable()
+    with open(path, "rb") as fh:
+        return _concat(list(_iter_columns(fh, apps)), apps)
 
 
 def write_log(path: str | Path, records) -> None:
@@ -248,10 +494,10 @@ def write_log(path: str | Path, records) -> None:
 class LogWriter:
     """Append-only writer owning the log through an advisory exclusive lock.
 
-    Opening validates any existing content (strict parse, streaming) and
-    resumes after its last timestamp.  An unterminated final line is cut
-    off before the first append.  Keeps O(1) state regardless of log
-    length.
+    Opening validates any existing content (strict parse, one block at a
+    time) and resumes after its last timestamp.  An unterminated final
+    line is cut off before the first append.  Memory stays bounded by the
+    block size regardless of log length.
     """
 
     def __init__(self, path: str | Path):
@@ -266,8 +512,10 @@ class LogWriter:
         try:
             self._fh.seek(0)
             self._last_ts = None
-            for record in _iter_log(self._fh):
-                self._last_ts = record.sample.ts_ms
+            for cols in _iter_columns(self._fh):
+                if len(cols):
+                    self._last_ts = int(cols.ts[-1])
+                del cols  # hold one block at a time
             committed = self._fh.tell()
             self._torn_at = committed if self._fh.seek(0, os.SEEK_END) > committed else None
         except Exception:
@@ -312,21 +560,26 @@ def curve_series(records, tail: int | None = None) -> list[tuple[int, int]]:
     tail=None returns the full history; tail=n returns the last n pairs
     (the real-time view).
     """
-    series = [(r.sample.ts_ms, r.sample.level_pct) for r in records]
+    return [(r.sample.ts_ms, r.sample.level_pct) for r in _tail(list(records), tail)]
+
+
+def _tail(seq, tail: int | None):
+    """The last `tail` items of seq; all of them for None."""
     if tail is None:
-        return series
+        return seq
     if tail < 0:
         raise ValueError(f"tail must be non-negative: {tail}")
-    return series[-tail:] if tail else []
+    return seq[-tail:] if tail else seq[:0]
 
 
 def run_loop(config: RecorderConfig, source, clock=None, stop: threading.Event | None = None) -> int:
     """Sample and append once per interval until the stop signal is set.
 
-    The first sample is taken immediately.  A tick whose source read or
-    append fails is logged to diagnostics and skipped; the loop carries
-    on.  I/O failures on the log itself propagate (the caller exits
-    nonzero).  Returns the number of records written.
+    The first sample is taken immediately, and setting stop ends the wait
+    for the next one at once.  A tick whose source read or append fails
+    is logged to diagnostics and skipped; the loop carries on.  I/O
+    failures on the log itself propagate (the caller exits nonzero).
+    Returns the number of records written.
     """
     clock = clock if clock is not None else SystemClock()
     stop = stop if stop is not None else threading.Event()
@@ -338,5 +591,5 @@ def run_loop(config: RecorderConfig, source, clock=None, stop: threading.Event |
                 written += 1
             except (MissingField, MalformedField, NonMonotonicTimestamp) as exc:
                 log.warning("sampling tick skipped: %s", exc)
-            clock.sleep(config.interval_s)
+            clock.sleep(config.interval_s, stop)
     return written

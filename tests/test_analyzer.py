@@ -21,8 +21,11 @@ from semo import (
     export_csv,
     make_app_set,
     simulate,
+    write_log,
 )
 import semo.analyzer as analyzer_module
+from semo.analyzer import attribute_columns
+from semo.recorder import load_columns
 from semo.nnls import weighted_sse
 from semo.validation import check_records
 
@@ -143,9 +146,22 @@ class TestBuildIntervals:
             build_intervals(records)
 
 
+def full_scale_uah(records):
+    """Reference full-scale estimate: charge / level at the highest discharging level, earliest on ties."""
+    best = None
+    for record in records:
+        s = record.sample
+        if s.status is not BatteryStatus.DISCHARGING or s.charge_uah is None or s.level_pct <= 0:
+            continue
+        key = (s.level_pct, -s.ts_ms)
+        if best is None or key > best[0]:
+            best = (key, s.charge_uah * 100.0 / s.level_pct)
+    return None if best is None else best[1]
+
+
 def pairwise_intervals(records, mode="auto"):
     """Reference interval building: every usable pair rebuilds the open interval."""
-    full_scale = analyzer_module._infer_full_scale_uah(records) if mode != "off" else None
+    full_scale = full_scale_uah(records) if mode != "off" else None
     intervals = []
     for a, b in zip(records, records[1:]):
         sa, sb = a.sample, b.sample
@@ -171,9 +187,15 @@ def pairwise_intervals(records, mode="auto"):
 
 @st.composite
 def long_run_logs(draw):
-    """Logs of long same-set runs with counter noise, charging spans and level rises."""
+    """Logs of long same-set runs with counter noise, charging spans and level rises.
+
+    Timestamps and counters may start beyond 2**63, where the analyzer's
+    columns hold Python ints.
+    """
     records = []
-    ts, level, charge = 0, 100, 4_000_000
+    ts = draw(st.sampled_from([0, 0, 2**63, 10**30]))
+    level = 100
+    charge = draw(st.sampled_from([4_000_000, 4_000_000, 2**63 + 4_000_000, 10**30]))
     for _ in range(draw(st.integers(1, 8))):
         apps = draw(st.sampled_from([(), ("a",), ("a", "b"), ("b",)]))
         status = draw(st.sampled_from([BatteryStatus.DISCHARGING] * 4 + [BatteryStatus.CHARGING]))
@@ -202,6 +224,21 @@ class TestIntervalsMatchPairwiseCoalescing:
     def test_simulated_churn_log(self):
         records = simulate(churn_scenario(3_000, 20, seed=4, capacity_share=0.7)[0])
         assert build_intervals(records) == pairwise_intervals(records)
+
+
+class TestColumnsOfTheLog:
+    def test_same_result_as_records_beyond_int64(self, tmp_path):
+        apps = [(), ("A",), ("A", "B")]
+        records = [
+            make_record(10**30 + k * HOUR, 100 - 2 * k, apps=apps[k % 3], charge_uah=10**28 - k * 10**25)
+            for k in range(9)
+        ]
+        path = tmp_path / "log.jsonl"
+        write_log(path, records)
+        columns = load_columns(path)
+        assert columns.ts.dtype == object and columns.charge.dtype == object
+        assert attribute_columns(columns) == attribute(records)
+        assert attribute_columns(columns, "off") == attribute(records, "off")
 
 
 class TestChargeCounter:

@@ -168,6 +168,14 @@ class TestAnalyze:
         assert code == 1
         assert "line 1" in err
 
+    def test_integer_over_the_digit_limit_reports_line(self, capsys, sample_log):
+        with open(sample_log, "a", encoding="utf-8") as fh:
+            fh.write('{"ts_ms":' + "1" * 5000 + ',"level_pct":7}\n')
+        code, out, err = run_cli(capsys, "analyze", str(sample_log))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: log line 6: invalid JSON: ")
+
     def test_torn_final_line_is_ignored(self, capsys, caplog, sample_log):
         _, whole, _ = run_cli(capsys, "analyze", str(sample_log), "--format", "json")
         with open(sample_log, "a", encoding="utf-8") as fh:
@@ -293,3 +301,35 @@ def test_record_subprocess_smoke(tmp_path):
     assert log_path.exists()
     lines = log_path.read_text().splitlines()
     assert len(lines) == payload["records_written"]
+
+
+def test_record_stops_promptly_on_sigint(tmp_path):
+    source = write_source_dir(tmp_path / "bat")
+    log_path = tmp_path / "rec.jsonl"
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "semo", "record",
+            "--out", str(log_path), "--interval", "30",
+            "--source-root", str(source), "--json",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 20
+        while not (log_path.exists() and log_path.read_bytes().endswith(b"\n")):
+            assert proc.poll() is None, proc.stderr.read()
+            assert time.monotonic() < deadline, "no record written"
+            time.sleep(0.05)
+        sent = time.monotonic()
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+        stopped_after = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert stopped_after < 5, f"exit took {stopped_after:.1f} s after SIGINT"
+    assert json.loads(out)["records_written"] == 1

@@ -1,6 +1,10 @@
+import dataclasses
+import gc
 import json
 import threading
 import time
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +28,8 @@ from semo import (
     sample_once,
     write_log,
 )
-from semo.recorder import _read_written_form, record_from_json, record_to_json
+import semo.recorder as recorder_module
+from semo.recorder import load_columns, record_from_json, record_to_json
 from semo.sources import make_app_set
 
 from _helpers import make_record, make_sample, write_source_dir
@@ -185,6 +190,10 @@ def outcome(read, line):
         return type(exc), getattr(exc, "line", None), str(exc)
 
 
+def replace_ts(record, ts_ms):
+    return LogRecord(sample=dataclasses.replace(record.sample, ts_ms=ts_ms), apps=record.apps)
+
+
 def fields_of(record):
     """(key, value text) pairs of record_to_json's line, in written order."""
     payload = json.loads(record_to_json(record))
@@ -195,7 +204,10 @@ def join_fields(fields, end="\n"):
     return "{" + ",".join(f'"{key}":{text}' for key, text in fields) + "}" + end
 
 
-NUMBER_SPELLINGS = ["-0", "007", "00", "1.0", "1e3", "5\u0660", "\u0665", "+5", "- 5", "true", '"5"', "2" * 30]
+NUMBER_SPELLINGS = [
+    "-0", "007", "00", "1.0", "1e3", "5\u0660", "\u0665", "+5", "- 5", "true", '"5"', "2" * 30,
+    "9" * 18, "-" + "9" * 18, str(2**63), str(-(2**63) - 1), "1" + "0" * 18,
+]
 WORD_SPELLINGS = ['"Draining"', '"discharging"', '"Good "', '"Dis\\u0063harging"', '"G\\u006fod"', "null", "1"]
 APPS_SPELLINGS = [
     "[]", '["a\\"b"]', '["\u00e9"]', '["\\u00e9"]', '[" game"]', '["game "]', '["\\tgame"]', '["b","a"]',
@@ -232,8 +244,48 @@ def mutate_line(data, record):
     return join_fields(fields, end)
 
 
+def read_line_by_line(data: bytes) -> list:
+    """Reference reader: record_from_json on each committed line, then the timestamp check."""
+    *lines, _torn = data.split(b"\n")
+    records = []
+    for lineno, raw in enumerate(lines, start=1):
+        try:
+            line = (raw + b"\n").decode()
+        except UnicodeDecodeError:
+            raise LogParseError(lineno, "invalid UTF-8") from None
+        record = record_from_json(line, lineno)
+        if records and record.sample.ts_ms <= records[-1].sample.ts_ms:
+            last = records[-1].sample.ts_ms
+            raise LogParseError(lineno, f"timestamp {record.sample.ts_ms} not above previous {last}")
+        records.append(record)
+    return records
+
+
+def read_every_way(path):
+    """What load_log, load_columns and LogWriter give for one log, or their errors."""
+    got = {
+        "load_log": outcome(load_log, path),
+        "load_columns": outcome(lambda p: load_columns(p).records(), path),
+    }
+
+    def resume(p):
+        with LogWriter(p) as writer:
+            return writer.last_ts_ms
+
+    got["resume"] = outcome(resume, path)
+    return got
+
+
+def want_every_way(data: bytes):
+    records = outcome(read_line_by_line, data)
+    resumed = records
+    if type(records) is list:
+        resumed = records[-1].sample.ts_ms if records else None
+    return {"load_log": records, "load_columns": records, "resume": resumed}
+
+
 class TestDirectReading:
-    """The reader's regex path gives exactly what record_from_json gives."""
+    """The block reader gives exactly what record_from_json gives, line by line."""
 
     def test_fields_of_rebuilds_the_written_line(self):
         record = make_record(5, 50, apps=("a", "é"), charge_uah=7)
@@ -241,18 +293,19 @@ class TestDirectReading:
 
     @settings(max_examples=300, deadline=None)
     @given(ts=st.integers(0, 2**53), body=record_bodies, data=st.data())
-    def test_same_outcome_as_record_from_json(self, ts, body, data):
+    def test_same_outcome_as_record_from_json(self, tmp_path_factory, ts, body, data):
         level, voltage, temp, charge, status, health, apps = body
         sample = make_sample(ts, level, status=status, charge_uah=charge, voltage_mv=voltage, temp_dc=temp, health=health)
-        line = mutate_line(data, LogRecord(sample=sample, apps=make_app_set(apps)))
-        want = outcome(lambda text: record_from_json(text, 7), line)
-        app_sets = {}
-
-        def read(text):  # what the log reader does with one line
-            return _read_written_form(text, app_sets) or record_from_json(text, 7)
-
-        for _ in range(2):  # the second read finds the apps text already decoded
-            assert outcome(read, line) == want
+        record = LogRecord(sample=sample, apps=make_app_set(apps))
+        line = mutate_line(data, record).encode()
+        # Canonical lines with the same apps around it: the reader has met
+        # its apps text before, and the line sits inside a block.
+        before = b"".join(f"{record_to_json(replace_ts(record, ts_ms))}\n".encode() for ts_ms in (-30, -20, -10))
+        after = b"".join(f"{record_to_json(replace_ts(record, 2**54 + k))}\n".encode() for k in range(3))
+        path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+        for text in (line, before + line + after):
+            path.write_bytes(text)
+            assert read_every_way(path) == want_every_way(text)
 
     @pytest.mark.parametrize(
         "key,text",
@@ -267,7 +320,7 @@ class TestDirectReading:
         line = join_fields(fields)
         want = outcome(lambda text: [record_from_json(text, 2)], line)
         path = tmp_path / "log.jsonl"
-        path.write_text(record_to_json(make_record(-1, 90)) + "\n" + line, encoding="utf-8")
+        path.write_text(record_to_json(make_record(-(10**40), 90)) + "\n" + line, encoding="utf-8")
         assert outcome(lambda _: load_log(path)[1:], line) == want
 
     def test_equal_app_lists_share_one_tuple(self, tmp_path):
@@ -277,6 +330,16 @@ class TestDirectReading:
         assert records[0].apps == ("browser", "café")
         assert records[0].apps is records[1].apps is records[2].apps
 
+    def test_equal_app_names_share_one_string(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        write_log(path, [
+            make_record(1000, 80, apps=("browser", "café")),
+            make_record(2000, 80, apps=("café",)),
+        ])
+        first, second = (record.apps for record in load_log(path))
+        assert second == ("café",)
+        assert second[0] is first[1]
+
     def test_app_name_with_surrounding_whitespace_rejected(self, tmp_path):
         path = tmp_path / "log.jsonl"
         good = record_to_json(make_record(1000, 80, apps=("game",)))
@@ -285,6 +348,91 @@ class TestDirectReading:
             load_log(path)
         assert exc.value.line == 2
         assert "whitespace" in exc.value.detail
+
+
+class TestBlockBoundaries:
+    """Blocks of a few lines: every boundary position gives what line-by-line reading gives."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bodies=st.lists(record_bodies, min_size=1, max_size=16),
+        block_bytes=st.integers(1, 1200),
+        fault=st.sampled_from(["none", "mutated", "timestamp", "torn"]),
+        data=st.data(),
+    )
+    def test_same_outcome_as_line_by_line(self, tmp_path_factory, bodies, block_bytes, fault, data):
+        records = []
+        for k, (level, voltage, temp, charge, status, health, apps) in enumerate(bodies):
+            sample = make_sample(
+                1000 * (k + 1), level, status=status, charge_uah=charge, voltage_mv=voltage,
+                temp_dc=temp, health=health,
+            )
+            records.append(LogRecord(sample=sample, apps=make_app_set(apps)))
+        lines = [record_to_json(record).encode() + b"\n" for record in records]
+        k = data.draw(st.integers(0, len(lines) - 1))
+        if fault == "mutated":
+            lines[k] = mutate_line(data, records[k]).encode()
+        elif fault == "timestamp":
+            # equal to, or below, the timestamp of line k - 1
+            ts_ms = data.draw(st.sampled_from([1000 * k, 1000 * k - 1, -1000]))
+            lines[k] = record_to_json(replace_ts(records[k], ts_ms)).encode() + b"\n"
+        text = b"".join(lines)
+        if fault == "torn":
+            text = text[: data.draw(st.integers(len(text) - len(lines[-1]) + 1, len(text) - 1))]
+        path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+        path.write_bytes(text)
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", block_bytes):
+            assert read_every_way(path) == want_every_way(text)
+
+
+class TestHugeIntegers:
+    def line_with(self, key, text):
+        fields = fields_of(make_record(2000, 80, apps=("a",), charge_uah=10))
+        fields[[k for k, _ in fields].index(key)] = (key, text)
+        return join_fields(fields)
+
+    @pytest.mark.parametrize(
+        "key,text",
+        [("ts_ms", "1" * 5000), ("charge_uah", "7" * 5000), ("apps", "[" * 100_000 + "]" * 100_000)],
+        ids=["5000-digit ts_ms", "5000-digit charge_uah", "deeply nested apps"],
+    )
+    def test_load_log_and_writer_raise_log_parse_error(self, tmp_path, key, text):
+        path = tmp_path / "log.jsonl"
+        first = record_to_json(make_record(1000, 80))
+        path.write_text(first + "\n" + self.line_with(key, text), encoding="utf-8")
+        for read in (load_log, load_columns, LogWriter):
+            with pytest.raises(LogParseError) as exc:
+                read(path)
+            assert exc.value.line == 2
+            assert exc.value.detail.startswith("invalid JSON: ")
+
+    def test_integers_beyond_int64_load_exactly(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        records = [make_record(10**30 + k, 80, charge_uah=2**63 + k, temp_dc=-(10**19)) for k in range(3)]
+        write_log(path, records)
+        assert load_log(path) == records
+        columns = load_columns(path)
+        assert columns.ts.dtype == object
+        assert columns.records() == records
+        with LogWriter(path) as writer:
+            assert writer.last_ts_ms == 10**30 + 2
+
+
+def test_writer_memory_flat_in_log_length(tmp_path):
+    """Opening a LogWriter holds one block at a time, whatever the log's length."""
+    peaks = []
+    for n in (10_000, 40_000):
+        path = tmp_path / f"log{n}.jsonl"
+        # a distinct app list per line, so a table of app lists kept across blocks would grow
+        write_log(path, (make_record(1 + i * 60_000, 50, apps=(f"app{i}",)) for i in range(n)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            LogWriter(path).close()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], f"peak {peaks[0]} B at 10k lines, {peaks[1]} B at 40k"
 
 
 class TestTornFinalLine:
