@@ -15,7 +15,6 @@ from .analyzer import (
     GroupRate,
     Grouping,
     INSEPARABLE_FLAG,
-    PowerEstimate,
     attribute,
     build_intervals,
     export_csv,

@@ -16,11 +16,13 @@ array operations, and only each run's drops are summed one by one, in
 pair order, so every interval is bit-identical to a pair-by-pair loop.
 attribute and build_intervals build those columns from records;
 `semo analyze` reads them from the log with recorder.load_columns.
+The result formats of `semo analyze`, table, CSV and JSON, live here too.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -32,13 +34,39 @@ from .errors import ChargeCounterUnavailable, NotFittedError, TooFewSamples
 from .nnls import solve_nnls, weighted_sse
 from .recorder import STATUSES, LogColumns
 from .sources import AppSet, BatteryStatus, make_app_set
-from .validation import check_charge_counter_mode, check_positive, check_records
 
 MS_PER_HOUR = 3_600_000.0
 
 _DISCHARGING = STATUSES.index(BatteryStatus.DISCHARGING)
 
 INSEPARABLE_FLAG = "inseparable-from-baseline"
+
+CHARGE_COUNTER_MODES = ("auto", "on", "off")
+
+
+def check_records(records) -> list:
+    """Materialize records and require strictly increasing timestamps."""
+    records = list(records)
+    for prev, cur in zip(records, records[1:]):
+        if cur.sample.ts_ms <= prev.sample.ts_ms:
+            raise ValueError(
+                f"records must be sorted with strictly increasing ts_ms "
+                f"({cur.sample.ts_ms} after {prev.sample.ts_ms})"
+            )
+    return records
+
+
+def check_charge_counter_mode(mode: str) -> str:
+    if mode not in CHARGE_COUNTER_MODES:
+        raise ValueError(f"use_charge_counter must be one of {CHARGE_COUNTER_MODES}: {mode!r}")
+    return mode
+
+
+def check_positive(name: str, value) -> float:
+    value = float(value)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive: {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -101,19 +129,6 @@ class AttributionResult:
         }
 
 
-@dataclass(frozen=True)
-class PowerEstimate:
-    """A drain rate converted to milliwatts via the battery constants."""
-
-    rate_pct_per_h: float
-    capacity_mah: float
-    nominal_voltage_mv: int
-
-    @property
-    def power_mw(self) -> float:
-        return rate_to_power(self.rate_pct_per_h, self.capacity_mah, self.nominal_voltage_mv)
-
-
 def rate_to_power(rate_pct_per_h: float, capacity_mah: float, nominal_voltage_mv: float) -> float:
     """Convert percent-per-hour drain into milliwatts."""
     if rate_pct_per_h < 0:
@@ -123,14 +138,24 @@ def rate_to_power(rate_pct_per_h: float, capacity_mah: float, nominal_voltage_mv
     return rate_pct_per_h / 100.0 * capacity_mah * nominal_voltage_mv / 1000.0
 
 
+def _power_mw(rate_pct_per_h: float, capacity_mah, nominal_voltage_mv) -> float | None:
+    """rate_to_power, or None unless both battery constants are given."""
+    if capacity_mah is None or nominal_voltage_mv is None:
+        return None
+    return rate_to_power(rate_pct_per_h, capacity_mah, nominal_voltage_mv)
+
+
 def _infer_full_scale_uah(columns: LogColumns) -> float | None:
     """Estimate the full battery charge in µAh from the log itself.
 
     Uses charge_uah / level_pct at the best-populated discharging sample
-    (highest level, earliest on ties); only discharging samples count so
-    the estimate is unchanged when charging spans are dropped from a log.
+    with a positive counter and level (highest level, earliest on ties);
+    only discharging samples count so the estimate is unchanged when
+    charging spans are dropped from a log.
     """
-    rows = np.flatnonzero((columns.status == _DISCHARGING) & ~columns.charge_null & (columns.level > 0))
+    rows = np.flatnonzero(
+        (columns.status == _DISCHARGING) & ~columns.charge_null & (columns.charge > 0) & (columns.level > 0)
+    )
     if not rows.size:
         return None
     best = rows[np.argmax(columns.level[rows])]  # argmax takes the first of equals: the earliest
@@ -199,10 +224,7 @@ def _discharge_intervals(columns: LogColumns, mode: str) -> _Intervals:
     drop = (level[:-1] - level[1:]).astype(float)
     censored = np.where(counted, (charge[:-1] == 0) | (charge[1:] == 0), level[:-1] == 0)
     by_counter = np.flatnonzero(pairs & counted & ~censored)
-    if by_counter.size:
-        # A full scale of 0 raises here, as the division of Python floats would.
-        with np.errstate(divide="raise", invalid="raise"):
-            drop[by_counter] = (charge[by_counter] - charge[by_counter + 1]) / full_scale * 100.0
+    drop[by_counter] = (charge[by_counter] - charge[by_counter + 1]) / full_scale * 100.0
     used = np.flatnonzero(pairs & ~censored & (drop >= 0))
     if not used.size:
         raise TooFewSamples("no usable discharge intervals in the log")
@@ -330,19 +352,14 @@ def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> 
     )
 
 
-def export_csv(data, path, capacity_mah=None, nominal_voltage_mv=None) -> None:
-    """Write either a record list or an AttributionResult as CSV.
+def export_csv(records, path) -> None:
+    """Write records as CSV.
 
-    Records export with columns ts_ms,level_pct,voltage_mv,temp_dc,
-    charge_uah,status,apps (apps semicolon-joined); results export with
-    columns group,rate_pct_per_h,power_mw,flags in ranking order, the
-    power column filled only when the battery constants are given.
+    Columns ts_ms,level_pct,voltage_mv,temp_dc,charge_uah,status,apps,
+    apps semicolon-joined.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if isinstance(data, AttributionResult):
-            write_result_csv(fh, data, capacity_mah, nominal_voltage_mv)
-        else:
-            write_records_csv(fh, data)
+        write_records_csv(fh, records)
 
 
 def write_records_csv(stream, records) -> None:
@@ -363,15 +380,52 @@ def write_records_csv(stream, records) -> None:
         )
 
 
+# The result formats of `semo analyze`.  Each shows mW only when both
+# battery constants are given.
+
+
+def write_result_table(stream, result: AttributionResult, capacity_mah=None, nominal_voltage_mv=None) -> None:
+    baseline_mw = _power_mw(result.baseline_pct_per_h, capacity_mah, nominal_voltage_mv)
+    labels = [g.label for g in result.ranking]
+    width = max([len("group"), *map(len, labels)]) if labels else len("group")
+    header = f"{'rank':>4}  {'group':<{width}}  {'rate_pct_per_h':>14}"
+    if baseline_mw is not None:
+        header += f"  {'power_mw':>10}"
+    header += "  flags"
+    print(header, file=stream)
+    for rank, group in enumerate(result.ranking, start=1):
+        row = f"{rank:>4}  {group.label:<{width}}  {group.rate_pct_per_h:>14.4f}"
+        power = _power_mw(group.rate_pct_per_h, capacity_mah, nominal_voltage_mv)
+        if power is not None:
+            row += f"  {power:>10.1f}"
+        row += f"  {' '.join(group.flags)}"
+        print(row.rstrip(), file=stream)
+    baseline = f"baseline: {result.baseline_pct_per_h:.4f} pct/h"
+    if baseline_mw is not None:
+        baseline += f" ({baseline_mw:.1f} mW)"
+    print(baseline, file=stream)
+    print(f"residual rms: {result.residual_rms:.6f} pct/h", file=stream)
+    if result.unobserved:
+        print(f"unobserved: {', '.join(result.unobserved)}", file=stream)
+
+
 def write_result_csv(stream, result: AttributionResult, capacity_mah=None, nominal_voltage_mv=None) -> None:
     writer = csv.writer(stream)
     writer.writerow(["group", "rate_pct_per_h", "power_mw", "flags"])
     for group in result.ranking:
-        if capacity_mah is not None and nominal_voltage_mv is not None:
-            power = f"{rate_to_power(group.rate_pct_per_h, capacity_mah, nominal_voltage_mv):.3f}"
-        else:
-            power = ""
-        writer.writerow([group.label, f"{group.rate_pct_per_h:.6f}", power, " ".join(group.flags)])
+        power = _power_mw(group.rate_pct_per_h, capacity_mah, nominal_voltage_mv)
+        power_text = "" if power is None else f"{power:.3f}"
+        writer.writerow([group.label, f"{group.rate_pct_per_h:.6f}", power_text, " ".join(group.flags)])
+
+
+def write_result_json(stream, result: AttributionResult, capacity_mah=None, nominal_voltage_mv=None) -> None:
+    payload = result.to_dict()
+    baseline_mw = _power_mw(result.baseline_pct_per_h, capacity_mah, nominal_voltage_mv)
+    if baseline_mw is not None:
+        for entry in payload["groups"] + payload["ranking"]:
+            entry["power_mw"] = rate_to_power(entry["rate_pct_per_h"], capacity_mah, nominal_voltage_mv)
+        payload["baseline_power_mw"] = baseline_mw
+    print(json.dumps(payload), file=stream)
 
 
 class EnergyAttributor:
@@ -387,17 +441,11 @@ class EnergyAttributor:
     ('file download',)
     """
 
-    def __init__(self, use_charge_counter: str = "auto", capacity_mah=None, nominal_voltage_mv=None):
+    def __init__(self, use_charge_counter: str = "auto"):
         self.use_charge_counter = use_charge_counter
-        self.capacity_mah = capacity_mah
-        self.nominal_voltage_mv = nominal_voltage_mv
 
     def get_params(self, deep: bool = True) -> dict:
-        return {
-            "use_charge_counter": self.use_charge_counter,
-            "capacity_mah": self.capacity_mah,
-            "nominal_voltage_mv": self.nominal_voltage_mv,
-        }
+        return {"use_charge_counter": self.use_charge_counter}
 
     def set_params(self, **params) -> "EnergyAttributor":
         valid = self.get_params()
@@ -408,7 +456,6 @@ class EnergyAttributor:
         return self
 
     def fit(self, records, y=None) -> "EnergyAttributor":
-        check_charge_counter_mode(self.use_charge_counter)
         result = attribute(records, self.use_charge_counter)
         self.result_ = result
         self.baseline_pct_per_h_ = result.baseline_pct_per_h
@@ -439,9 +486,3 @@ class EnergyAttributor:
                     rate += group.rate_pct_per_h
             rates.append(rate)
         return np.array(rates)
-
-    def power_estimate(self, rate_pct_per_h: float) -> PowerEstimate:
-        """Bundle a rate with the configured battery constants."""
-        if self.capacity_mah is None or self.nominal_voltage_mv is None:
-            raise ValueError("capacity_mah and nominal_voltage_mv must be set for power estimates")
-        return PowerEstimate(rate_pct_per_h, self.capacity_mah, self.nominal_voltage_mv)

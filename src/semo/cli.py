@@ -24,12 +24,13 @@ from . import __version__
 from .analyzer import (
     attribute_columns,
     export_csv,
-    rate_to_power,
     write_result_csv,
+    write_result_json,
+    write_result_table,
 )
 from .errors import DegenerateSystem, SemoError, TooFewSamples
 from .inspector import InspectorConfig, describe, evaluate
-from .recorder import RecorderConfig, load_columns, load_log, run_loop, write_log
+from .recorder import RecorderConfig, load_columns, load_log, run_loop, sample_dict, write_log
 from .simulator import load_scenario, simulate
 from .sources import FileTreeSource, read_battery_sample, resolve_source_root
 
@@ -37,19 +38,9 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_WARNINGS = 2
 
+RESULT_WRITERS = {"table": write_result_table, "csv": write_result_csv, "json": write_result_json}
+
 log = logging.getLogger("semo")
-
-
-def _sample_dict(sample) -> dict:
-    return {
-        "ts_ms": sample.ts_ms,
-        "level_pct": sample.level_pct,
-        "voltage_mv": sample.voltage_mv,
-        "temp_dc": sample.temp_dc,
-        "charge_uah": sample.charge_uah,
-        "status": sample.status.value,
-        "health": sample.health.value,
-    }
 
 
 def cmd_inspect(args) -> int:
@@ -57,7 +48,7 @@ def cmd_inspect(args) -> int:
     warnings = evaluate(sample, InspectorConfig())
     if args.json:
         payload = {
-            "sample": _sample_dict(sample),
+            "sample": sample_dict(sample),
             "warnings": [
                 {"kind": w.kind.value, "message": w.message, "threshold": w.threshold}
                 for w in warnings
@@ -105,31 +96,6 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
-def _print_result_table(result, capacity_mah, voltage_mv) -> None:
-    with_power = capacity_mah is not None and voltage_mv is not None
-    labels = [g.label for g in result.ranking]
-    width = max([len("group"), *map(len, labels)]) if labels else len("group")
-    header = f"{'rank':>4}  {'group':<{width}}  {'rate_pct_per_h':>14}"
-    if with_power:
-        header += f"  {'power_mw':>10}"
-    header += "  flags"
-    print(header)
-    for rank, group in enumerate(result.ranking, start=1):
-        row = f"{rank:>4}  {group.label:<{width}}  {group.rate_pct_per_h:>14.4f}"
-        if with_power:
-            power = rate_to_power(group.rate_pct_per_h, capacity_mah, voltage_mv)
-            row += f"  {power:>10.1f}"
-        row += f"  {' '.join(group.flags)}"
-        print(row.rstrip())
-    baseline = f"baseline: {result.baseline_pct_per_h:.4f} pct/h"
-    if with_power:
-        baseline += f" ({rate_to_power(result.baseline_pct_per_h, capacity_mah, voltage_mv):.1f} mW)"
-    print(baseline)
-    print(f"residual rms: {result.residual_rms:.6f} pct/h")
-    if result.unobserved:
-        print(f"unobserved: {', '.join(result.unobserved)}")
-
-
 def cmd_analyze(args) -> int:
     columns = load_columns(args.log)
     try:
@@ -138,20 +104,8 @@ def cmd_analyze(args) -> int:
         print(f"error: analysis degenerate: {exc}", file=sys.stderr)
         return EXIT_WARNINGS
 
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
-        payload = result.to_dict()
-        if args.capacity_mah is not None and args.voltage_mv is not None:
-            for entry in payload["groups"] + payload["ranking"]:
-                entry["power_mw"] = rate_to_power(entry["rate_pct_per_h"], args.capacity_mah, args.voltage_mv)
-            payload["baseline_power_mw"] = rate_to_power(
-                result.baseline_pct_per_h, args.capacity_mah, args.voltage_mv
-            )
-        print(json.dumps(payload))
-    elif fmt == "csv":
-        write_result_csv(sys.stdout, result, args.capacity_mah, args.voltage_mv)
-    else:
-        _print_result_table(result, args.capacity_mah, args.voltage_mv)
+    write = RESULT_WRITERS["json" if args.json else args.format]
+    write(sys.stdout, result, args.capacity_mah, args.voltage_mv)
     return EXIT_OK
 
 

@@ -17,21 +17,22 @@ difference of any two.  Whole columns are then checked with numpy
 against the rules record_from_json applies (the BatterySample ranges,
 known status and health), each distinct apps text is decoded and checked
 once, and the timestamps must increase strictly, across blocks too.  A
-line the pattern leaves out (other spacing or key order, escapes, longer
-integers) and the first line that fails a check go to record_from_json,
-so each line yields the record, or raises the error, that
-record_from_json gives it: that function stays the one validator.
-Integers too long for int64 make their column an object column of
-Python ints.  Records with equal app lists share one tuple, and equal
-app names one string.  A record counts only once its newline is written,
-so an unterminated final line, left by a write that power loss cut
-short, is ignored with a warning.  The writer holds an advisory
-exclusive lock so at most one recorder owns a log at a time; readers
-are unrestricted.
+block holding a line the pattern leaves out (other spacing or key order,
+escapes, longer integers) or a line that fails a check is read again
+line by line by record_from_json, so each line yields the record, or
+raises the error, that record_from_json gives it: that function stays
+the one validator.  Integers too long for int64 make their column an
+object column of Python ints.  Records with equal app lists share one
+tuple, and equal app names one string.  A record counts only once its
+newline is written, so an unterminated final line, left by a write that
+power loss cut short, is ignored with a warning.  The writer holds an
+advisory exclusive lock so at most one recorder owns a log at a time;
+readers are unrestricted.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import logging
 import os
@@ -106,18 +107,22 @@ class RecorderConfig:
             raise ValueError(f"interval_s must be >= 1: {self.interval_s}")
 
 
-def record_to_json(record: LogRecord) -> str:
-    s = record.sample
-    payload = {
-        "ts_ms": s.ts_ms,
-        "level_pct": s.level_pct,
-        "voltage_mv": s.voltage_mv,
-        "temp_dc": s.temp_dc,
-        "charge_uah": s.charge_uah,
-        "status": s.status.value,
-        "health": s.health.value,
-        "apps": list(record.apps),
+def sample_dict(sample: BatterySample) -> dict:
+    """The log fields of a sample, all but apps, in log order."""
+    return {
+        "ts_ms": sample.ts_ms,
+        "level_pct": sample.level_pct,
+        "voltage_mv": sample.voltage_mv,
+        "temp_dc": sample.temp_dc,
+        "charge_uah": sample.charge_uah,
+        "status": sample.status.value,
+        "health": sample.health.value,
     }
+
+
+def record_to_json(record: LogRecord) -> str:
+    payload = sample_dict(record.sample)
+    payload["apps"] = record.apps  # a tuple, which json writes as an array
     return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
 
 
@@ -248,9 +253,6 @@ class LogColumns:
         """(ts_ms, level_pct) pairs, as curve_series gives them for the records."""
         return list(zip(_tail(self.ts, tail).tolist(), _tail(self.level, tail).tolist()))
 
-    def _take(self, rows) -> "LogColumns":
-        return LogColumns(**{name: getattr(self, name)[rows] for name in _COLUMNS}, app_sets=self.app_sets)
-
 
 def _concat(parts: list[LogColumns], apps: _AppTable) -> LogColumns:
     """One LogColumns of parts whose app ids all come from apps."""
@@ -380,32 +382,6 @@ def _record_of_line(raw: bytes, lineno: int) -> LogRecord:
     return record_from_json(line, lineno)
 
 
-def _mend(block: bytes, first_line: int, cols: LogColumns, faulty: np.ndarray, apps: _AppTable):
-    """Send the lines the pattern left out, and the faulty rows, to record_from_json.
-
-    Returns the columns of every line before the first one it rejects,
-    and that line's LogParseError (None when it rejects none).
-    """
-    ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == ord("\n")) + 1
-    starts = np.concatenate(([0], ends[:-1]))
-    matched_at = np.fromiter((m.start() for m in _CANONICAL_LINE.finditer(block)), np.intp, len(cols))
-    line_of_row = np.searchsorted(starts, matched_at)
-    judged = np.ones(len(starts), dtype=bool)
-    judged[line_of_row[~faulty]] = False
-    records, lines, error, end = [], [], None, len(starts)
-    for line in np.flatnonzero(judged).tolist():
-        try:
-            records.append(_record_of_line(block[starts[line] : ends[line]], first_line + line))
-        except LogParseError as exc:
-            error, end = exc, line
-            break
-        lines.append(line)
-    kept = ~faulty & (line_of_row < end)
-    merged = _concat([cols._take(kept), _columns_of_records(records, apps)], apps)
-    order = np.argsort(np.concatenate((line_of_row[kept], lines)), kind="stable")
-    return merged._take(order), error
-
-
 def _check_increasing(ts: np.ndarray, first_line: int, prev_ts: int | None) -> None:
     """Raise at the first row whose ts is not above the one before it (prev_ts for row 0)."""
     if len(ts) and prev_ts is not None and int(ts[0]) <= prev_ts:
@@ -422,16 +398,23 @@ def _check_increasing(ts: np.ndarray, first_line: int, prev_ts: int | None) -> N
 def _block_columns(block: bytes, first_line: int, apps: _AppTable, prev_ts: int | None) -> LogColumns:
     """The columns of block, whole lines of which the first is line first_line.
 
-    Raises the LogParseError of the first line that record_from_json
-    rejects or whose timestamp is not above the one before it (prev_ts
-    before the block's first line), as reading line by line would.
+    A block holding a line the pattern leaves out or a faulty row is read
+    line by line with record_from_json.  Raises the LogParseError of the
+    first line that record_from_json rejects or whose timestamp is not
+    above the one before it (prev_ts before the block's first line), as
+    reading line by line would.
     """
     rows = _CANONICAL_LINE.findall(block)
     cols = _columns_of_lines(rows, apps)
-    faulty = _faulty(cols)
     error = None
-    if len(rows) < block.count(b"\n") or faulty.any():
-        cols, error = _mend(block, first_line, cols, faulty, apps)
+    if len(rows) < block.count(b"\n") or _faulty(cols).any():
+        records = []
+        try:
+            for lineno, line in enumerate(io.BytesIO(block), first_line):
+                records.append(_record_of_line(line, lineno))
+        except LogParseError as exc:
+            error = exc
+        cols = _columns_of_records(records, apps)
     _check_increasing(cols.ts, first_line, prev_ts)
     if error is not None:
         raise error
@@ -472,13 +455,11 @@ def _iter_columns(fh, apps: _AppTable | None = None):
 
 def load_log(path: str | Path) -> list[LogRecord]:
     """Load and validate a whole log; empty file yields an empty list."""
-    apps = _AppTable()
-    with open(path, "rb") as fh:
-        return [record for cols in _iter_columns(fh, apps) for record in cols.records()]
+    return load_columns(path).records()
 
 
 def load_columns(path: str | Path) -> LogColumns:
-    """Load and validate a whole log as columns, with load_log's checks and errors."""
+    """Load and validate a whole log as columns; an empty file yields no rows."""
     apps = _AppTable()
     with open(path, "rb") as fh:
         return _concat(list(_iter_columns(fh, apps)), apps)

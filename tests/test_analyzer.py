@@ -24,10 +24,9 @@ from semo import (
     write_log,
 )
 import semo.analyzer as analyzer_module
-from semo.analyzer import attribute_columns
+from semo.analyzer import attribute_columns, check_records, write_result_csv
 from semo.recorder import load_columns
 from semo.nnls import weighted_sse
-from semo.validation import check_records
 
 from _helpers import churn_scenario, make_record, random_exact_scenario
 
@@ -147,11 +146,14 @@ class TestBuildIntervals:
 
 
 def full_scale_uah(records):
-    """Reference full-scale estimate: charge / level at the highest discharging level, earliest on ties."""
+    """Reference full-scale estimate: charge / level at the highest discharging level, earliest on ties.
+
+    Only samples with a positive counter count.
+    """
     best = None
     for record in records:
         s = record.sample
-        if s.status is not BatteryStatus.DISCHARGING or s.charge_uah is None or s.level_pct <= 0:
+        if s.status is not BatteryStatus.DISCHARGING or not s.charge_uah or s.level_pct <= 0:
             continue
         key = (s.level_pct, -s.ts_ms)
         if best is None or key > best[0]:
@@ -330,6 +332,19 @@ class TestEmptyBattery:
         intervals = build_intervals(records, "off")
         assert [(iv.t_start_ms, iv.t_end_ms) for iv in intervals] == [(0, MIN), (MIN, 2 * MIN)]
         assert [iv.drop_pct for iv in intervals] == [1.0, 1.0]
+
+    def test_zero_counter_at_the_top_level_does_not_set_full_scale(self):
+        records = [
+            make_record(0 * HOUR, 90, apps=(), charge_uah=0),
+            make_record(1 * HOUR, 80, apps=(), charge_uah=500),
+            make_record(2 * HOUR, 79, apps=(), charge_uah=400),
+        ]
+        # full scale 500 µAh / 80 % = 625 µAh; the pair from 0 µAh is censored
+        result = attribute(records)
+        assert result.baseline_pct_per_h == pytest.approx(16.0)
+        [interval] = build_intervals(records)
+        assert (interval.t_start_ms, interval.t_end_ms) == (1 * HOUR, 2 * HOUR)
+        assert interval.drop_pct == pytest.approx(16.0)
 
     def test_churn_run_to_empty_recovers_true_rates(self):
         # capacity covers 70 % of the schedule, so about 3,000 samples sit at 0 %
@@ -674,7 +689,8 @@ class TestExportCsv:
         ]
         result = attribute(records)
         path = tmp_path / "result.csv"
-        export_csv(result, path, capacity_mah=1000, nominal_voltage_mv=3700)
+        with path.open("w", newline="") as fh:
+            write_result_csv(fh, result, capacity_mah=1000, nominal_voltage_mv=3700)
         rows = list(csv.reader(path.open()))
         assert rows[0] == ["group", "rate_pct_per_h", "power_mw", "flags"]
         assert len(rows) == 3  # header + 2 groups
@@ -688,7 +704,8 @@ class TestExportCsv:
             make_record(2 * HOUR, 93, apps=()),
         ]
         path = tmp_path / "result.csv"
-        export_csv(attribute(records), path)
+        with path.open("w", newline="") as fh:
+            write_result_csv(fh, attribute(records))
         rows = list(csv.reader(path.open()))
         assert all(row[2] == "" for row in rows[1:])
 
@@ -727,13 +744,9 @@ class TestEnergyAttributor:
             EnergyAttributor().predict(self.records())
 
     def test_get_set_params_round_trip(self):
-        est = EnergyAttributor(use_charge_counter="off", capacity_mah=1200, nominal_voltage_mv=3800)
+        est = EnergyAttributor(use_charge_counter="off")
         params = est.get_params()
-        assert params == {
-            "use_charge_counter": "off",
-            "capacity_mah": 1200,
-            "nominal_voltage_mv": 3800,
-        }
+        assert params == {"use_charge_counter": "off"}
         est.set_params(use_charge_counter="on")
         assert est.use_charge_counter == "on"
         with pytest.raises(ValueError):
@@ -749,10 +762,3 @@ class TestEnergyAttributor:
         cloned = sklearn_base.clone(est)
         assert cloned.get_params() == est.get_params()
         assert cloned is not est
-
-    def test_power_estimate_requires_constants(self):
-        est = EnergyAttributor()
-        with pytest.raises(ValueError):
-            est.power_estimate(10.0)
-        est.set_params(capacity_mah=1000, nominal_voltage_mv=3700)
-        assert est.power_estimate(60.0).power_mw == pytest.approx(2220.0)

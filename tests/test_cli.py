@@ -6,11 +6,13 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 
-from semo import save_scenario, table1_scenario, write_log
+from semo import LogRecord, rate_to_power, read_battery_sample, save_scenario, table1_scenario, write_log
 from semo.cli import main
+from semo.recorder import record_to_json
 
 from _helpers import make_record, write_source_dir
 
@@ -66,6 +68,11 @@ class TestInspect:
         assert payload["sample"]["level_pct"] == 14
         assert payload["warnings"][0]["kind"] == "LowBattery"
         assert payload["warnings"][0]["threshold"] == 15
+        # the sample is the log record without apps, in the same key order
+        read = replace(read_battery_sample(low_battery_source), ts_ms=payload["sample"]["ts_ms"])
+        logged = json.loads(record_to_json(LogRecord(read, ("game",))))
+        del logged["apps"]
+        assert list(payload["sample"].items()) == list(logged.items())
 
     def test_env_var_source_root(self, capsys, healthy_source, monkeypatch):
         monkeypatch.setenv("SEMO_SOURCE_ROOT", str(healthy_source))
@@ -139,6 +146,48 @@ class TestAnalyze:
         )
         payload = json.loads(out)
         assert payload["ranking"][0]["power_mw"] == pytest.approx(5.0 / 100 * 1000 * 3.7, abs=1e-6)
+
+    def test_power_agrees_across_formats(self, capsys, sample_log):
+        constants = ("--capacity-mah", "1000", "--voltage-mv", "3700")
+        _, out, _ = run_cli(capsys, "analyze", str(sample_log), "--json", *constants)
+        payload = json.loads(out)
+        for entry in payload["groups"] + payload["ranking"]:
+            assert entry["power_mw"] == rate_to_power(entry["rate_pct_per_h"], 1000, 3700)
+        assert payload["baseline_power_mw"] == rate_to_power(payload["baseline_pct_per_h"], 1000, 3700)
+        power = {";".join(entry["apps"]): entry["power_mw"] for entry in payload["ranking"]}
+
+        _, out, _ = run_cli(capsys, "analyze", str(sample_log), *constants)
+        lines = out.splitlines()
+        table = {line.split()[1]: line.split()[3] for line in lines[1 : 1 + len(power)]}
+        assert table == {label: f"{mw:.1f}" for label, mw in power.items()}
+        assert f"({payload['baseline_power_mw']:.1f} mW)" in lines[1 + len(power)]
+
+        _, out, _ = run_cli(capsys, "analyze", str(sample_log), "--format", "csv", *constants)
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert {row[0]: row[2] for row in rows} == {label: f"{mw:.3f}" for label, mw in power.items()}
+
+    @pytest.mark.parametrize("constant", [("--capacity-mah", "1000"), ("--voltage-mv", "3700")])
+    def test_one_constant_shows_no_power(self, capsys, sample_log, constant):
+        _, out, _ = run_cli(capsys, "analyze", str(sample_log), *constant)
+        assert "power_mw" not in out.splitlines()[0]
+        assert "mW" not in out
+        _, out, _ = run_cli(capsys, "analyze", str(sample_log), "--format", "csv", *constant)
+        assert all(row[2] == "" for row in list(csv.reader(io.StringIO(out)))[1:])
+        _, out, _ = run_cli(capsys, "analyze", str(sample_log), "--json", *constant)
+        payload = json.loads(out)
+        assert "baseline_power_mw" not in payload
+        assert not any("power_mw" in entry for entry in payload["groups"] + payload["ranking"])
+
+    def test_zero_counter_at_the_top_level(self, capsys, tmp_path):
+        path = tmp_path / "zero.jsonl"
+        write_log(path, [
+            make_record(0, 90, charge_uah=0),
+            make_record(60 * MIN, 80, charge_uah=500),
+            make_record(120 * MIN, 79, charge_uah=400),
+        ])
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert code == 0, err
+        assert "baseline: 16.0000 pct/h" in out
 
     def test_csv_output(self, capsys, sample_log):
         code, out, _ = run_cli(capsys, "analyze", str(sample_log), "--format", "csv")

@@ -123,6 +123,14 @@ class TestStrictParsing:
             load_log(path)
         assert exc.value.line == 2
 
+    def test_non_monotonic_line_reported_before_a_later_malformed_one(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        lines = [record_to_json(make_record(2000, 80)), record_to_json(make_record(1000, 79)), "{not json"]
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(LogParseError) as exc:
+            load_log(path)
+        assert exc.value.line == 2
+
     def test_null_charge_round_trips(self):
         record = make_record(1, 50)
         line = record_to_json(record)
