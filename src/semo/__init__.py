@@ -35,6 +35,7 @@ from .errors import (
     ScenarioInvalid,
     SemoError,
     TooFewSamples,
+    UnwritableRecord,
 )
 from .inspector import BatteryWarning, InspectorConfig, WarningKind, describe, evaluate
 from .nnls import solve_nnls, weighted_sse

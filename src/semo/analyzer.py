@@ -129,12 +129,18 @@ class AttributionResult:
         }
 
 
+def check_battery_constants(capacity_mah=None, nominal_voltage_mv=None) -> None:
+    """ValueError naming the first given battery constant that is not positive."""
+    for name, value in (("capacity_mah", capacity_mah), ("nominal_voltage_mv", nominal_voltage_mv)):
+        if value is not None:
+            check_positive(name, value)
+
+
 def rate_to_power(rate_pct_per_h: float, capacity_mah: float, nominal_voltage_mv: float) -> float:
     """Convert percent-per-hour drain into milliwatts."""
     if rate_pct_per_h < 0:
         raise ValueError(f"rate_pct_per_h must be non-negative: {rate_pct_per_h}")
-    check_positive("capacity_mah", capacity_mah)
-    check_positive("nominal_voltage_mv", nominal_voltage_mv)
+    check_battery_constants(capacity_mah, nominal_voltage_mv)
     return rate_pct_per_h / 100.0 * capacity_mah * nominal_voltage_mv / 1000.0
 
 

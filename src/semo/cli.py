@@ -23,6 +23,7 @@ import threading
 from . import __version__
 from .analyzer import (
     attribute_columns,
+    check_battery_constants,
     export_csv,
     write_result_csv,
     write_result_json,
@@ -78,10 +79,8 @@ def cmd_record(args) -> int:
 
     log.info("recording to %s every %d s; stop with SIGINT", args.out, args.interval)
     written = run_loop(config, source, stop=stop)
-    if args.json:
+    if args.json:  # run_loop itself logs the ticks written and skipped
         print(json.dumps({"records_written": written, "log": str(args.out)}))
-    else:
-        log.info("wrote %d records", written)
     return EXIT_OK
 
 
@@ -97,6 +96,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    # Before any output: a bad constant must fail even when given alone.
+    check_battery_constants(args.capacity_mah, args.voltage_mv)
     columns = load_columns(args.log)
     try:
         result = attribute_columns(columns, use_charge_counter=args.use_charge_counter)

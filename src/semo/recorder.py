@@ -28,10 +28,18 @@ newline is written, so an unterminated final line, left by a write that
 power loss cut short, is ignored with a warning.  The writer holds an
 advisory exclusive lock so at most one recorder owns a log at a time;
 readers are unrestricted.
+
+record_to_json, the one serializer, formats the line directly.  It
+raises UnwritableRecord (a ValueError) for a record whose line the
+reader would reject (an integer field that is not exactly an int, apps
+that _apps_error refuses), so LogWriter.append and write_log write
+nothing for it and never leave a log that load_log or the next
+LogWriter refuses; run_loop skips such a tick.
 """
 
 from __future__ import annotations
 
+import collections
 import io
 import json
 import logging
@@ -39,6 +47,7 @@ import os
 import re
 import threading
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _json_string  # what json.dumps(ensure_ascii=False) writes for a str
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +64,7 @@ from .errors import (
     MalformedField,
     MissingField,
     NonMonotonicTimestamp,
+    UnwritableRecord,
 )
 from .sources import AppSet, BatteryHealth, BatterySample, BatteryStatus
 
@@ -121,9 +131,35 @@ def sample_dict(sample: BatterySample) -> dict:
 
 
 def record_to_json(record: LogRecord) -> str:
-    payload = sample_dict(record.sample)
-    payload["apps"] = record.apps  # a tuple, which json writes as an array
-    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
+    """The log line of a record, without its newline.
+
+    Raises UnwritableRecord, a ValueError, for a record whose line the
+    reader would reject: an integer field that is not exactly an int (a
+    float, a bool), a status or health that is not a member of its enum,
+    or apps that are not a tuple of sorted, unique, non-empty names
+    without surrounding whitespace.
+    """
+    s = record.sample
+    ts, level, voltage, temp, charge = s.ts_ms, s.level_pct, s.voltage_mv, s.temp_dc, s.charge_uah
+    if not (type(ts) is type(level) is type(voltage) is type(temp) is int) or (
+        charge is not None and type(charge) is not int
+    ):
+        fields = {"ts_ms": ts, "level_pct": level, "voltage_mv": voltage, "temp_dc": temp, "charge_uah": charge}
+        key = next(k for k, v in fields.items() if type(v) is not int and not (k == "charge_uah" and v is None))
+        raise UnwritableRecord(f"field {key} must be an integer, got {fields[key]!r}")
+    if type(s.status) is not BatteryStatus or type(s.health) is not BatteryHealth:
+        raise UnwritableRecord(f"unknown status/health: {s.status!r}/{s.health!r}")
+    if type(record.apps) is not tuple:
+        raise UnwritableRecord(f"apps must be a tuple of strings, got {record.apps!r}")
+    error = _apps_error(list(record.apps))
+    if error is not None:
+        raise UnwritableRecord(error)
+    apps = ",".join(map(_json_string, record.apps))
+    return (
+        f'{{"ts_ms":{ts},"level_pct":{level},"voltage_mv":{voltage},"temp_dc":{temp},'
+        f'"charge_uah":{"null" if charge is None else charge},"status":"{s.status.value}",'
+        f'"health":"{s.health.value}","apps":[{apps}]}}'
+    )
 
 
 def _require_int(payload: dict, key: str, lineno: int) -> int:
@@ -137,13 +173,13 @@ def _apps_error(apps) -> str | None:
     """Why a decoded apps field is not an AppSet, or None when it is one."""
     if type(apps) is not list:
         return "field apps must be a list of strings"
-    prev = None
+    prev = ""  # below every non-empty name
     for app in apps:
-        if type(app) is not str or not app.strip():
+        if type(app) is not str or not (name := app.strip()):
             return "app names must be non-empty strings"
-        if app != app.strip():
+        if app != name:
             return f"app name {app!r} has surrounding whitespace"
-        if prev is not None and app <= prev:
+        if app <= prev:
             return "apps must be sorted and unique"
         prev = app
     return None
@@ -508,13 +544,15 @@ class LogWriter:
         return self._last_ts
 
     def append(self, record: LogRecord) -> None:
+        """Write one record's line; a record the reader would reject leaves the file untouched."""
+        line = (record_to_json(record) + "\n").encode("utf-8")
         ts = record.sample.ts_ms
         if self._last_ts is not None and ts <= self._last_ts:
             raise NonMonotonicTimestamp(f"ts {ts} not above last written {self._last_ts}")
         if self._torn_at is not None:
             self._fh.truncate(self._torn_at)
             self._torn_at = None
-        self._fh.write((record_to_json(record) + "\n").encode("utf-8"))
+        self._fh.write(line)
         self._fh.flush()
         self._last_ts = ts
 
@@ -557,20 +595,29 @@ def run_loop(config: RecorderConfig, source, clock=None, stop: threading.Event |
     """Sample and append once per interval until the stop signal is set.
 
     The first sample is taken immediately, and setting stop ends the wait
-    for the next one at once.  A tick whose source read or append fails
-    is logged to diagnostics and skipped; the loop carries on.  I/O
+    for the next one at once.  A tick whose source read fails, or whose
+    record the writer refuses (out of order, or unwritable), is logged to
+    diagnostics and skipped; the loop carries on.  I/O
     failures on the log itself propagate (the caller exits nonzero).
-    Returns the number of records written.
+    When the loop ends, for whatever reason once the log is open, one
+    line reports the ticks written and the ticks skipped by exception
+    type.  Returns the number of records written.
     """
     clock = clock if clock is not None else SystemClock()
     stop = stop if stop is not None else threading.Event()
     written = 0
+    skipped: collections.Counter[str] = collections.Counter()
     with LogWriter(config.out_path) as writer:
-        while not stop.is_set():
-            try:
-                writer.append(sample_once(source, clock))
-                written += 1
-            except (MissingField, MalformedField, NonMonotonicTimestamp) as exc:
-                log.warning("sampling tick skipped: %s", exc)
-            clock.sleep(config.interval_s, stop)
+        try:
+            while not stop.is_set():
+                try:
+                    writer.append(sample_once(source, clock))
+                    written += 1
+                except (MissingField, MalformedField, NonMonotonicTimestamp, UnwritableRecord) as exc:
+                    skipped[type(exc).__name__] += 1
+                    log.warning("sampling tick skipped: %s", exc)
+                clock.sleep(config.interval_s, stop)
+        finally:
+            by_type = "".join(f", {name} {count}" for name, count in sorted(skipped.items()))
+            log.info("recorder stopped: %d ticks written, %d skipped%s", written, skipped.total(), by_type)
     return written

@@ -17,6 +17,12 @@ Source directory layout (single line each, trailing newline optional):
 
 Unrecognized status/health strings map to the Unknown variants rather
 than erroring, so unlisted vendor strings stay readable.
+
+FileTreeSource reads each field file whole with os.open, os.read and
+os.close, opening it anew on every read (a file replaced by rename is
+read from its new inode, which a kept descriptor would miss), and
+decodes the bytes as strict UTF-8.  The module functions
+read_battery_sample and read_running_apps go through it.
 """
 
 from __future__ import annotations
@@ -138,86 +144,105 @@ def resolve_source_root(source_root: str | Path | None = None) -> Path:
     return DEFAULT_SOURCE_ROOT
 
 
-def _read_field(root: Path, name: str) -> str:
-    """A field file's stripped text.
+FIELD_NAMES = ("capacity", "voltage_now", "temp", "charge_now", "status", "health", "running_apps")
 
-    A missing file raises MissingField; any other read error (EIO from a
-    detached battery, a directory in the file's place, undecodable
-    bytes) raises MalformedField with its text.
-    """
-    path = root / name
-    try:
-        text = path.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise MissingField(name, path) from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedField(name, str(exc)) from None
-    return text.strip()
-
-
-def _read_int_field(root: Path, name: str) -> int:
-    text = _read_field(root, name)
-    try:
-        return int(text)
-    except ValueError:
-        raise MalformedField(name, f"not an integer: {text!r}") from None
-
-
-def read_battery_sample(source_root: str | Path | None = None, clock=None) -> BatterySample:
-    """Read one battery sample from a source directory.
-
-    The timestamp comes from the clock, everything else from the files.
-    Raises MissingField when a mandatory file is absent (charge_now is
-    optional) and MalformedField when a file cannot be read, a value does
-    not parse or the assembled sample breaks an invariant.
-    """
-    root = resolve_source_root(source_root)
-    now_ms = (clock if clock is not None else SystemClock()).now_ms()
-
-    level = _read_int_field(root, "capacity")
-    if not 0 <= level <= 100:
-        raise MalformedField("capacity", f"percent out of range 0..100: {level}")
-    voltage_uv = _read_int_field(root, "voltage_now")
-    temp_dc = _read_int_field(root, "temp")
-    status = BatteryStatus.from_source(_read_field(root, "status"))
-    health = BatteryHealth.from_source(_read_field(root, "health"))
-    try:
-        charge_uah = _read_int_field(root, "charge_now")
-    except MissingField:
-        charge_uah = None
-
-    try:
-        return BatterySample(
-            ts_ms=now_ms,
-            level_pct=level,
-            voltage_mv=voltage_uv // 1000,
-            temp_dc=temp_dc,
-            charge_uah=charge_uah,
-            status=status,
-            health=health,
-        )
-    except ValueError as exc:
-        raise MalformedField("sample", str(exc)) from None
-
-
-def read_running_apps(source_root: str | Path | None = None) -> AppSet:
-    """Read the running-application listing (one name per line)."""
-    root = resolve_source_root(source_root)
-    text = _read_field(root, "running_apps")
-    return make_app_set(text.splitlines())
+# Python descriptors are already non-inheritable; O_BINARY exists on Windows only.
+_OPEN_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)
+_READ_BYTES = 1 << 16
 
 
 class FileTreeSource:
-    """Battery and app-list provider backed by a source directory."""
+    """Battery and app-list provider backed by a source directory.
+
+    The field paths are built once.  Reading bytes skips the newline
+    translation of text mode, which turned "\r\n" and a lone "\r" into
+    "\n"; nothing downstream tells them apart: strip() removes either at
+    the ends of a value, int() and the enum lookups reject either inside
+    one, and str.splitlines() splits the app listing at each.
+    """
 
     def __init__(self, root: str | Path | None = None):
         self.root = resolve_source_root(root)
+        self._paths = {name: str(self.root / name) for name in FIELD_NAMES}
+
+    def _read_field(self, name: str) -> str:
+        """A field file's stripped text.
+
+        A missing file raises MissingField; any other read error (EIO from
+        a detached battery, a directory in the file's place, undecodable
+        bytes) raises MalformedField with its text.
+        """
+        path = self._paths[name]
+        try:
+            fd = os.open(path, _OPEN_FLAGS)
+            try:
+                chunks = []
+                while chunk := os.read(fd, _READ_BYTES):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+            return b"".join(chunks).decode("utf-8").strip()
+        except FileNotFoundError:
+            raise MissingField(name, path) from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedField(name, str(exc)) from None
+
+    def _read_int_field(self, name: str) -> int:
+        text = self._read_field(name)
+        try:
+            return int(text)
+        except ValueError:
+            raise MalformedField(name, f"not an integer: {text!r}") from None
 
     def read_battery_sample(self, clock=None) -> BatterySample:
-        return read_battery_sample(self.root, clock)
+        """Read one battery sample from the source directory.
+
+        The timestamp comes from the clock, everything else from the
+        files.  Raises MissingField when a mandatory file is absent
+        (charge_now is optional) and MalformedField when a file cannot be
+        read, a value does not parse or the assembled sample breaks an
+        invariant.
+        """
+        now_ms = (clock if clock is not None else SystemClock()).now_ms()
+
+        level = self._read_int_field("capacity")
+        if not 0 <= level <= 100:
+            raise MalformedField("capacity", f"percent out of range 0..100: {level}")
+        voltage_uv = self._read_int_field("voltage_now")
+        temp_dc = self._read_int_field("temp")
+        status = BatteryStatus.from_source(self._read_field("status"))
+        health = BatteryHealth.from_source(self._read_field("health"))
+        try:
+            charge_uah = self._read_int_field("charge_now")
+        except MissingField:
+            charge_uah = None
+
+        try:
+            return BatterySample(
+                ts_ms=now_ms,
+                level_pct=level,
+                voltage_mv=voltage_uv // 1000,
+                temp_dc=temp_dc,
+                charge_uah=charge_uah,
+                status=status,
+                health=health,
+            )
+        except ValueError as exc:
+            raise MalformedField("sample", str(exc)) from None
 
     def read_running_apps(self) -> AppSet:
-        return read_running_apps(self.root)
+        """Read the running-application listing (one name per line)."""
+        return make_app_set(self._read_field("running_apps").splitlines())
+
+
+def read_battery_sample(source_root: str | Path | None = None, clock=None) -> BatterySample:
+    """One battery sample from a source directory; see FileTreeSource.read_battery_sample."""
+    return FileTreeSource(source_root).read_battery_sample(clock)
+
+
+def read_running_apps(source_root: str | Path | None = None) -> AppSet:
+    """The running-application listing of a source directory (one name per line)."""
+    return FileTreeSource(source_root).read_running_apps()
 
 
 class ReplaySource:

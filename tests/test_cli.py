@@ -178,6 +178,20 @@ class TestAnalyze:
         assert "baseline_power_mw" not in payload
         assert not any("power_mw" in entry for entry in payload["groups"] + payload["ranking"])
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "constants,message",
+        [
+            (("--capacity-mah", "-5"), "capacity_mah must be positive"),
+            (("--voltage-mv", "0"), "nominal_voltage_mv must be positive"),
+            (("--capacity-mah", "0", "--voltage-mv", "3700"), "capacity_mah must be positive"),
+        ],
+    )
+    def test_bad_constant_fails_before_any_output(self, capsys, sample_log, fmt, constants, message):
+        code, out, err = run_cli(capsys, "analyze", str(sample_log), "--format", fmt, *constants)
+        assert (code, out) == (1, "")
+        assert f"error: {message}" in err
+
     def test_zero_counter_at_the_top_level(self, capsys, tmp_path):
         path = tmp_path / "zero.jsonl"
         write_log(path, [

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import json
+import logging
 import threading
 import time
 import tracemalloc
@@ -11,17 +12,20 @@ from hypothesis import given, settings, strategies as st
 
 from semo import (
     BatteryHealth,
+    BatterySample,
     BatteryStatus,
     FileTreeSource,
     LogLocked,
     LogParseError,
     LogRecord,
     LogWriter,
+    MalformedField,
     MissingField,
     NonMonotonicTimestamp,
     RecorderConfig,
     ReplaySource,
     SimulatedClock,
+    UnwritableRecord,
     curve_series,
     load_log,
     run_loop,
@@ -29,7 +33,7 @@ from semo import (
     write_log,
 )
 import semo.recorder as recorder_module
-from semo.recorder import load_columns, record_from_json, record_to_json
+from semo.recorder import load_columns, record_from_json, record_to_json, sample_dict
 from semo.sources import make_app_set
 
 from _helpers import make_record, make_sample, write_source_dir
@@ -77,6 +81,96 @@ class TestAppendAndLoad:
             with pytest.raises(LogLocked):
                 LogWriter(path)
         LogWriter(path).close()  # released on close
+
+
+def _with(record: LogRecord, **fields) -> LogRecord:
+    return LogRecord(sample=dataclasses.replace(record.sample, **fields), apps=record.apps)
+
+
+GOOD = make_record(2000, 79, apps=("a", "b"))
+UNREADABLE_RECORDS = {
+    "float level": _with(GOOD, level_pct=50.0),
+    "bool level": _with(GOOD, level_pct=True),
+    "float ts": _with(GOOD, ts_ms=2000.0),
+    "bool charge": _with(GOOD, charge_uah=False),
+    "status string": _with(GOOD, status="Discharging"),
+    "unsorted apps": LogRecord(GOOD.sample, ("b", "a")),
+    "padded app": LogRecord(GOOD.sample, (" x",)),
+    "empty app": LogRecord(GOOD.sample, ("",)),
+    "non-string app": LogRecord(GOOD.sample, ("a", 1)),
+    "unhashable app": LogRecord(GOOD.sample, ("a", ["b"])),
+    "apps list": LogRecord(GOOD.sample, ["a", "b"]),
+    "apps None": LogRecord(GOOD.sample, None),
+    "apps str": LogRecord(GOOD.sample, "ab"),
+    "apps empty str": LogRecord(GOOD.sample, ""),
+}
+
+
+class TestWriterRefusesWhatItsReaderRejects:
+    @pytest.mark.parametrize("record", UNREADABLE_RECORDS.values(), ids=UNREADABLE_RECORDS.keys())
+    def test_rejected_append_leaves_the_log_loadable(self, tmp_path, record):
+        path = tmp_path / "log.jsonl"
+        first = make_record(1000, 80, apps=("a",))
+        write_log(path, [first])
+        with path.open("ab") as fh:
+            fh.write(b'{"ts_ms":15')  # a torn final line, which only a written append may cut off
+        before = path.read_bytes()
+        with LogWriter(path) as writer:
+            with pytest.raises(UnwritableRecord):
+                writer.append(record)
+        assert path.read_bytes() == before
+        assert load_log(path) == [first]
+        with LogWriter(path) as writer:
+            assert writer.last_ts_ms == 1000
+            writer.append(GOOD)
+        assert load_log(path) == [first, GOOD]
+
+    @pytest.mark.parametrize("record", UNREADABLE_RECORDS.values(), ids=UNREADABLE_RECORDS.keys())
+    def test_write_log_and_record_to_json_refuse_it(self, tmp_path, record):
+        with pytest.raises(UnwritableRecord):
+            record_to_json(record)
+        path = tmp_path / "log.jsonl"
+        with pytest.raises(UnwritableRecord):
+            write_log(path, [record])
+        assert path.read_bytes() == b""
+
+
+def reference_line(record: LogRecord) -> str:
+    """The line as json.dumps wrote it before record_to_json formatted it directly."""
+    payload = sample_dict(record.sample)
+    payload["apps"] = record.apps
+    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
+
+
+huge_ints = st.integers(-(2**80), 2**80)
+tricky_names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=8) | st.sampled_from(
+    ['"', "\\", 'a"b\\c', "\x00", "\x1f\x7f", "\U0001f600", "\U00010000x", "a\u2028b", "\\u0041"]
+)
+
+
+@st.composite
+def valid_records(draw):
+    status = draw(st.sampled_from(BatteryStatus))
+    sample = BatterySample(
+        ts_ms=draw(huge_ints),
+        level_pct=draw(st.integers(0, 100)),
+        voltage_mv=draw(huge_ints if status is BatteryStatus.UNKNOWN else st.integers(1, 2**80)),
+        temp_dc=draw(huge_ints),
+        charge_uah=draw(st.none() | st.integers(0, 2**80)),
+        status=status,
+        health=draw(st.sampled_from(BatteryHealth)),
+    )
+    return LogRecord(sample=sample, apps=make_app_set(draw(st.lists(tricky_names, max_size=5))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=valid_records())
+def test_record_to_json_writes_what_json_dumps_wrote(tmp_path_factory, record):
+    line = record_to_json(record)
+    assert line == reference_line(record)
+    path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+    path.write_bytes(line.encode() + b"\n")
+    assert load_log(path) == [record]
 
 
 class TestStrictParsing:
@@ -569,7 +663,7 @@ class TestRunLoop:
         run_loop(config, ReplaySource(_endless_records(10)), clock, stop)
         assert len(load_log(config.out_path)) == 3
 
-    def test_failed_tick_skipped(self, tmp_path):
+    def test_failed_tick_skipped(self, tmp_path, caplog):
         class FlakySource:
             def __init__(self):
                 self.calls = 0
@@ -578,18 +672,26 @@ class TestRunLoop:
                 self.calls += 1
                 if self.calls == 2:
                     raise MissingField("capacity")
+                if self.calls in (4, 5):
+                    raise MalformedField("temp", "not an integer")
+                if self.calls == 6:
+                    return make_sample(clock.now_ms(), 80.0)  # a line the reader would reject
                 return make_sample(clock.now_ms(), 80)
 
             def read_running_apps(self):
                 return ()
 
+        caplog.set_level(logging.INFO, logger="semo.recorder")
         clock = SimulatedClock(1)
         stop = threading.Event()
-        _stop_after(clock, stop, 240_001)
+        _stop_after(clock, stop, 420_001)
         config = RecorderConfig(out_path=tmp_path / "log.jsonl")
-        run_loop(config, FlakySource(), clock, stop)
+        assert run_loop(config, FlakySource(), clock, stop) == 4
         timestamps = [r.sample.ts_ms for r in load_log(config.out_path)]
-        assert timestamps == [1, 120_001, 180_001, 240_001]  # tick 2 missing
+        assert timestamps == [1, 120_001, 360_001, 420_001]  # ticks 2, 4, 5 and 6 missing
+        assert [r.getMessage() for r in caplog.records if "stopped" in r.getMessage()] == [
+            "recorder stopped: 4 ticks written, 4 skipped, MalformedField 2, MissingField 1, UnwritableRecord 1"
+        ]
 
     def test_unreadable_source_field_skips_the_tick(self, tmp_path, caplog):
         root = write_source_dir(tmp_path / "bat")
@@ -603,16 +705,18 @@ class TestRunLoop:
         assert load_log(config.out_path) == []
         assert caplog.text.count("sampling tick skipped") == 3
 
-    def test_log_write_error_propagates(self, tmp_path, monkeypatch):
+    def test_log_write_error_propagates(self, tmp_path, monkeypatch, caplog):
         class FailingWriter(LogWriter):
             def append(self, record):
                 raise OSError(28, "No space left on device")
 
         monkeypatch.setattr("semo.recorder.LogWriter", FailingWriter)
+        caplog.set_level(logging.INFO, logger="semo.recorder")
         root = write_source_dir(tmp_path / "bat")
         config = RecorderConfig(out_path=tmp_path / "log.jsonl")
         with pytest.raises(OSError):
             run_loop(config, FileTreeSource(root), SimulatedClock(0), threading.Event())
+        assert "recorder stopped: 0 ticks written, 0 skipped" in caplog.text
 
     def test_deterministic_with_replay_and_simulated_clock(self, tmp_path):
         outputs = []

@@ -1,7 +1,8 @@
 import os
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from semo import (
     BatteryHealth,
@@ -16,7 +17,7 @@ from semo import (
     read_battery_sample,
     read_running_apps,
 )
-from semo.sources import resolve_source_root
+from semo.sources import FIELD_NAMES, BatterySample, resolve_source_root
 
 from _helpers import make_record, write_source_dir
 
@@ -183,6 +184,116 @@ class TestReadRunningApps:
         first = read_running_apps(root)
         write_source_dir(root, apps=names)
         assert read_running_apps(root) == first == make_app_set(names)
+
+
+def reference_field(root: Path, name: str) -> str:
+    """The text-mode read the os-level one replaced: Path.read_text, universal newlines."""
+    path = root / name
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise MissingField(name, path) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedField(name, str(exc)) from None
+    return text.strip()
+
+
+def reference_int_field(root: Path, name: str) -> int:
+    text = reference_field(root, name)
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedField(name, f"not an integer: {text!r}") from None
+
+
+def reference_reads(root: Path):
+    """(sample, apps) as the text-mode reader built them."""
+    level = reference_int_field(root, "capacity")
+    if not 0 <= level <= 100:
+        raise MalformedField("capacity", f"percent out of range 0..100: {level}")
+    voltage_uv = reference_int_field(root, "voltage_now")
+    temp_dc = reference_int_field(root, "temp")
+    status = BatteryStatus.from_source(reference_field(root, "status"))
+    health = BatteryHealth.from_source(reference_field(root, "health"))
+    try:
+        charge_uah = reference_int_field(root, "charge_now")
+    except MissingField:
+        charge_uah = None
+    try:
+        sample = BatterySample(1000, level, voltage_uv // 1000, temp_dc, charge_uah, status, health)
+    except ValueError as exc:
+        raise MalformedField("sample", str(exc)) from None
+    return sample, make_app_set(reference_field(root, "running_apps").splitlines())
+
+
+def new_reads(root: Path):
+    return read_battery_sample(root, SimulatedClock(1000)), read_running_apps(root)
+
+
+def outcome(read, root: Path):
+    """The reads' result, or the error's class and field; a MissingField also keeps its message."""
+    try:
+        return read(root)
+    except MissingField as exc:
+        return MissingField, exc.field, str(exc)
+    except MalformedField as exc:
+        return MalformedField, exc.field
+
+
+# Values near what each field holds; the test below wraps them in EDGES.
+PLAUSIBLE = {
+    "capacity": [b"80", b"0", b"100", b"101", b"-1", b"8 0", b"\xd9\xa8"],
+    "voltage_now": [b"3900000", b"0", b"999"],
+    "temp": [b"310", b"-40", b"1_0"],
+    "charge_now": [b"1200000", b"-3"],
+    "status": [b"Discharging", b"Not charging", b"Not\r\ncharging", b"Not\rcharging", b"FULL"],
+    "health": [b"Good", b"Over voltage", b"Over\rvoltage"],
+    "running_apps": [b"b\na", b"a\r\nb\rc", b"a\r\r\nb", "x\x85y\u2028z".encode()],
+}
+EDGES = st.sampled_from([b"", b"\n", b"\r\n", b"\r", b" \r\n\r", b"\xef\xbb\xbf", b"\xff", b"\xc3"])
+
+
+class TestOsLevelReads:
+    """The os.open/os.read field reads give what the text-mode Path.read_text reads gave."""
+
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_same_outcome_as_read_text(self, tmp_path_factory, name, data):
+        content = data.draw(
+            st.one_of(
+                st.binary(max_size=24),
+                st.tuples(EDGES, st.sampled_from(PLAUSIBLE[name]), EDGES).map(b"".join),
+            )
+        )
+        root = write_source_dir(tmp_path_factory.mktemp("bat"), charge_now="1200000")
+        (root / name).write_bytes(content)
+        assert outcome(new_reads, root) == outcome(reference_reads, root)
+
+    @pytest.mark.parametrize("name", FIELD_NAMES)
+    @pytest.mark.parametrize("case", ["missing", "directory"])
+    def test_same_outcome_without_a_readable_file(self, tmp_path, name, case):
+        root = write_source_dir(tmp_path, charge_now="1200000")
+        (root / name).unlink()
+        if case == "directory":
+            (root / name).mkdir()
+        assert outcome(new_reads, root) == outcome(reference_reads, root)
+
+    def test_listing_over_one_read(self, tmp_path):
+        root = write_source_dir(tmp_path)
+        listing = b"".join(b"app%05d\r\n" % i for i in range(8000))
+        assert len(listing) > 1 << 16
+        (root / "running_apps").write_bytes(listing)
+        apps = read_running_apps(root)
+        assert len(apps) == 8000 and apps == reference_reads(root)[1]
+
+    def test_file_replaced_by_rename_is_read_anew(self, tmp_path):
+        root = write_source_dir(tmp_path)
+        source = FileTreeSource(root)
+        assert source.read_battery_sample(SimulatedClock()).level_pct == 80
+        (root / "capacity.new").write_text("79\n")
+        os.replace(root / "capacity.new", root / "capacity")
+        assert source.read_battery_sample(SimulatedClock()).level_pct == 79
 
 
 class TestSourceRoot:
