@@ -14,8 +14,12 @@ The intervals are computed on the log's columns (recorder.LogColumns):
 pair masks, counter and level drops, censoring and run boundaries are
 array operations, and only each run's drops are summed one by one, in
 pair order, so every interval is bit-identical to a pair-by-pair loop.
-attribute and build_intervals build those columns from records;
-`semo analyze` reads them from the log with recorder.load_columns.
+attribute and build_intervals build those columns from records with
+recorder.LogColumns.from_records, which also refuses records out of
+order; `semo analyze` reads them from the log with recorder.load_columns.
+The analyzer holds no rule of the log format itself.  Battery constants
+must be finite and positive, and the JSON result refuses a power that
+overflowed to infinity rather than print a non-JSON `Infinity`.
 The result formats of `semo analyze`, table, CSV and JSON, live here too.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -44,29 +49,10 @@ INSEPARABLE_FLAG = "inseparable-from-baseline"
 CHARGE_COUNTER_MODES = ("auto", "on", "off")
 
 
-def check_records(records) -> list:
-    """Materialize records and require strictly increasing timestamps."""
-    records = list(records)
-    for prev, cur in zip(records, records[1:]):
-        if cur.sample.ts_ms <= prev.sample.ts_ms:
-            raise ValueError(
-                f"records must be sorted with strictly increasing ts_ms "
-                f"({cur.sample.ts_ms} after {prev.sample.ts_ms})"
-            )
-    return records
-
-
 def check_charge_counter_mode(mode: str) -> str:
     if mode not in CHARGE_COUNTER_MODES:
         raise ValueError(f"use_charge_counter must be one of {CHARGE_COUNTER_MODES}: {mode!r}")
     return mode
-
-
-def check_positive(name: str, value) -> float:
-    value = float(value)
-    if not value > 0:
-        raise ValueError(f"{name} must be positive: {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -130,10 +116,15 @@ class AttributionResult:
 
 
 def check_battery_constants(capacity_mah=None, nominal_voltage_mv=None) -> None:
-    """ValueError naming the first given battery constant that is not positive."""
+    """ValueError naming the first given battery constant that is not finite and positive."""
     for name, value in (("capacity_mah", capacity_mah), ("nominal_voltage_mv", nominal_voltage_mv)):
-        if value is not None:
-            check_positive(name, value)
+        if value is None:
+            continue
+        value = float(value)
+        if not value > 0:
+            raise ValueError(f"{name} must be positive: {value}")
+        if value == math.inf:
+            raise ValueError(f"{name} must be finite: {value}")
 
 
 def rate_to_power(rate_pct_per_h: float, capacity_mah: float, nominal_voltage_mv: float) -> float:
@@ -185,7 +176,7 @@ def build_intervals(records, use_charge_counter: str = "auto") -> list[Discharge
     level quantization over steady spans.
     """
     mode = check_charge_counter_mode(use_charge_counter)
-    columns = LogColumns.from_records(check_records(records))
+    columns = LogColumns.from_records(records)
     found = _discharge_intervals(columns, mode)
     return [
         DischargeInterval(start, end, drop, columns.app_sets[apps])
@@ -329,7 +320,7 @@ def attribute(records, use_charge_counter: str = "auto") -> AttributionResult:
     flagged inseparable-from-baseline with their drain folded into the
     baseline estimate rather than split arbitrarily.
     """
-    return attribute_columns(LogColumns.from_records(check_records(records)), use_charge_counter)
+    return attribute_columns(LogColumns.from_records(records), use_charge_counter)
 
 
 def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> AttributionResult:
@@ -431,7 +422,7 @@ def write_result_json(stream, result: AttributionResult, capacity_mah=None, nomi
         for entry in payload["groups"] + payload["ranking"]:
             entry["power_mw"] = rate_to_power(entry["rate_pct_per_h"], capacity_mah, nominal_voltage_mv)
         payload["baseline_power_mw"] = baseline_mw
-    print(json.dumps(payload), file=stream)
+    print(json.dumps(payload, allow_nan=False), file=stream)
 
 
 class EnergyAttributor:

@@ -26,6 +26,10 @@ from .errors import DegenerateSystem
 # Rows of the scaled system folded into R per QR, so no full-size copy is made.
 BLOCK_ROWS = 1024
 
+# Absolute KKT tolerance on the gradient over zero-bound columns; rounds per column.
+TOL = 1e-9
+ROUNDS_PER_COLUMN = 3
+
 
 def weighted_sse(X, y, beta, weights=None) -> float:
     """Objective value sum_i w_i * (y_i - X_i . beta)^2."""
@@ -58,12 +62,12 @@ def _free_ls(A, b, free):
     return s
 
 
-def solve_nnls(X, y, weights=None, tol: float = 1e-9, max_iter: int | None = None) -> np.ndarray:
+def solve_nnls(X, y, weights=None) -> np.ndarray:
     """Return beta >= 0 minimizing the weighted squared residual.
 
-    tol is the absolute KKT tolerance on the dual vector (the gradient
-    over columns held at zero).  Raises DegenerateSystem when the design
-    has no usable columns (empty, or an all-zero column).
+    Stops once no gradient over the columns held at zero exceeds TOL, or
+    after ROUNDS_PER_COLUMN rounds per column.  Raises DegenerateSystem
+    when the design has no usable columns (empty, or an all-zero column).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -92,15 +96,12 @@ def solve_nnls(X, y, weights=None, tol: float = 1e-9, max_iter: int | None = Non
         raise ValueError("X and y must be finite")
     A, b = R[:, :n], R[:, n]
 
-    if max_iter is None:
-        max_iter = 3 * n
-
     beta = np.zeros(n)
     free = np.zeros(n, dtype=bool)
     grad = A.T @ b
-    for _ in range(max_iter):
+    for _ in range(ROUNDS_PER_COLUMN * n):
         bound = ~free
-        if not bound.any() or np.max(grad[bound]) <= tol:
+        if not bound.any() or np.max(grad[bound]) <= TOL:
             break
         candidates = np.where(bound, grad, -np.inf)
         free[int(np.argmax(candidates))] = True
@@ -110,7 +111,7 @@ def solve_nnls(X, y, weights=None, tol: float = 1e-9, max_iter: int | None = Non
             limiting = free & (s <= 0.0)
             alpha = np.min(beta[limiting] / (beta[limiting] - s[limiting]))
             beta = beta + alpha * (s - beta)
-            pinned = free & (beta <= tol * max(1.0, float(np.max(np.abs(beta)))))
+            pinned = free & (beta <= TOL * max(1.0, float(np.max(np.abs(beta)))))
             beta[pinned] = 0.0
             free[pinned] = False
             if not free.any():

@@ -21,10 +21,7 @@ block holding a line the pattern leaves out (other spacing or key order,
 escapes, longer integers) or a line that fails a check is read again
 line by line by record_from_json, so each line yields the record, or
 raises the error, that record_from_json gives it: that function stays
-the one validator.  Integers too long for int64 make their column an
-object column of Python ints.  Records with equal app lists share one
-tuple, and equal app names one string.  A record counts only once its
-newline is written, so an unterminated final line, left by a write that
+the one validator.  A record counts only once its newline is written, so an unterminated final line, left by a write that
 power loss cut short, is ignored with a warning.  The writer holds an
 advisory exclusive lock so at most one recorder owns a log at a time;
 readers are unrestricted.
@@ -32,9 +29,12 @@ readers are unrestricted.
 record_to_json, the one serializer, formats the line directly.  It
 raises UnwritableRecord (a ValueError) for a record whose line the
 reader would reject (an integer field that is not exactly an int, apps
-that _apps_error refuses), so LogWriter.append and write_log write
-nothing for it and never leave a log that load_log or the next
-LogWriter refuses; run_loop skips such a tick.
+that _apps_error refuses); _checked_line, the one step of both
+LogWriter.append and write_log, then raises NonMonotonicTimestamp for a
+timestamp not above the last one written.  So neither writer leaves a
+log that load_log or the next LogWriter refuses; run_loop skips such a
+tick.  LogColumns.from_records refuses records out of order with the
+reader's own test, so this module alone decides what a valid log is.
 """
 
 from __future__ import annotations
@@ -76,14 +76,12 @@ LOG_FIELDS = ("ts_ms", "level_pct", "voltage_mv", "temp_dc", "charge_uah", "stat
 BLOCK_BYTES = 1 << 20
 
 _FIELD_SET = frozenset(LOG_FIELDS)
-_STATUS_BY_WIRE = {status.value: status for status in BatteryStatus}
-_HEALTH_BY_WIRE = {health.value: health for health in BatteryHealth}
 
-# Column codes of status and health: indices into these tuples.
+# Column codes of status and health, indices into these tuples, by log spelling.
 STATUSES = tuple(BatteryStatus)
 HEALTHS = tuple(BatteryHealth)
-_STATUS_CODE_BY_WIRE = {status.value.encode(): code for code, status in enumerate(STATUSES)}
-_HEALTH_CODE_BY_WIRE = {health.value.encode(): code for code, health in enumerate(HEALTHS)}
+_STATUS_CODE_BY_WIRE = {status.value: code for code, status in enumerate(STATUSES)}
+_HEALTH_CODE_BY_WIRE = {health.value: code for code, health in enumerate(HEALTHS)}
 _UNKNOWN_STATUS = STATUSES.index(BatteryStatus.UNKNOWN)
 
 # Each line in the exact bytes record_to_json writes, newline included.
@@ -162,6 +160,11 @@ def record_to_json(record: LogRecord) -> str:
     )
 
 
+def _code(code_by_wire: dict[str, int], word) -> int:
+    """Code of a status or health spelling, -1 where it is unknown or not a string."""
+    return code_by_wire.get(word, -1) if type(word) is str else -1
+
+
 def _require_int(payload: dict, key: str, lineno: int) -> int:
     value = payload[key]
     if type(value) is not int:  # bools are ints; reject them too
@@ -203,9 +206,9 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
     charge = payload["charge_uah"]
     if charge is not None and type(charge) is not int:
         raise LogParseError(lineno, f"field charge_uah must be an integer or null, got {charge!r}")
-    status = _STATUS_BY_WIRE.get(payload["status"])
-    health = _HEALTH_BY_WIRE.get(payload["health"])
-    if status is None or health is None:
+    status = _code(_STATUS_CODE_BY_WIRE, payload["status"])
+    health = _code(_HEALTH_CODE_BY_WIRE, payload["health"])
+    if status < 0 or health < 0:
         raise LogParseError(lineno, f"unknown status/health: {payload['status']!r}/{payload['health']!r}")
 
     apps = payload["apps"]
@@ -220,8 +223,8 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
             voltage_mv=_require_int(payload, "voltage_mv", lineno),
             temp_dc=_require_int(payload, "temp_dc", lineno),
             charge_uah=charge,
-            status=status,
-            health=health,
+            status=STATUSES[status],
+            health=HEALTHS[health],
         )
     except ValueError as exc:
         raise LogParseError(lineno, str(exc)) from None
@@ -266,8 +269,13 @@ class LogColumns:
 
     @classmethod
     def from_records(cls, records) -> "LogColumns":
-        """The columns of LogRecords, in their order."""
-        return _columns_of_records(list(records), _AppTable())
+        """The columns of LogRecords, in their order; ValueError unless ts increase strictly."""
+        columns = _columns_of_records(list(records), _AppTable())
+        row = _first_not_increasing(columns.ts, None)
+        if row is not None:
+            ts, prev = int(columns.ts[row]), int(columns.ts[row - 1])
+            raise ValueError(f"records must be sorted with strictly increasing ts_ms ({ts} after {prev})")
+        return columns
 
     def records(self) -> list[LogRecord]:
         """The LogRecords of the rows; equal app lists share one tuple."""
@@ -368,9 +376,9 @@ def _ints(text: bytes) -> np.ndarray:
     return np.fromstring(text, dtype=np.int64, sep=",")
 
 
-def _codes(words, code_by_wire: dict[bytes, int]) -> np.ndarray:
-    """Code of each status or health word, -1 where it is unknown."""
-    codes = {word: code_by_wire.get(word, -1) for word in set(words)}
+def _codes(words, code_by_wire: dict[str, int]) -> np.ndarray:
+    """Code of each status or health word (ASCII letters), -1 where it is unknown."""
+    codes = {word: _code(code_by_wire, word.decode()) for word in set(words)}
     return np.fromiter(map(codes.__getitem__, words), np.int8, len(words))
 
 
@@ -418,17 +426,12 @@ def _record_of_line(raw: bytes, lineno: int) -> LogRecord:
     return record_from_json(line, lineno)
 
 
-def _check_increasing(ts: np.ndarray, first_line: int, prev_ts: int | None) -> None:
-    """Raise at the first row whose ts is not above the one before it (prev_ts for row 0)."""
+def _first_not_increasing(ts: np.ndarray, prev_ts: int | None) -> int | None:
+    """The first row whose ts is not above the one before it (prev_ts for row 0), or None."""
     if len(ts) and prev_ts is not None and int(ts[0]) <= prev_ts:
-        row, prev = 0, prev_ts
-    else:
-        down = np.flatnonzero(ts[1:] <= ts[:-1])
-        if not down.size:
-            return
-        row = int(down[0]) + 1
-        prev = ts[row - 1]
-    raise LogParseError(first_line + row, f"timestamp {int(ts[row])} not above previous {int(prev)}")
+        return 0
+    down = np.flatnonzero(ts[1:] <= ts[:-1])
+    return int(down[0]) + 1 if down.size else None
 
 
 def _block_columns(block: bytes, first_line: int, apps: _AppTable, prev_ts: int | None) -> LogColumns:
@@ -451,7 +454,10 @@ def _block_columns(block: bytes, first_line: int, apps: _AppTable, prev_ts: int 
         except LogParseError as exc:
             error = exc
         cols = _columns_of_records(records, apps)
-    _check_increasing(cols.ts, first_line, prev_ts)
+    row = _first_not_increasing(cols.ts, prev_ts)
+    if row is not None:
+        ts, prev = int(cols.ts[row]), prev_ts if row == 0 else int(cols.ts[row - 1])
+        raise LogParseError(first_line + row, f"timestamp {ts} not above previous {prev}")
     if error is not None:
         raise error
     return cols
@@ -501,11 +507,22 @@ def load_columns(path: str | Path) -> LogColumns:
         return _concat(list(_iter_columns(fh, apps)), apps)
 
 
+def _checked_line(record: LogRecord, last_ts: int | None) -> bytes:
+    """A record's line and newline as bytes; UnwritableRecord, then NonMonotonicTimestamp unless ts > last_ts."""
+    line = (record_to_json(record) + "\n").encode()
+    ts = record.sample.ts_ms
+    if last_ts is not None and ts <= last_ts:
+        raise NonMonotonicTimestamp(f"ts {ts} not above last written {last_ts}")
+    return line
+
+
 def write_log(path: str | Path, records) -> None:
-    """Write records as a fresh log file (no locking; not for live recording)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write records as a fresh log file, up to the first one append would refuse (no locking)."""
+    last_ts = None
+    with open(path, "wb") as fh:
         for record in records:
-            fh.write(record_to_json(record) + "\n")
+            fh.write(_checked_line(record, last_ts))
+            last_ts = record.sample.ts_ms
 
 
 class LogWriter:
@@ -545,16 +562,13 @@ class LogWriter:
 
     def append(self, record: LogRecord) -> None:
         """Write one record's line; a record the reader would reject leaves the file untouched."""
-        line = (record_to_json(record) + "\n").encode("utf-8")
-        ts = record.sample.ts_ms
-        if self._last_ts is not None and ts <= self._last_ts:
-            raise NonMonotonicTimestamp(f"ts {ts} not above last written {self._last_ts}")
+        line = _checked_line(record, self._last_ts)
         if self._torn_at is not None:
             self._fh.truncate(self._torn_at)
             self._torn_at = None
         self._fh.write(line)
         self._fh.flush()
-        self._last_ts = ts
+        self._last_ts = record.sample.ts_ms
 
     def close(self) -> None:
         self._fh.close()

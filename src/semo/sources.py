@@ -15,8 +15,9 @@ Source directory layout (single line each, trailing newline optional):
     health        "Good" | "Overheat" | "Dead" | "Over voltage" | "Cold" | other
     running_apps  one application name per line
 
-Unrecognized status/health strings map to the Unknown variants rather
-than erroring, so unlisted vendor strings stay readable.
+Status and health match a member's label ("not charging"), ignoring case;
+unrecognized strings map to the Unknown variants rather than erroring,
+so unlisted vendor strings stay readable.
 
 FileTreeSource reads each field file whole with os.open, os.read and
 os.close, opening it anew on every read (a file replaced by rename is
@@ -69,12 +70,7 @@ class BatteryStatus(Enum):
         return _spaced_lower(self.value)
 
 
-_STATUS_BY_SOURCE = {
-    "charging": BatteryStatus.CHARGING,
-    "discharging": BatteryStatus.DISCHARGING,
-    "full": BatteryStatus.FULL,
-    "not charging": BatteryStatus.NOT_CHARGING,
-}
+_STATUS_BY_SOURCE = {status.label: status for status in BatteryStatus}
 
 
 class BatteryHealth(Enum):
@@ -94,13 +90,7 @@ class BatteryHealth(Enum):
         return _spaced_lower(self.value)
 
 
-_HEALTH_BY_SOURCE = {
-    "good": BatteryHealth.GOOD,
-    "overheat": BatteryHealth.OVERHEAT,
-    "dead": BatteryHealth.DEAD,
-    "over voltage": BatteryHealth.OVER_VOLTAGE,
-    "cold": BatteryHealth.COLD,
-}
+_HEALTH_BY_SOURCE = {health.label: health for health in BatteryHealth}
 
 
 @dataclass(frozen=True, slots=True)

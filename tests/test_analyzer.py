@@ -23,8 +23,8 @@ from semo import (
     simulate,
     write_log,
 )
-import semo.analyzer as analyzer_module
-from semo.analyzer import attribute_columns, check_records, write_result_csv
+import semo.recorder as recorder_module
+from semo.analyzer import attribute_columns, write_result_csv
 from semo.recorder import load_columns
 from semo.nnls import weighted_sse
 
@@ -143,6 +143,13 @@ class TestBuildIntervals:
         records = [make_record(MIN, 80), make_record(0, 81)]
         with pytest.raises(ValueError):
             build_intervals(records)
+
+    @pytest.mark.parametrize("fn", [build_intervals, attribute])
+    def test_first_out_of_order_pair_named(self, fn):
+        records = [make_record(0, 80), make_record(MIN, 79), make_record(MIN, 78), make_record(0, 77)]
+        message = r"records must be sorted with strictly increasing ts_ms \(60000 after 60000\)"
+        with pytest.raises(ValueError, match=message):
+            fn(iter(records))
 
 
 def full_scale_uah(records):
@@ -476,12 +483,13 @@ class TestAttribute:
 
     def test_records_checked_once_and_generators_accepted(self, monkeypatch):
         calls = []
+        first_not_increasing = recorder_module._first_not_increasing
 
-        def counting(records):
+        def counting(ts, prev_ts):
             calls.append(1)
-            return check_records(records)
+            return first_not_increasing(ts, prev_ts)
 
-        monkeypatch.setattr(analyzer_module, "check_records", counting)
+        monkeypatch.setattr(recorder_module, "_first_not_increasing", counting)
         result = attribute(iter(self.exact_additive_records()))
         assert len(calls) == 1
         assert result == attribute(self.exact_additive_records())

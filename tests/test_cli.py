@@ -185,12 +185,22 @@ class TestAnalyze:
             (("--capacity-mah", "-5"), "capacity_mah must be positive"),
             (("--voltage-mv", "0"), "nominal_voltage_mv must be positive"),
             (("--capacity-mah", "0", "--voltage-mv", "3700"), "capacity_mah must be positive"),
+            (("--capacity-mah", "inf", "--voltage-mv", "3700"), "capacity_mah must be finite: inf"),
+            (("--voltage-mv", "inf"), "nominal_voltage_mv must be finite: inf"),
+            (("--capacity-mah", "nan", "--voltage-mv", "3700"), "capacity_mah must be positive: nan"),
         ],
     )
     def test_bad_constant_fails_before_any_output(self, capsys, sample_log, fmt, constants, message):
         code, out, err = run_cli(capsys, "analyze", str(sample_log), "--format", fmt, *constants)
         assert (code, out) == (1, "")
         assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("json_flag", [("--format", "json"), ("--json",)])
+    def test_power_overflow_is_not_written_as_json(self, capsys, sample_log, json_flag):
+        constants = ("--capacity-mah", "1e308", "--voltage-mv", "1e308")
+        code, out, err = run_cli(capsys, "analyze", str(sample_log), *json_flag, *constants)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
 
     def test_zero_counter_at_the_top_level(self, capsys, tmp_path):
         path = tmp_path / "zero.jsonl"
@@ -230,6 +240,14 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert code == 1
         assert "line 1" in err
+
+    @pytest.mark.parametrize("field", ["status", "health"])
+    @pytest.mark.parametrize("value", [[], {}], ids=["list", "dict"])
+    def test_non_string_status_or_health_reports_line(self, capsys, sample_log, field, value):
+        append_bad_enum(sample_log, field, value)
+        code, out, err = run_cli(capsys, "analyze", str(sample_log))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: log line 6: unknown status/health: ")
 
     def test_integer_over_the_digit_limit_reports_line(self, capsys, sample_log):
         with open(sample_log, "a", encoding="utf-8") as fh:
@@ -340,6 +358,32 @@ def test_every_json_mode_emits_single_document(capsys, tmp_path, healthy_source,
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, argv
         json.loads(out)  # exactly one parseable document
+
+
+def append_bad_enum(path, field, value):
+    """Append a record whose status or health is value, which is no string."""
+    payload = json.loads(record_to_json(make_record(300 * MIN, 70)))
+    payload[field] = value
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload) + "\n")
+
+
+def test_record_onto_a_log_with_a_non_string_status_reports_line(tmp_path, sample_log):
+    append_bad_enum(sample_log, "status", [])
+    before = sample_log.read_bytes()
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "semo", "record",
+            "--out", str(sample_log), "--source-root", str(write_source_dir(tmp_path / "bat")),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "error: log line 6: unknown status/health: []/'Good'" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sample_log.read_bytes() == before
 
 
 def test_record_subprocess_smoke(tmp_path):

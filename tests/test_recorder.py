@@ -30,6 +30,8 @@ from semo import (
     load_log,
     run_loop,
     sample_once,
+    simulate,
+    table1_scenario,
     write_log,
 )
 import semo.recorder as recorder_module
@@ -135,6 +137,54 @@ class TestWriterRefusesWhatItsReaderRejects:
         assert path.read_bytes() == b""
 
 
+class TestWritersShareOneCheckedLine:
+    @pytest.mark.parametrize("ts", [60_000, 120_000])
+    def test_write_log_refuses_out_of_order(self, tmp_path, ts):
+        path = tmp_path / "log.jsonl"
+        first = make_record(120_000, 80)
+        with pytest.raises(NonMonotonicTimestamp, match=f"^ts {ts} not above last written 120000$"):
+            write_log(path, [first, make_record(ts, 79), make_record(180_000, 78)])
+        assert load_log(path) == [first]
+
+    def test_unwritable_is_refused_before_out_of_order(self, tmp_path):
+        late_and_bad = _with(GOOD, ts_ms=0, level_pct=50.0)
+        with pytest.raises(UnwritableRecord):
+            write_log(tmp_path / "a.jsonl", [GOOD, late_and_bad])
+        with LogWriter(tmp_path / "b.jsonl") as writer:
+            writer.append(GOOD)
+            with pytest.raises(UnwritableRecord):
+                writer.append(late_and_bad)
+
+    def test_table1_written_byte_identically(self, tmp_path):
+        records = simulate(table1_scenario())
+        _, error = written_both_ways(tmp_path, records)
+        assert error is None
+        assert load_log(tmp_path / "a.jsonl") == records
+
+
+def written_both_ways(directory, records):
+    """Write records with write_log and with LogWriter appends, which must agree byte for byte.
+
+    Returns the bytes written and the message of the NonMonotonicTimestamp
+    both writers stopped at, or None when they wrote every record.
+    """
+    errors = []
+    try:
+        write_log(directory / "a.jsonl", records)
+    except NonMonotonicTimestamp as exc:
+        errors.append(str(exc))
+    with LogWriter(directory / "b.jsonl") as writer:
+        try:
+            for record in records:
+                writer.append(record)
+        except NonMonotonicTimestamp as exc:
+            errors.append(str(exc))
+    written = (directory / "a.jsonl").read_bytes()
+    assert (directory / "b.jsonl").read_bytes() == written
+    assert len(errors) in (0, 2) and len(set(errors)) <= 1
+    return written, errors[0] if errors else None
+
+
 def reference_line(record: LogRecord) -> str:
     """The line as json.dumps wrote it before record_to_json formatted it directly."""
     payload = sample_dict(record.sample)
@@ -161,6 +211,17 @@ def valid_records(draw):
         health=draw(st.sampled_from(BatteryHealth)),
     )
     return LogRecord(sample=sample, apps=make_app_set(draw(st.lists(tricky_names, max_size=5))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=st.lists(valid_records(), max_size=6), ordered=st.booleans())
+def test_write_log_and_log_writer_write_the_same_bytes(tmp_path_factory, records, ordered):
+    if ordered:
+        records = [replace_ts(record, 1000 * i) for i, record in enumerate(records)]
+    written, error = written_both_ways(tmp_path_factory.mktemp("logs"), records)
+    kept = written.count(b"\n")
+    assert (error is None) == (kept == len(records))
+    assert written == b"".join(record_to_json(record).encode() + b"\n" for record in records[:kept])
 
 
 @settings(max_examples=300, deadline=None)
@@ -208,6 +269,18 @@ class TestStrictParsing:
         with pytest.raises(LogParseError) as exc:
             load_log(path)
         assert exc.value.line == 1
+
+    @pytest.mark.parametrize("field", ["status", "health"])
+    @pytest.mark.parametrize("value", [[], {}, ["Good"], None, 3], ids=["list", "dict", "str-list", "null", "int"])
+    def test_non_string_status_or_health_is_a_parse_error(self, tmp_path, field, value):
+        payload = json.loads(record_to_json(make_record(2000, 79)))
+        payload[field] = value
+        path = tmp_path / "log.jsonl"
+        path.write_text(record_to_json(make_record(1000, 80)) + "\n" + json.dumps(payload) + "\n")
+        for read in (load_log, load_columns, LogWriter):
+            with pytest.raises(LogParseError, match="^log line 2: unknown status/health: ") as exc:
+                read(path)
+            assert exc.value.line == 2
 
     def test_non_monotonic_across_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"

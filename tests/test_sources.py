@@ -79,6 +79,26 @@ class TestReadBatterySample:
         assert sample.status is BatteryStatus.NOT_CHARGING
         assert sample.health is BatteryHealth.OVER_VOLTAGE
 
+    @pytest.mark.parametrize(
+        "text,member",
+        [
+            ("Charging", BatteryStatus.CHARGING),
+            ("Discharging", BatteryStatus.DISCHARGING),
+            ("Full", BatteryStatus.FULL),
+            ("Not charging", BatteryStatus.NOT_CHARGING),
+            ("Unknown", BatteryStatus.UNKNOWN),
+            ("Good", BatteryHealth.GOOD),
+            ("Overheat", BatteryHealth.OVERHEAT),
+            ("Dead", BatteryHealth.DEAD),
+            ("Over voltage", BatteryHealth.OVER_VOLTAGE),
+            ("Cold", BatteryHealth.COLD),
+            ("Unknown", BatteryHealth.UNKNOWN),
+        ],
+    )
+    def test_every_kernel_spelling_maps_to_its_member(self, text, member):
+        for spelled in (text, text.upper(), f" {text.lower()}\n"):
+            assert type(member).from_source(spelled) is member
+
     def test_voltage_microvolt_floor_division(self, tmp_path):
         root = write_source_dir(tmp_path, voltage_now="3900499")
         assert read_battery_sample(root, SimulatedClock()).voltage_mv == 3900
