@@ -11,7 +11,6 @@ the attribution accuracy is measurable.
 from .analyzer import (
     AttributionResult,
     DischargeInterval,
-    EnergyAttributor,
     GroupRate,
     Grouping,
     INSEPARABLE_FLAG,
@@ -30,7 +29,6 @@ from .errors import (
     MalformedField,
     MissingField,
     NonMonotonicTimestamp,
-    NotFittedError,
     ReplayExhausted,
     ScenarioInvalid,
     SemoError,
@@ -43,7 +41,6 @@ from .recorder import (
     LogRecord,
     LogWriter,
     RecorderConfig,
-    curve_series,
     load_log,
     run_loop,
     sample_once,

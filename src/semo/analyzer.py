@@ -15,12 +15,15 @@ pair masks, counter and level drops, censoring and run boundaries are
 array operations, and only each run's drops are summed one by one, in
 pair order, so every interval is bit-identical to a pair-by-pair loop.
 attribute and build_intervals build those columns from records with
-recorder.LogColumns.from_records, which also refuses records out of
-order; `semo analyze` reads them from the log with recorder.load_columns.
-The analyzer holds no rule of the log format itself.  Battery constants
-must be finite and positive, and the JSON result refuses a power that
-overflowed to infinity rather than print a non-JSON `Infinity`.
-The result formats of `semo analyze`, table, CSV and JSON, live here too.
+recorder.LogColumns.from_records, which refuses what the log writer
+refuses and records out of order; `semo analyze` reads them from the
+log with recorder.load_columns.  The analyzer holds no rule of the log
+format itself.  `semo export` writes the same columns as CSV
+(export_columns_csv), and export_csv writes records through them.
+Battery constants must be finite and positive, and rate_to_power
+refuses a power that overflows to infinity; the result formats of
+`semo analyze`, table, CSV and JSON, live here too and compute every
+mW before their first line, so that such a power leaves no output.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ChargeCounterUnavailable, NotFittedError, TooFewSamples
+from .errors import ChargeCounterUnavailable, TooFewSamples
 from .nnls import solve_nnls, weighted_sse
 from .recorder import STATUSES, LogColumns
 from .sources import AppSet, BatteryStatus, make_app_set
@@ -132,7 +135,12 @@ def rate_to_power(rate_pct_per_h: float, capacity_mah: float, nominal_voltage_mv
     if rate_pct_per_h < 0:
         raise ValueError(f"rate_pct_per_h must be non-negative: {rate_pct_per_h}")
     check_battery_constants(capacity_mah, nominal_voltage_mv)
-    return rate_pct_per_h / 100.0 * capacity_mah * nominal_voltage_mv / 1000.0
+    power = rate_pct_per_h / 100.0 * capacity_mah * nominal_voltage_mv / 1000.0
+    if not math.isfinite(power):
+        raise ValueError(
+            f"power_mw is not finite: {rate_pct_per_h} pct/h at {capacity_mah} mAh and {nominal_voltage_mv} mV"
+        )
+    return power
 
 
 def _power_mw(rate_pct_per_h: float, capacity_mah, nominal_voltage_mv) -> float | None:
@@ -350,39 +358,42 @@ def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> 
 
 
 def export_csv(records, path) -> None:
-    """Write records as CSV.
+    """Write records as CSV, as export_columns_csv writes their columns."""
+    export_columns_csv(LogColumns.from_records(records), path)
 
-    Columns ts_ms,level_pct,voltage_mv,temp_dc,charge_uah,status,apps,
-    apps semicolon-joined.
+
+def export_columns_csv(columns: LogColumns, path) -> None:
+    """Write a log's columns as CSV, one row per record.
+
+    Columns ts_ms,level_pct,voltage_mv,temp_dc,charge_uah,status,apps:
+    charge_uah empty where the counter is absent, status as the log
+    spells it, apps semicolon-joined.
     """
+    statuses = [status.value for status in STATUSES]
+    apps = [";".join(app_set) for app_set in columns.app_sets]
+    rows = zip(
+        columns.ts.tolist(),
+        columns.level.tolist(),
+        columns.voltage.tolist(),
+        columns.temp.tolist(),
+        columns.charges(),
+        map(statuses.__getitem__, columns.status.tolist()),
+        map(apps.__getitem__, columns.apps.tolist()),
+    )
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        write_records_csv(fh, records)
-
-
-def write_records_csv(stream, records) -> None:
-    writer = csv.writer(stream)
-    writer.writerow(["ts_ms", "level_pct", "voltage_mv", "temp_dc", "charge_uah", "status", "apps"])
-    for record in records:
-        s = record.sample
-        writer.writerow(
-            [
-                s.ts_ms,
-                s.level_pct,
-                s.voltage_mv,
-                s.temp_dc,
-                "" if s.charge_uah is None else s.charge_uah,
-                s.status.value,
-                ";".join(record.apps),
-            ]
-        )
+        writer = csv.writer(fh)
+        writer.writerow(["ts_ms", "level_pct", "voltage_mv", "temp_dc", "charge_uah", "status", "apps"])
+        writer.writerows(rows)
 
 
 # The result formats of `semo analyze`.  Each shows mW only when both
-# battery constants are given.
+# battery constants are given, and computes every mW before it writes
+# its first line, so that a power rate_to_power refuses leaves no output.
 
 
 def write_result_table(stream, result: AttributionResult, capacity_mah=None, nominal_voltage_mv=None) -> None:
     baseline_mw = _power_mw(result.baseline_pct_per_h, capacity_mah, nominal_voltage_mv)
+    powers = [_power_mw(g.rate_pct_per_h, capacity_mah, nominal_voltage_mv) for g in result.ranking]
     labels = [g.label for g in result.ranking]
     width = max([len("group"), *map(len, labels)]) if labels else len("group")
     header = f"{'rank':>4}  {'group':<{width}}  {'rate_pct_per_h':>14}"
@@ -390,9 +401,8 @@ def write_result_table(stream, result: AttributionResult, capacity_mah=None, nom
         header += f"  {'power_mw':>10}"
     header += "  flags"
     print(header, file=stream)
-    for rank, group in enumerate(result.ranking, start=1):
+    for rank, (group, power) in enumerate(zip(result.ranking, powers), start=1):
         row = f"{rank:>4}  {group.label:<{width}}  {group.rate_pct_per_h:>14.4f}"
-        power = _power_mw(group.rate_pct_per_h, capacity_mah, nominal_voltage_mv)
         if power is not None:
             row += f"  {power:>10.1f}"
         row += f"  {' '.join(group.flags)}"
@@ -407,10 +417,10 @@ def write_result_table(stream, result: AttributionResult, capacity_mah=None, nom
 
 
 def write_result_csv(stream, result: AttributionResult, capacity_mah=None, nominal_voltage_mv=None) -> None:
+    powers = [_power_mw(g.rate_pct_per_h, capacity_mah, nominal_voltage_mv) for g in result.ranking]
     writer = csv.writer(stream)
     writer.writerow(["group", "rate_pct_per_h", "power_mw", "flags"])
-    for group in result.ranking:
-        power = _power_mw(group.rate_pct_per_h, capacity_mah, nominal_voltage_mv)
+    for group, power in zip(result.ranking, powers):
         power_text = "" if power is None else f"{power:.3f}"
         writer.writerow([group.label, f"{group.rate_pct_per_h:.6f}", power_text, " ".join(group.flags)])
 
@@ -423,63 +433,3 @@ def write_result_json(stream, result: AttributionResult, capacity_mah=None, nomi
             entry["power_mw"] = rate_to_power(entry["rate_pct_per_h"], capacity_mah, nominal_voltage_mv)
         payload["baseline_power_mw"] = baseline_mw
     print(json.dumps(payload, allow_nan=False), file=stream)
-
-
-class EnergyAttributor:
-    """Scikit-learn style wrapper around :func:`attribute`.
-
-    fit() consumes a list of LogRecords and exposes the estimates through
-    trailing-underscore attributes; get_params/set_params follow the
-    ecosystem protocol so the estimator clones and grid-searches like any
-    other.  No scikit-learn import is required.
-
-    >>> est = EnergyAttributor().fit(records)
-    >>> est.ranking_[0].apps
-    ('file download',)
-    """
-
-    def __init__(self, use_charge_counter: str = "auto"):
-        self.use_charge_counter = use_charge_counter
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"use_charge_counter": self.use_charge_counter}
-
-    def set_params(self, **params) -> "EnergyAttributor":
-        valid = self.get_params()
-        for key, value in params.items():
-            if key not in valid:
-                raise ValueError(f"unknown parameter {key!r} for EnergyAttributor")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, records, y=None) -> "EnergyAttributor":
-        result = attribute(records, self.use_charge_counter)
-        self.result_ = result
-        self.baseline_pct_per_h_ = result.baseline_pct_per_h
-        self.groups_ = result.groups
-        self.ranking_ = result.ranking
-        self.unobserved_ = result.unobserved
-        self.residual_rms_ = result.residual_rms
-        return self
-
-    def _check_fitted(self) -> None:
-        if not hasattr(self, "result_"):
-            raise NotFittedError("EnergyAttributor must be fitted before calling predict()")
-
-    def predict(self, records) -> np.ndarray:
-        """Predicted drain rate (pct/h) for each discharge interval of `records`.
-
-        Fitted group rates apply where the whole group is running; apps
-        outside the fitted vocabulary contribute nothing beyond baseline.
-        """
-        self._check_fitted()
-        intervals = build_intervals(records, self.use_charge_counter)
-        rates = []
-        for iv in intervals:
-            active = set(iv.active)
-            rate = self.baseline_pct_per_h_
-            for group in self.groups_:
-                if set(group.apps) <= active:
-                    rate += group.rate_pct_per_h
-            rates.append(rate)
-        return np.array(rates)

@@ -24,14 +24,14 @@ from . import __version__
 from .analyzer import (
     attribute_columns,
     check_battery_constants,
-    export_csv,
+    export_columns_csv,
     write_result_csv,
     write_result_json,
     write_result_table,
 )
 from .errors import DegenerateSystem, SemoError, TooFewSamples
 from .inspector import InspectorConfig, describe, evaluate
-from .recorder import RecorderConfig, load_columns, load_log, run_loop, sample_dict, write_log
+from .recorder import RecorderConfig, load_columns, run_loop, sample_dict, write_log
 from .simulator import load_scenario, simulate
 from .sources import FileTreeSource, read_battery_sample, resolve_source_root
 
@@ -111,12 +111,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_export(args) -> int:
-    records = load_log(args.log)
-    export_csv(records, args.csv)
+    columns = load_columns(args.log)
+    export_columns_csv(columns, args.csv)
     if args.json:
-        print(json.dumps({"rows": len(records), "csv": str(args.csv)}))
+        print(json.dumps({"rows": len(columns), "csv": str(args.csv)}))
     else:
-        log.info("exported %d records to %s", len(records), args.csv)
+        log.info("exported %d records to %s", len(columns), args.csv)
     return EXIT_OK
 
 

@@ -63,11 +63,3 @@ class ChargeCounterUnavailable(SemoError):
 
 class ScenarioInvalid(SemoError):
     """A simulation scenario violates its invariants; carries the reason."""
-
-
-class NotFittedError(ValueError, AttributeError):
-    """An estimator method that needs a fitted model was called before fit().
-
-    Subclasses both ValueError and AttributeError to match the convention
-    scikit-learn tooling checks for.
-    """

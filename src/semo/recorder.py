@@ -33,8 +33,14 @@ that _apps_error refuses); _checked_line, the one step of both
 LogWriter.append and write_log, then raises NonMonotonicTimestamp for a
 timestamp not above the last one written.  So neither writer leaves a
 log that load_log or the next LogWriter refuses; run_loop skips such a
-tick.  LogColumns.from_records refuses records out of order with the
-reader's own test, so this module alone decides what a valid log is.
+tick.  LogColumns.from_records, the way in for records held in memory,
+applies the writer's rule: a cheap test per column (the types of the
+integer fields, status and health members, each distinct apps list
+once) and, only when that fails, record_to_json on each record, so
+that the first record the writer refuses raises its UnwritableRecord.
+Records out of order are refused with the reader's own test.  So memory
+and disk accept the same records, and this module alone decides what a
+valid log is.
 """
 
 from __future__ import annotations
@@ -269,7 +275,11 @@ class LogColumns:
 
     @classmethod
     def from_records(cls, records) -> "LogColumns":
-        """The columns of LogRecords, in their order; ValueError unless ts increase strictly."""
+        """The columns of LogRecords, in their order.
+
+        Raises the UnwritableRecord of the first record that
+        record_to_json refuses, then ValueError unless ts increase strictly.
+        """
         columns = _columns_of_records(list(records), _AppTable())
         row = _first_not_increasing(columns.ts, None)
         if row is not None:
@@ -277,25 +287,34 @@ class LogColumns:
             raise ValueError(f"records must be sorted with strictly increasing ts_ms ({ts} after {prev})")
         return columns
 
-    def records(self) -> list[LogRecord]:
-        """The LogRecords of the rows; equal app lists share one tuple."""
+    def charges(self) -> list[int | None]:
+        """charge_uah of each row: None where charge_null is set."""
         charge = self.charge.astype(object)
         charge[self.charge_null] = None
+        return charge.tolist()
+
+    def records(self) -> list[LogRecord]:
+        """The LogRecords of the rows; equal app lists share one tuple."""
         samples = map(
             BatterySample,
             self.ts.tolist(),
             self.level.tolist(),
             self.voltage.tolist(),
             self.temp.tolist(),
-            charge.tolist(),
+            self.charges(),
             map(STATUSES.__getitem__, self.status.tolist()),
             map(HEALTHS.__getitem__, self.health.tolist()),
         )
         return list(map(LogRecord, samples, map(self.app_sets.__getitem__, self.apps.tolist())))
 
     def curve(self, tail: int | None = None) -> list[tuple[int, int]]:
-        """(ts_ms, level_pct) pairs, as curve_series gives them for the records."""
-        return list(zip(_tail(self.ts, tail).tolist(), _tail(self.level, tail).tolist()))
+        """(ts_ms, level_pct) pairs: every row for tail None, else the last tail rows (the real-time view)."""
+        start = 0
+        if tail is not None:
+            if tail < 0:
+                raise ValueError(f"tail must be non-negative: {tail}")
+            start = max(len(self) - tail, 0)
+        return list(zip(self.ts[start:].tolist(), self.level[start:].tolist()))
 
 
 def _concat(parts: list[LogColumns], apps: _AppTable) -> LogColumns:
@@ -344,28 +363,62 @@ class _AppTable:
 
 
 def _member_codes(members, all_members: tuple) -> np.ndarray:
-    """Each enum member's index in all_members (compared by identity: Enum hashes in Python)."""
+    """Each enum member's index in all_members, -1 for a value that is none of them.
+
+    Compared by identity: Enum hashes in Python.
+    """
     column = np.fromiter(members, dtype=object, count=len(members))
-    codes = np.zeros(len(column), dtype=np.int8)
+    codes = np.full(len(column), -1, dtype=np.int8)
     for code, member in enumerate(all_members):
         codes[column == member] = code
     return codes
 
 
+def _writable(ints: tuple, charge: list, status: np.ndarray, health: np.ndarray, app_lists: list) -> bool:
+    """Whether record_to_json accepts every record of these fields.
+
+    The test goes column by column: each integer field's set of value
+    types against the writer's, every status and health code against -1,
+    and _apps_error once per distinct app list.
+    """
+    try:
+        distinct = dict.fromkeys(app_lists)
+    except TypeError:  # an unhashable apps value or name
+        return False
+    return (
+        all(set(map(type, column)) <= {int} for column in ints)
+        and set(map(type, charge)) <= {int, type(None)}
+        and (status >= 0).all()
+        and (health >= 0).all()
+        and set(map(type, distinct)) <= {tuple}
+        and all(_apps_error(list(app_list)) is None for app_list in distinct)
+    )
+
+
 def _columns_of_records(records: list, apps: _AppTable) -> LogColumns:
+    """The columns of records; the UnwritableRecord of the first one record_to_json refuses."""
     samples = [record.sample for record in records]
+    ts = [s.ts_ms for s in samples]
+    level = [s.level_pct for s in samples]
+    voltage = [s.voltage_mv for s in samples]
+    temp = [s.temp_dc for s in samples]
     charge = [s.charge_uah for s in samples]
+    status = _member_codes([s.status for s in samples], STATUSES)
+    health = _member_codes([s.health for s in samples], HEALTHS)
     app_lists = [record.apps for record in records]
+    if not _writable((ts, level, voltage, temp), charge, status, health, app_lists):
+        for record in records:
+            record_to_json(record)  # raises for the first record the writer refuses
     ids = {app_list: apps.id_of(app_list) for app_list in dict.fromkeys(app_lists)}
     return LogColumns(
-        ts=_int_column([s.ts_ms for s in samples]),
-        level=_int_column([s.level_pct for s in samples]),
-        voltage=_int_column([s.voltage_mv for s in samples]),
-        temp=_int_column([s.temp_dc for s in samples]),
+        ts=_int_column(ts),
+        level=_int_column(level),
+        voltage=_int_column(voltage),
+        temp=_int_column(temp),
         charge=_int_column([0 if c is None else c for c in charge]),
         charge_null=np.array([c is None for c in charge], dtype=bool),
-        status=_member_codes([s.status for s in samples], STATUSES),
-        health=_member_codes([s.health for s in samples], HEALTHS),
+        status=status,
+        health=health,
         apps=np.array(list(map(ids.__getitem__, app_lists)), dtype=np.intp),
         app_sets=apps.sets,
     )
@@ -585,24 +638,6 @@ def sample_once(source, clock=None) -> LogRecord:
     sample = source.read_battery_sample(clock)
     apps = source.read_running_apps()
     return LogRecord(sample=sample, apps=apps)
-
-
-def curve_series(records, tail: int | None = None) -> list[tuple[int, int]]:
-    """Project records to (ts_ms, level_pct) pairs.
-
-    tail=None returns the full history; tail=n returns the last n pairs
-    (the real-time view).
-    """
-    return [(r.sample.ts_ms, r.sample.level_pct) for r in _tail(list(records), tail)]
-
-
-def _tail(seq, tail: int | None):
-    """The last `tail` items of seq; all of them for None."""
-    if tail is None:
-        return seq
-    if tail < 0:
-        raise ValueError(f"tail must be non-negative: {tail}")
-    return seq[-tail:] if tail else seq[:0]
 
 
 def run_loop(config: RecorderConfig, source, clock=None, stop: threading.Event | None = None) -> int:

@@ -1,19 +1,19 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semo import (
-    AttributionResult,
     BatteryStatus,
     ChargeCounterUnavailable,
     DischargeInterval,
-    EnergyAttributor,
     Grouping,
     INSEPARABLE_FLAG,
-    NotFittedError,
+    LogRecord,
     TooFewSamples,
+    UnwritableRecord,
     attribute,
     build_intervals,
     merge_identifiability_groups,
@@ -25,10 +25,10 @@ from semo import (
 )
 import semo.recorder as recorder_module
 from semo.analyzer import attribute_columns, write_result_csv
-from semo.recorder import load_columns
+from semo.recorder import LogColumns, load_columns, record_to_json
 from semo.nnls import weighted_sse
 
-from _helpers import churn_scenario, make_record, random_exact_scenario
+from _helpers import churn_scenario, make_record, make_sample, random_exact_scenario
 
 MIN = 60_000  # one minute in ms
 HOUR = 3_600_000
@@ -151,6 +151,25 @@ class TestBuildIntervals:
         with pytest.raises(ValueError, match=message):
             fn(iter(records))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            make_record(MIN + 0.5, 79),
+            make_record(MIN, 79.9),
+            make_record(MIN, True),
+            LogRecord(replace(make_sample(MIN, 79), status="Discharging"), ()),
+            LogRecord(make_sample(MIN, 79), ["a"]),
+        ],
+        ids=["float-ts", "float-level", "bool-level", "string-status", "list-apps"],
+    )
+    @pytest.mark.parametrize("fn", [LogColumns.from_records, build_intervals, attribute])
+    def test_records_the_writer_refuses_are_refused_alike(self, fn, bad):
+        with pytest.raises(UnwritableRecord) as writer:
+            record_to_json(bad)
+        with pytest.raises(UnwritableRecord) as reader:
+            fn([make_record(0, 80), bad, make_record(2 * MIN, 78)])
+        assert str(reader.value) == str(writer.value)
+
 
 def full_scale_uah(records):
     """Reference full-scale estimate: charge / level at the highest discharging level, earliest on ties.
@@ -268,6 +287,11 @@ class TestChargeCounter:
         intervals = build_intervals(self.cc_records(), "off")
         assert intervals[0].drop_pct == pytest.approx(1.0)  # level 100 -> 99 then flat
         assert len(intervals) == 1
+
+    @pytest.mark.parametrize("fn", [build_intervals, attribute])
+    def test_unknown_mode_rejected(self, fn):
+        with pytest.raises(ValueError, match="use_charge_counter must be one of"):
+            fn(self.cc_records(), "never")
 
     def test_full_scale_from_best_populated_sample(self):
         # highest-level sample pins full scale: 990_000/90*100 = 1_100_000
@@ -672,6 +696,8 @@ class TestRateToPower:
             rate_to_power(10, 0, 3700)
         with pytest.raises(ValueError):
             rate_to_power(10, 1000, 0)
+        with pytest.raises(ValueError, match="power_mw is not finite"):
+            rate_to_power(10, 1e308, 1e308)
 
 
 class TestExportCsv:
@@ -717,56 +743,3 @@ class TestExportCsv:
         rows = list(csv.reader(path.open()))
         assert all(row[2] == "" for row in rows[1:])
 
-
-class TestEnergyAttributor:
-    def records(self):
-        return [
-            make_record(0 * HOUR, 100, apps=()),
-            make_record(1 * HOUR, 98, apps=("A",)),
-            make_record(2 * HOUR, 93, apps=("B",)),
-            make_record(3 * HOUR, 86, apps=("A", "B")),
-            make_record(4 * HOUR, 76, apps=()),
-        ]
-
-    def test_fit_exposes_result(self):
-        est = EnergyAttributor().fit(self.records())
-        assert est.baseline_pct_per_h_ == pytest.approx(2.0, abs=1e-9)
-        assert isinstance(est.result_, AttributionResult)
-        assert est.ranking_[0].apps == ("B",)
-        assert est.unobserved_ == ()
-        assert est.residual_rms_ == pytest.approx(0.0, abs=1e-9)
-
-    def test_fit_returns_self(self):
-        est = EnergyAttributor()
-        assert est.fit(self.records()) is est
-
-    def test_predict_on_training_data_reproduces_rates(self):
-        records = self.records()
-        est = EnergyAttributor().fit(records)
-        predicted = est.predict(records)
-        observed = [iv.rate_pct_per_h for iv in build_intervals(records)]
-        np.testing.assert_allclose(predicted, observed, atol=1e-9)
-
-    def test_predict_before_fit(self):
-        with pytest.raises(NotFittedError):
-            EnergyAttributor().predict(self.records())
-
-    def test_get_set_params_round_trip(self):
-        est = EnergyAttributor(use_charge_counter="off")
-        params = est.get_params()
-        assert params == {"use_charge_counter": "off"}
-        est.set_params(use_charge_counter="on")
-        assert est.use_charge_counter == "on"
-        with pytest.raises(ValueError):
-            est.set_params(bogus=1)
-
-    def test_invalid_mode_rejected_at_fit(self):
-        with pytest.raises(ValueError):
-            EnergyAttributor(use_charge_counter="never").fit(self.records())
-
-    def test_sklearn_clone_compatible(self):
-        sklearn_base = pytest.importorskip("sklearn.base")
-        est = EnergyAttributor(use_charge_counter="off")
-        cloned = sklearn_base.clone(est)
-        assert cloned.get_params() == est.get_params()
-        assert cloned is not est

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from semo import LogRecord, rate_to_power, read_battery_sample, save_scenario, table1_scenario, write_log
+from semo import BatteryStatus, LogRecord, rate_to_power, read_battery_sample, save_scenario, table1_scenario, write_log
 from semo.cli import main
 from semo.recorder import record_to_json
 
@@ -195,12 +195,16 @@ class TestAnalyze:
         assert (code, out) == (1, "")
         assert f"error: {message}" in err
 
-    @pytest.mark.parametrize("json_flag", [("--format", "json"), ("--json",)])
-    def test_power_overflow_is_not_written_as_json(self, capsys, sample_log, json_flag):
+    @pytest.mark.parametrize(
+        "fmt",
+        [("--format", "table"), ("--format", "csv"), ("--format", "json"), ("--json",)],
+        ids=["table", "csv", "json", "json-flag"],
+    )
+    def test_power_overflow_fails_before_any_output(self, capsys, sample_log, fmt):
         constants = ("--capacity-mah", "1e308", "--voltage-mv", "1e308")
-        code, out, err = run_cli(capsys, "analyze", str(sample_log), *json_flag, *constants)
+        code, out, err = run_cli(capsys, "analyze", str(sample_log), *fmt, *constants)
         assert (code, out) == (1, "")
-        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert err.startswith("error: power_mw is not finite: ")
 
     def test_zero_counter_at_the_top_level(self, capsys, tmp_path):
         path = tmp_path / "zero.jsonl"
@@ -280,6 +284,25 @@ class TestExport:
         out_csv = tmp_path / "out.csv"
         code, out, _ = run_cli(capsys, "export", str(sample_log), "--csv", str(out_csv), "--json")
         assert json.loads(out) == {"rows": 5, "csv": str(out_csv)}
+
+    def test_every_field_written_as_pinned(self, capsys, tmp_path):
+        log = tmp_path / "log.jsonl"
+        write_log(log, [
+            make_record(0, 100, apps=()),
+            make_record(MIN, 99, apps=('say "hi", all',), charge_uah=3_000_000),
+            make_record(2 * MIN, 99, apps=("a", "b"), charge_uah=3_010_000, status=BatteryStatus.CHARGING),
+            make_record(10**29, 98, apps=("b",), charge_uah=2_990_000, voltage_mv=3850, temp_dc=-5),
+        ])
+        out_csv = tmp_path / "out.csv"
+        code, out, _ = run_cli(capsys, "export", str(log), "--csv", str(out_csv))
+        assert (code, out) == (0, "")
+        assert out_csv.read_bytes() == (
+            b"ts_ms,level_pct,voltage_mv,temp_dc,charge_uah,status,apps\r\n"
+            b"0,100,3900,310,,Discharging,\r\n"
+            b'60000,99,3900,310,3000000,Discharging,"say ""hi"", all"\r\n'
+            b"120000,99,3900,310,3010000,Charging,a;b\r\n"
+            b"100000000000000000000000000000,98,3850,-5,2990000,Discharging,b\r\n"
+        )
 
 
 class TestSimulateCommand:

@@ -26,7 +26,6 @@ from semo import (
     ReplaySource,
     SimulatedClock,
     UnwritableRecord,
-    curve_series,
     load_log,
     run_loop,
     sample_once,
@@ -35,7 +34,7 @@ from semo import (
     write_log,
 )
 import semo.recorder as recorder_module
-from semo.recorder import load_columns, record_from_json, record_to_json, sample_dict
+from semo.recorder import LogColumns, load_columns, record_from_json, record_to_json, sample_dict
 from semo.sources import make_app_set
 
 from _helpers import make_record, make_sample, write_source_dir
@@ -650,28 +649,32 @@ class TestTornFinalLine:
             LogWriter(path)
 
 
-class TestCurveSeries:
+def curve(records, tail=None):
+    return LogColumns.from_records(records).curve(tail)
+
+
+class TestCurve:
     def test_history_projection(self):
         records = [make_record(t, lv) for t, lv in ((1, 80), (2, 79), (3, 79))]
-        assert curve_series(records) == [(1, 80), (2, 79), (3, 79)]
+        assert curve(records) == [(1, 80), (2, 79), (3, 79)]
 
     def test_tail(self):
         records = [make_record(t, lv) for t, lv in ((1, 80), (2, 79), (3, 78))]
-        assert curve_series(records, tail=2) == [(2, 79), (3, 78)]
-        assert curve_series(records, tail=0) == []
-        assert curve_series(records, tail=10) == curve_series(records)
+        assert curve(records, tail=2) == [(2, 79), (3, 78)]
+        assert curve(records, tail=0) == []
+        assert curve(records, tail=10) == curve(records)
 
     def test_empty(self):
-        assert curve_series([]) == []
+        assert curve([]) == []
 
     def test_negative_tail(self):
         with pytest.raises(ValueError):
-            curve_series([], tail=-1)
+            curve([], tail=-1)
 
     @given(levels=st.lists(st.integers(0, 100), max_size=20))
     def test_history_length_and_range(self, levels):
         records = [make_record(i + 1, lv) for i, lv in enumerate(levels)]
-        series = curve_series(records)
+        series = curve(records)
         assert len(series) == len(records)
         assert all(0 <= level <= 100 for _, level in series)
 
