@@ -22,6 +22,7 @@ import threading
 
 from . import __version__
 from .analyzer import (
+    CHARGE_COUNTER_MODES,
     attribute_columns,
     check_battery_constants,
     export_columns_csv,
@@ -154,7 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curve", help="emit the battery-level curve as ts_ms,level_pct rows")
     p.add_argument("log")
     p.add_argument("--tail", type=int, default=None, help="only the last N points (real-time view)")
-    p.add_argument("--format", choices=["csv"], default="csv")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_curve)
 
@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--capacity-mah", type=float, default=None, help="battery capacity for mW conversion")
     p.add_argument("--voltage-mv", type=float, default=None, help="nominal voltage for mW conversion")
-    p.add_argument("--use-charge-counter", choices=["auto", "on", "off"], default="auto")
+    p.add_argument("--use-charge-counter", choices=CHARGE_COUNTER_MODES, default="auto")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 

@@ -5,10 +5,14 @@ State of charge integrates piecewise between schedule events:
     dE/dt = -(baseline_mw + sum of running app powers + eps)   unplugged
     dE/dt = +5000 mW                                           plugged
 
-where eps is one gaussian(0, sigma_mw) draw per sampling step, so noise
-enters as power jitter and zero-noise level series stay monotone.  Energy
-clamps to [0, full].  Emitted samples quantize the state exactly like a
-real device would: level_pct = floor(100 * E / E_full) and charge_uah =
+The running set, the plug state and the summed app power change only
+when an event applies; an event at a sample time applies before that
+sample.  eps is one gaussian(0, sigma_mw) value per sampling step, all
+drawn by one call at the start of the run (the same stream as one draw
+per step), so noise enters as power jitter and zero-noise level series
+stay monotone.  Energy is clamped to [0, full] after every piece, plugged
+or not.  Emitted samples quantize the state exactly like a real device
+would: level_pct = floor(100 * E / E_full) and charge_uah =
 round(E / (nominal_voltage_mv/1000) * 1000).
 
 Determinism: the gaussian stream is numpy's PCG64 generator seeded from
@@ -27,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ScenarioInvalid
-from .recorder import LogRecord
+from .recorder import LogRecord, _apps_error
 from .sources import BatteryHealth, BatterySample, BatteryStatus, make_app_set
 
 CHARGE_RATE_MW = 5000.0
@@ -83,9 +87,9 @@ def validate_scenario(scenario: Scenario) -> None:
         bad(f"nominal_voltage_mv must be positive: {scenario.nominal_voltage_mv}")
     if not (math.isfinite(scenario.baseline_mw) and scenario.baseline_mw >= 0):
         bad(f"baseline_mw must be non-negative and finite: {scenario.baseline_mw}")
+    if (reason := _apps_error(sorted(scenario.apps))) is not None:
+        bad(reason)  # the log's own name rule: a name it would rewrite would merge two apps
     for name, power in scenario.apps.items():
-        if not name.strip():
-            bad("app names must be non-empty")
         if not (math.isfinite(power) and power >= 0):
             bad(f"app power must be non-negative and finite: {name}={power}")
     if scenario.duration_s <= 0:
@@ -94,6 +98,8 @@ def validate_scenario(scenario: Scenario) -> None:
         bad(f"sample_interval_s must be >= 1: {scenario.sample_interval_s}")
     if not (math.isfinite(scenario.noise.sigma_mw) and scenario.noise.sigma_mw >= 0):
         bad(f"noise sigma_mw must be non-negative and finite: {scenario.noise.sigma_mw}")
+    if scenario.noise.seed < 0:
+        bad(f"noise seed must be non-negative: {scenario.noise.seed}")
     if not 0 < scenario.initial_level_pct <= 100:
         bad(f"initial_level_pct must be in (0, 100]: {scenario.initial_level_pct}")
 
@@ -129,80 +135,57 @@ def validate_scenario(scenario: Scenario) -> None:
             plugged = False
 
 
-class _DeviceState:
-    def __init__(self, scenario: Scenario):
-        self.scenario = scenario
-        self.e_full = scenario.full_energy_mwh
-        self.energy = self.e_full * scenario.initial_level_pct / 100.0
-        self.running: set[str] = set()
-        self.plugged = False
-
-    def apply(self, event: ScheduleEvent) -> None:
-        if event.kind is EventKind.START:
-            self.running.add(event.app)
-        elif event.kind is EventKind.STOP:
-            self.running.discard(event.app)
-        elif event.kind is EventKind.PLUG_IN:
-            self.plugged = True
-        else:
-            self.plugged = False
-
-    def integrate(self, dt_s: float, eps_mw: float) -> None:
-        dt_h = dt_s / 3600.0
-        if self.plugged:
-            self.energy = min(self.e_full, self.energy + CHARGE_RATE_MW * dt_h)
-        else:
-            power = self.scenario.baseline_mw + sum(self.scenario.apps[a] for a in self.running) + eps_mw
-            self.energy = max(0.0, self.energy - power * dt_h)
-
-    def emit(self, t_s: int) -> LogRecord:
-        sc = self.scenario
-        level = math.floor(self.energy * 100.0 / self.e_full)
-        charge_uah = round(self.energy * 1e6 / sc.nominal_voltage_mv)
-        sample = BatterySample(
-            ts_ms=t_s * 1000,
-            level_pct=max(0, min(100, level)),
-            voltage_mv=sc.nominal_voltage_mv,
-            temp_dc=SIM_TEMP_DC,
-            charge_uah=charge_uah,
-            status=BatteryStatus.CHARGING if self.plugged else BatteryStatus.DISCHARGING,
-            health=BatteryHealth.GOOD,
-        )
-        return LogRecord(sample=sample, apps=make_app_set(self.running))
-
-
 def simulate(scenario: Scenario) -> list[LogRecord]:
     """Run a scenario and return its sampled log, first sample at t=0."""
     validate_scenario(scenario)
-    state = _DeviceState(scenario)
-    rng = np.random.Generator(np.random.PCG64(scenario.noise.seed))
-    events = list(scenario.schedule)
-    idx = 0
+    e_full = scenario.full_energy_mwh
+    energy = e_full * scenario.initial_level_pct / 100.0
+    voltage_mv = scenario.nominal_voltage_mv
     interval = scenario.sample_interval_s
     n_steps = scenario.duration_s // interval
-
+    rng = np.random.Generator(np.random.PCG64(scenario.noise.seed))
+    # noise[k] jitters the step that ends at sample k; no step ends at t=0
+    noise = [0.0, *rng.normal(0.0, scenario.noise.sigma_mw, n_steps).tolist()]
+    events = scenario.schedule
+    running: set[str] = set()
+    plugged = False
+    apps: tuple[str, ...] = ()
+    load_mw = scenario.baseline_mw
+    seg_start = idx = 0
     records = []
     for k in range(n_steps + 1):
-        t = k * interval
-        while idx < len(events) and events[idx].t_s <= t:
-            state.apply(events[idx])
+        t, eps = k * interval, noise[k]
+        # Integrate the step that ends at t piece by piece, applying each event it holds.
+        while True:
+            due = idx < len(events) and events[idx].t_s <= t
+            seg_end = events[idx].t_s if due else t
+            if seg_end > seg_start:
+                rate_mw = CHARGE_RATE_MW if plugged else -(load_mw + eps)
+                energy = min(e_full, max(0.0, energy + rate_mw * ((seg_end - seg_start) / 3600.0)))
+                seg_start = seg_end
+            if not due:
+                break
+            event = events[idx]
             idx += 1
-        records.append(state.emit(t))
-        if k == n_steps:
-            break
-        t_next = t + interval
-        eps = float(rng.normal(0.0, scenario.noise.sigma_mw))
-        seg_start = t
-        j = idx
-        while j < len(events) and events[j].t_s < t_next:
-            if events[j].t_s > seg_start:
-                state.integrate(events[j].t_s - seg_start, eps)
-                seg_start = events[j].t_s
-            state.apply(events[j])
-            j += 1
-        idx = j
-        if t_next > seg_start:
-            state.integrate(t_next - seg_start, eps)
+            if event.kind is EventKind.START:
+                running.add(event.app)
+            elif event.kind is EventKind.STOP:
+                running.discard(event.app)
+            else:
+                plugged = event.kind is EventKind.PLUG_IN
+                continue
+            apps = make_app_set(running)
+            load_mw = scenario.baseline_mw + sum(scenario.apps[a] for a in running)
+        sample = BatterySample(
+            ts_ms=t * 1000,
+            level_pct=max(0, min(100, math.floor(energy * 100.0 / e_full))),
+            voltage_mv=voltage_mv,
+            temp_dc=SIM_TEMP_DC,
+            charge_uah=round(energy * 1e6 / voltage_mv),
+            status=BatteryStatus.CHARGING if plugged else BatteryStatus.DISCHARGING,
+            health=BatteryHealth.GOOD,
+        )
+        records.append(LogRecord(sample=sample, apps=apps))
     return records
 
 
@@ -250,7 +233,7 @@ def table1_scenario() -> Scenario:
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    payload = {
+    return {
         "capacity_mah": scenario.capacity_mah,
         "nominal_voltage_mv": scenario.nominal_voltage_mv,
         "baseline_mw": scenario.baseline_mw,
@@ -264,11 +247,22 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "noise": {"sigma_mw": scenario.noise.sigma_mw, "seed": scenario.noise.seed},
         "initial_level_pct": scenario.initial_level_pct,
     }
-    return payload
 
 
 _REQUIRED_KEYS = {"capacity_mah", "nominal_voltage_mv", "baseline_mw", "apps", "schedule", "duration_s"}
 _OPTIONAL_KEYS = {"sample_interval_s", "noise", "initial_level_pct"}
+
+
+def _integer(value, key: str) -> int:
+    if type(value) is not int:  # refuses a bool too
+        raise ScenarioInvalid(f"{key} must be a JSON integer: {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    if type(value) not in (int, float):
+        raise ScenarioInvalid(f"{key} must be a JSON number: {value!r}")
+    return float(value)
 
 
 def scenario_from_dict(payload: dict) -> Scenario:
@@ -285,25 +279,27 @@ def scenario_from_dict(payload: dict) -> Scenario:
     try:
         events = []
         for entry in payload["schedule"]:
-            kind = EventKind(entry["event"])
-            events.append(ScheduleEvent(t_s=int(entry["t_s"]), kind=kind, app=entry.get("app")))
+            kind, app = EventKind(entry["event"]), entry.get("app")
+            if not (app is None or type(app) is str):
+                raise ScenarioInvalid(f"app must be a JSON string: {app!r}")
+            events.append(ScheduleEvent(t_s=_integer(entry["t_s"], "t_s"), kind=kind, app=app))
         noise_payload = payload.get("noise", {})
         noise = NoiseModel(
-            sigma_mw=float(noise_payload.get("sigma_mw", 0.0)),
-            seed=int(noise_payload.get("seed", 0)),
+            sigma_mw=_number(noise_payload.get("sigma_mw", 0.0), "noise sigma_mw"),
+            seed=_integer(noise_payload.get("seed", 0), "noise seed"),
         )
         scenario = Scenario(
-            capacity_mah=float(payload["capacity_mah"]),
-            nominal_voltage_mv=int(payload["nominal_voltage_mv"]),
-            baseline_mw=float(payload["baseline_mw"]),
-            apps={str(k): float(v) for k, v in payload["apps"].items()},
+            capacity_mah=_number(payload["capacity_mah"], "capacity_mah"),
+            nominal_voltage_mv=_integer(payload["nominal_voltage_mv"], "nominal_voltage_mv"),
+            baseline_mw=_number(payload["baseline_mw"], "baseline_mw"),
+            apps={str(k): _number(v, f"power of app {k!r}") for k, v in payload["apps"].items()},
             schedule=tuple(events),
-            duration_s=int(payload["duration_s"]),
-            sample_interval_s=int(payload.get("sample_interval_s", 60)),
+            duration_s=_integer(payload["duration_s"], "duration_s"),
+            sample_interval_s=_integer(payload.get("sample_interval_s", 60), "sample_interval_s"),
             noise=noise,
-            initial_level_pct=float(payload.get("initial_level_pct", 100.0)),
+            initial_level_pct=_number(payload.get("initial_level_pct", 100.0), "initial_level_pct"),
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ScenarioInvalid(f"scenario does not match the schema: {exc}") from None
     validate_scenario(scenario)
     return scenario

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +21,12 @@ from semo import (
     simulate,
     table1_scenario,
 )
-from semo.recorder import record_to_json
+from semo.recorder import record_to_json, write_log
 from semo.simulator import scenario_from_dict, scenario_to_dict
 
-from _helpers import random_exact_scenario, segments_to_schedule
+from _helpers import churn_scenario, random_exact_scenario, segments_to_schedule
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def baseline_scenario(**overrides):
@@ -109,6 +114,15 @@ class TestSimulate:
         records = simulate(scenario)
         assert records[-1].sample.level_pct == 0
         assert records[-1].sample.charge_uah == 0
+
+    def test_energy_never_above_full_while_discharging(self):
+        # sigma 20x the baseline: some steps have negative net power at full
+        scenario = baseline_scenario(
+            nominal_voltage_mv=1000, baseline_mw=10.0, noise=NoiseModel(sigma_mw=200.0, seed=1)
+        )
+        full_uah = round(scenario.full_energy_mwh * 1e6 / scenario.nominal_voltage_mv)
+        charges = [r.sample.charge_uah for r in simulate(scenario)]
+        assert max(charges) <= full_uah
 
     def test_mid_step_events_integrate_piecewise(self):
         # app runs 30 s inside one 60 s step: exactly half its energy bill
@@ -198,9 +212,12 @@ class TestValidation:
             dict(baseline_mw=-1.0),
             dict(apps={"x": -5.0}),
             dict(apps={"": 5.0}),
+            dict(apps={" game": 5.0}),  # the log would strip it and merge it with "game"
+            dict(apps={"game\t": 5.0}),
             dict(duration_s=0),
             dict(sample_interval_s=0),
             dict(noise=NoiseModel(sigma_mw=-1.0)),
+            dict(noise=NoiseModel(seed=-1)),
             dict(initial_level_pct=0.0),
             dict(initial_level_pct=101.0),
             dict(apps={"x": float("inf")}),
@@ -294,6 +311,48 @@ class TestScenarioJson:
         assert scenario.noise == NoiseModel()
         assert scenario.initial_level_pct == 100.0
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("nominal_voltage_mv", 3700.9),
+            ("nominal_voltage_mv", True),
+            ("duration_s", "3600"),
+            ("duration_s", 3600.0),
+            ("sample_interval_s", 59.9),
+            ("schedule.0.t_s", 90.7),
+            ("schedule.0.t_s", True),
+            ("schedule.0.app", ["x"]),
+            ("noise.seed", 2.5),
+            ("noise.seed", False),
+            ("noise.sigma_mw", "1.5"),
+            ("capacity_mah", "1000"),
+            ("baseline_mw", True),
+            ("apps.x", "500"),
+            ("apps", {"x": 500.0, " x": 300.0}),
+            ("noise.seed", -1),
+            ("initial_level_pct", True),
+        ],
+    )
+    def test_bad_value_rejected_not_coerced(self, key, value):
+        payload = scenario_to_dict(
+            baseline_scenario(apps={"x": 500.0}, schedule=(ScheduleEvent(90, EventKind.START, "x"),))
+        )
+        *parents, leaf = [int(part) if part.isdigit() else part for part in key.split(".")]
+        target = payload
+        for part in parents:
+            target = target[part]
+        target[leaf] = value
+        with pytest.raises(ScenarioInvalid):
+            scenario_from_dict(payload)
+
+    def test_readme_example_simulates(self):
+        block = re.search(r"## Scenario format\n\n```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        scenario = scenario_from_dict(json.loads(block.group(1)))
+        records = simulate(scenario)
+        assert len(records) == scenario.duration_s // scenario.sample_interval_s + 1
+        assert ("game",) in {r.apps for r in records}
+        assert BatteryStatus.CHARGING in {r.sample.status for r in records}
+
     def test_not_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
@@ -305,3 +364,59 @@ class TestScenarioJson:
         save_scenario(table1_scenario(), path)
         payload = json.loads(path.read_text())
         assert payload["apps"]["file download"] == 1000.0
+
+
+def _mixed_scenario() -> Scenario:
+    """Fractional powers, events inside steps, a charging span, a start below 100 %.
+
+    At most two apps run at once, so the summed power does not depend on
+    the iteration order of the running set.
+    """
+    ev = ScheduleEvent
+    schedule = (
+        ev(0, EventKind.START, "c"),
+        ev(95, EventKind.START, "a"),
+        ev(120, EventKind.STOP, "c"),
+        ev(1337, EventKind.START, "b"),
+        ev(1500, EventKind.STOP, "a"),
+        ev(1830, EventKind.PLUG_IN),
+        ev(2701, EventKind.PLUG_OUT),
+        ev(2701, EventKind.START, "c"),
+        ev(3000, EventKind.STOP, "b"),
+        ev(3333, EventKind.STOP, "c"),
+        ev(5405, EventKind.PLUG_IN),
+        ev(6100, EventKind.PLUG_OUT),
+    )
+    return Scenario(
+        capacity_mah=812.5,
+        nominal_voltage_mv=3850,
+        baseline_mw=123.4,
+        apps={"a": 777.7, "b": 333.3, "c": 41.9},
+        schedule=schedule,
+        duration_s=7230,
+        sample_interval_s=60,
+        noise=NoiseModel(),
+        initial_level_pct=87.3,
+    )
+
+
+class TestPinnedLogs:
+    """sha256 of the written log of noise-free scenarios: any change to the
+    integration, the event order or the quantization changes these bytes."""
+
+    @pytest.mark.parametrize(
+        "make, digest",
+        [
+            (table1_scenario, "09dee71091313a8ea25f8d4c79207fe44cb645c1aa3f671ef383d9920ebdd2a1"),
+            (
+                lambda: churn_scenario(10_000, 50, seed=1, capacity_share=0.7)[0],  # runs empty
+                "b815cfa5905b08165a8dd6651cbc3279cbdab06fbf9aa07248ae46bfbd87ad6c",
+            ),
+            (_mixed_scenario, "b7cfd33a441f6b57972b4c43861cfeca37d7d29643696526627d2cd4d5be57ee"),
+        ],
+        ids=["table1", "churn-70pct", "mixed"],
+    )
+    def test_log_bytes_pinned(self, tmp_path, make, digest):
+        path = tmp_path / "log.jsonl"
+        write_log(path, simulate(make()))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
