@@ -3,12 +3,12 @@
 The drain model is additive: each discharge interval's observed rate
 (percent of capacity per hour) is a baseline (OS/idle) plus the rates of
 whatever applications were running.  Rates are estimated by
-duration-weighted non-negative least squares over the intervals.
-Applications whose on/off pattern is indistinguishable across the data
+non-negative least squares on one row per distinct active set, weighted
+by its intervals' summed duration: the minimizer of the duration-weighted
+fit over the intervals.  Apps whose on/off pattern is indistinguishable
 share one identifiability group instead of receiving an arbitrary split;
-applications running in every interval are folded into the baseline and
-flagged, and applications never seen in a usable discharge interval are
-reported as unobserved.
+apps running in every interval are folded into the baseline and flagged,
+and apps never seen in a usable discharge interval are unobserved.
 
 The intervals are computed on the log's columns (recorder.LogColumns):
 pair masks, counter and level drops, censoring and run boundaries are
@@ -31,7 +31,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 from typing import NamedTuple
@@ -39,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ChargeCounterUnavailable, TooFewSamples
-from .nnls import solve_nnls, weighted_sse
+from .nnls import solve_nnls
 from .recorder import STATUSES, LogColumns
 from .sources import AppSet, BatteryStatus, make_app_set
 
@@ -256,10 +256,10 @@ def _discharge_intervals(columns: LogColumns, mode: str) -> _Intervals:
 class Grouping:
     """Regression design: a baseline column plus one column per group.
 
-    design column 0 is the always-on baseline; column j+1 indicates the
-    intervals where groups[j] was active.  inseparable holds apps active
-    in every interval (their column would duplicate the baseline);
-    unobserved holds apps never active in any interval.
+    design column 0 is the always-on baseline; column j+1 marks the rows,
+    one per interval (merge_identifiability_groups) or per distinct active
+    set (_grouping), where groups[j] was active.  inseparable holds apps
+    active in every interval; unobserved holds apps never active in any.
     """
 
     design: np.ndarray
@@ -271,30 +271,28 @@ class Grouping:
 def merge_identifiability_groups(intervals, all_apps=None) -> Grouping:
     """Merge apps with identical interval-membership patterns into groups.
 
-    A boolean incidence matrix of the distinct active sets x apps, taken
-    once per interval, gives the intervals x apps incidence; apps whose
-    columns are equal form one group, and the design takes that shared
-    column once per group.
+    _grouping decides on the distinct active sets; each interval takes its set's design row.
     """
     intervals = list(intervals)
     if not intervals:
         raise TooFewSamples("no intervals to group")
     ids: dict[AppSet, int] = {}
-    active = np.fromiter((ids.setdefault(iv.active, len(ids)) for iv in intervals), np.intp, len(intervals))
-    return _grouping(active, list(ids), all_apps)
+    rows = np.fromiter((ids.setdefault(iv.active, len(ids)) for iv in intervals), np.intp, len(intervals))
+    grouping = _grouping(list(ids), all_apps)
+    return replace(grouping, design=grouping.design[rows])
 
 
-def _grouping(active: np.ndarray, app_sets: list[AppSet], all_apps=None) -> Grouping:
-    """merge_identifiability_groups of intervals whose active sets are app_sets[active]."""
-    used, rows = np.unique(active, return_inverse=True)
-    used_sets = [app_sets[i] for i in used.tolist()]
-    seen = sorted({name for apps in used_sets for name in apps})
+def _grouping(app_sets: list[AppSet], all_apps=None) -> Grouping:
+    """Grouping with one design row per set of app_sets, the intervals' distinct active sets.
+
+    Apps with equal columns in the sets x apps incidence, so over the intervals, form one group.
+    """
+    seen = sorted({name for apps in app_sets for name in apps})
     index = {name: j for j, name in enumerate(seen)}
-    set_incidence = np.zeros((len(used_sets), len(seen)), dtype=bool)
-    set_rows = np.repeat(np.arange(len(used_sets)), [len(apps) for apps in used_sets])
-    cols = np.fromiter((index[name] for apps in used_sets for name in apps), dtype=np.intp, count=set_rows.size)
-    set_incidence[set_rows, cols] = True
-    incidence = set_incidence[rows]
+    incidence = np.zeros((len(app_sets), len(seen)), dtype=bool)
+    set_rows = np.repeat(np.arange(len(app_sets)), [len(apps) for apps in app_sets])
+    cols = np.fromiter((index[name] for apps in app_sets for name in apps), dtype=np.intp, count=set_rows.size)
+    incidence[set_rows, cols] = True
 
     patterns: dict[bytes, list[str]] = {}
     always_on: list[str] = []
@@ -306,7 +304,7 @@ def _grouping(active: np.ndarray, app_sets: list[AppSet], all_apps=None) -> Grou
     ranked = sorted((make_app_set(apps), index[apps[0]]) for apps in patterns.values())
     groups = tuple(group for group, _ in ranked)
 
-    design = np.ones((len(active), len(groups) + 1))
+    design = np.ones((len(app_sets), len(groups) + 1))
     design[:, 1:] = incidence[:, np.array([j for _, j in ranked], dtype=np.intp)]
 
     universe = set(all_apps) if all_apps is not None else set(seen)
@@ -336,17 +334,19 @@ def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> 
     found = _discharge_intervals(columns, check_charge_counter_mode(use_charge_counter))
     discharging_sets = np.unique(columns.apps[columns.status == _DISCHARGING]).tolist()
     universe = {name for i in discharging_sets for name in columns.app_sets[i]}
-    grouping = _grouping(found.apps, columns.app_sets, all_apps=universe)
+    used, rows = np.unique(found.apps, return_inverse=True)
+    grouping = _grouping([columns.app_sets[i] for i in used.tolist()], all_apps=universe)
 
+    # A set's intervals, of summed duration W and drop D, add W (D/W - x beta)^2 + const.
     w = np.asarray((found.end - found.start) / MS_PER_HOUR, dtype=float)
-    y = found.drop / w
-    beta = solve_nnls(grouping.design, y, weights=w)
+    W = np.bincount(rows, weights=w)
+    beta = solve_nnls(grouping.design, np.bincount(rows, weights=found.drop) / W, weights=W)
 
     baseline = float(beta[0])
     groups = [GroupRate(apps=g, rate_pct_per_h=float(b)) for g, b in zip(grouping.groups, beta[1:])]
     if grouping.inseparable:
         groups.append(GroupRate(apps=grouping.inseparable, rate_pct_per_h=0.0, flags=(INSEPARABLE_FLAG,)))
-    residual_rms = float(np.sqrt(weighted_sse(grouping.design, y, beta, w) / np.sum(w)))
+    residual_rms = float(np.sqrt(w @ (found.drop / w - (grouping.design @ beta)[rows]) ** 2 / np.sum(w)))
 
     return AttributionResult(
         baseline_pct_per_h=baseline,

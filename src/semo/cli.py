@@ -31,10 +31,10 @@ from .analyzer import (
     write_result_table,
 )
 from .errors import DegenerateSystem, SemoError, TooFewSamples
-from .inspector import InspectorConfig, describe, evaluate
+from .inspector import describe, evaluate
 from .recorder import RecorderConfig, load_columns, run_loop, sample_dict, write_log
 from .simulator import load_scenario, simulate
-from .sources import FileTreeSource, read_battery_sample, resolve_source_root
+from .sources import FileTreeSource, read_battery_sample
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,8 +46,8 @@ log = logging.getLogger("semo")
 
 
 def cmd_inspect(args) -> int:
-    sample = read_battery_sample(resolve_source_root(args.source_root))
-    warnings = evaluate(sample, InspectorConfig())
+    sample = read_battery_sample(args.source_root)
+    warnings = evaluate(sample)
     if args.json:
         payload = {
             "sample": sample_dict(sample),

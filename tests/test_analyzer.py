@@ -12,6 +12,7 @@ from semo import (
     Grouping,
     INSEPARABLE_FLAG,
     LogRecord,
+    NoiseModel,
     TooFewSamples,
     UnwritableRecord,
     attribute,
@@ -21,8 +22,10 @@ from semo import (
     export_csv,
     make_app_set,
     simulate,
+    solve_nnls,
     write_log,
 )
+import semo.analyzer as analyzer_module
 import semo.recorder as recorder_module
 from semo.analyzer import attribute_columns, write_result_csv
 from semo.recorder import LogColumns, load_columns, record_to_json
@@ -743,3 +746,46 @@ class TestExportCsv:
         rows = list(csv.reader(path.open()))
         assert all(row[2] == "" for row in rows[1:])
 
+
+class TestFitOnDistinctSets:
+    """attribute solves on one row per distinct active set, weighted by its intervals' summed duration."""
+
+    @staticmethod
+    def noisy_records():
+        # four apps toggled at random recur in sets far apart; the noise leaves residuals
+        scenario, _ = churn_scenario(n_records=300, n_apps=4, seed=7, capacity_share=1.5)
+        return simulate(replace(scenario, noise=NoiseModel(sigma_mw=120.0, seed=7)))
+
+    def test_same_fit_as_per_interval_solve(self):
+        records = self.noisy_records()
+        intervals = build_intervals(records)
+        assert len({iv.active for iv in intervals}) < len(intervals)
+        universe = {name for r in records if r.sample.status is BatteryStatus.DISCHARGING for name in r.apps}
+        grouping = merge_identifiability_groups(intervals, all_apps=universe)
+        y = [iv.rate_pct_per_h for iv in intervals]
+        w = [iv.duration_h for iv in intervals]
+        beta = solve_nnls(grouping.design, y, weights=w)
+
+        result = attribute(records)
+        assert result.baseline_pct_per_h == pytest.approx(beta[0], rel=1e-12)
+        fitted = {g.apps: g.rate_pct_per_h for g in result.groups if not g.flags}
+        assert list(fitted) == list(grouping.groups)
+        for group, rate in zip(grouping.groups, beta[1:]):
+            assert fitted[group] == pytest.approx(rate, rel=1e-12)
+        residual_rms = np.sqrt(weighted_sse(grouping.design, y, beta, w) / np.sum(w))
+        assert residual_rms > 0
+        assert result.residual_rms == pytest.approx(residual_rms, rel=0, abs=1e-12)
+
+    def test_one_solver_row_per_distinct_set(self, monkeypatch):
+        rows = []
+
+        def counting_solve(X, y, weights=None):
+            rows.append(np.shape(X)[0])
+            return solve_nnls(X, y, weights=weights)
+
+        monkeypatch.setattr(analyzer_module, "solve_nnls", counting_solve)
+        records = self.noisy_records()
+        intervals = build_intervals(records)
+        attribute(records)
+        assert rows == [len({iv.active for iv in intervals})]
+        assert rows[0] < len(intervals)
