@@ -21,9 +21,10 @@ log with recorder.load_columns.  The analyzer holds no rule of the log
 format itself.  `semo export` writes the same columns as CSV
 (export_columns_csv), and export_csv writes records through them.
 Battery constants must be finite and positive, and rate_to_power
-refuses a power that overflows to infinity; the result formats of
-`semo analyze`, table, CSV and JSON, live here too and compute every
-mW before their first line, so that such a power leaves no output.
+refuses a power that overflows to infinity.  The result formats of
+`semo analyze`, table, CSV and JSON, live here too and render one
+payload that holds every mW, so such a power leaves no output and fails
+alike in every format.
 """
 
 from __future__ import annotations
@@ -92,10 +93,6 @@ class GroupRate:
     rate_pct_per_h: float
     flags: tuple[str, ...] = ()
 
-    @property
-    def label(self) -> str:
-        return ";".join(self.apps)
-
 
 @dataclass(frozen=True)
 class AttributionResult:
@@ -103,7 +100,11 @@ class AttributionResult:
     groups: tuple[GroupRate, ...]
     unobserved: AppSet
     residual_rms: float
-    ranking: tuple[GroupRate, ...]
+
+    @property
+    def ranking(self) -> tuple[GroupRate, ...]:
+        """The groups by rate, highest first; ties go to the first app name."""
+        return tuple(sorted(self.groups, key=lambda g: (-g.rate_pct_per_h, g.apps[0])))
 
     def to_dict(self) -> dict:
         def group_dict(g: GroupRate) -> dict:
@@ -141,13 +142,6 @@ def rate_to_power(rate_pct_per_h: float, capacity_mah: float, nominal_voltage_mv
             f"power_mw is not finite: {rate_pct_per_h} pct/h at {capacity_mah} mAh and {nominal_voltage_mv} mV"
         )
     return power
-
-
-def _power_mw(rate_pct_per_h: float, capacity_mah, nominal_voltage_mv) -> float | None:
-    """rate_to_power, or None unless both battery constants are given."""
-    if capacity_mah is None or nominal_voltage_mv is None:
-        return None
-    return rate_to_power(rate_pct_per_h, capacity_mah, nominal_voltage_mv)
 
 
 def _infer_full_scale_uah(columns: LogColumns) -> float | None:
@@ -312,10 +306,6 @@ def _grouping(app_sets: list[AppSet], all_apps=None) -> Grouping:
     return Grouping(design=design, groups=groups, inseparable=make_app_set(always_on), unobserved=unobserved)
 
 
-def _rank(groups) -> tuple[GroupRate, ...]:
-    return tuple(sorted(groups, key=lambda g: (-g.rate_pct_per_h, g.apps[0])))
-
-
 def attribute(records, use_charge_counter: str = "auto") -> AttributionResult:
     """Estimate baseline and per-group drain rates and rank the groups.
 
@@ -353,7 +343,6 @@ def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> 
         groups=tuple(groups),
         unobserved=grouping.unobserved,
         residual_rms=residual_rms,
-        ranking=_rank(groups),
     )
 
 
@@ -386,50 +375,56 @@ def export_columns_csv(columns: LogColumns, path) -> None:
         writer.writerows(rows)
 
 
-# The result formats of `semo analyze`.  Each shows mW only when both
-# battery constants are given, and computes every mW before it writes
-# its first line, so that a power rate_to_power refuses leaves no output.
+# The result formats of `semo analyze` render one payload.  It shows mW
+# only when both battery constants are given, and holds every mW, the
+# baseline's first, before a format writes its first line.
+
+
+def _payload(result: AttributionResult, capacity_mah, nominal_voltage_mv) -> dict:
+    """result.to_dict(), plus baseline_power_mw and each entry's power_mw when both constants are given."""
+    payload = result.to_dict()
+    if capacity_mah is not None and nominal_voltage_mv is not None:
+        baseline_mw = rate_to_power(result.baseline_pct_per_h, capacity_mah, nominal_voltage_mv)
+        for entry in payload["groups"] + payload["ranking"]:
+            entry["power_mw"] = rate_to_power(entry["rate_pct_per_h"], capacity_mah, nominal_voltage_mv)
+        payload["baseline_power_mw"] = baseline_mw
+    return payload
 
 
 def write_result_table(stream, result: AttributionResult, capacity_mah=None, nominal_voltage_mv=None) -> None:
-    baseline_mw = _power_mw(result.baseline_pct_per_h, capacity_mah, nominal_voltage_mv)
-    powers = [_power_mw(g.rate_pct_per_h, capacity_mah, nominal_voltage_mv) for g in result.ranking]
-    labels = [g.label for g in result.ranking]
-    width = max([len("group"), *map(len, labels)]) if labels else len("group")
+    payload = _payload(result, capacity_mah, nominal_voltage_mv)
+    baseline_mw = payload.get("baseline_power_mw")
+    labels = [";".join(entry["apps"]) for entry in payload["ranking"]]
+    width = max([len("group"), *map(len, labels)])
     header = f"{'rank':>4}  {'group':<{width}}  {'rate_pct_per_h':>14}"
     if baseline_mw is not None:
         header += f"  {'power_mw':>10}"
     header += "  flags"
     print(header, file=stream)
-    for rank, (group, power) in enumerate(zip(result.ranking, powers), start=1):
-        row = f"{rank:>4}  {group.label:<{width}}  {group.rate_pct_per_h:>14.4f}"
-        if power is not None:
-            row += f"  {power:>10.1f}"
-        row += f"  {' '.join(group.flags)}"
+    for rank, (entry, label) in enumerate(zip(payload["ranking"], labels), start=1):
+        row = f"{rank:>4}  {label:<{width}}  {entry['rate_pct_per_h']:>14.4f}"
+        if baseline_mw is not None:
+            row += f"  {entry['power_mw']:>10.1f}"
+        row += f"  {' '.join(entry['flags'])}"
         print(row.rstrip(), file=stream)
-    baseline = f"baseline: {result.baseline_pct_per_h:.4f} pct/h"
+    baseline = f"baseline: {payload['baseline_pct_per_h']:.4f} pct/h"
     if baseline_mw is not None:
         baseline += f" ({baseline_mw:.1f} mW)"
     print(baseline, file=stream)
-    print(f"residual rms: {result.residual_rms:.6f} pct/h", file=stream)
-    if result.unobserved:
-        print(f"unobserved: {', '.join(result.unobserved)}", file=stream)
+    print(f"residual rms: {payload['residual_rms']:.6f} pct/h", file=stream)
+    if payload["unobserved"]:
+        print(f"unobserved: {', '.join(payload['unobserved'])}", file=stream)
 
 
 def write_result_csv(stream, result: AttributionResult, capacity_mah=None, nominal_voltage_mv=None) -> None:
-    powers = [_power_mw(g.rate_pct_per_h, capacity_mah, nominal_voltage_mv) for g in result.ranking]
+    payload = _payload(result, capacity_mah, nominal_voltage_mv)
     writer = csv.writer(stream)
     writer.writerow(["group", "rate_pct_per_h", "power_mw", "flags"])
-    for group, power in zip(result.ranking, powers):
-        power_text = "" if power is None else f"{power:.3f}"
-        writer.writerow([group.label, f"{group.rate_pct_per_h:.6f}", power_text, " ".join(group.flags)])
+    for entry in payload["ranking"]:
+        power_text = f"{entry['power_mw']:.3f}" if "power_mw" in entry else ""
+        rate_text = f"{entry['rate_pct_per_h']:.6f}"
+        writer.writerow([";".join(entry["apps"]), rate_text, power_text, " ".join(entry["flags"])])
 
 
 def write_result_json(stream, result: AttributionResult, capacity_mah=None, nominal_voltage_mv=None) -> None:
-    payload = result.to_dict()
-    baseline_mw = _power_mw(result.baseline_pct_per_h, capacity_mah, nominal_voltage_mv)
-    if baseline_mw is not None:
-        for entry in payload["groups"] + payload["ranking"]:
-            entry["power_mw"] = rate_to_power(entry["rate_pct_per_h"], capacity_mah, nominal_voltage_mv)
-        payload["baseline_power_mw"] = baseline_mw
-    print(json.dumps(payload, allow_nan=False), file=stream)
+    print(json.dumps(_payload(result, capacity_mah, nominal_voltage_mv), allow_nan=False), file=stream)

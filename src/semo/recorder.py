@@ -494,7 +494,7 @@ def _block_columns(block: bytes, first_line: int, apps: _AppTable, prev_ts: int 
     line by line with record_from_json.  Raises the LogParseError of the
     first line that record_from_json rejects or whose timestamp is not
     above the one before it (prev_ts before the block's first line), as
-    reading line by line would.
+    reading line by line would; otherwise gives one row per line.
     """
     rows = _CANONICAL_LINE.findall(block)
     cols = _columns_of_lines(rows, apps)
@@ -539,8 +539,7 @@ def _iter_columns(fh, apps: _AppTable | None = None):
         rest = rest[cut:]
         line += len(cols)
         committed += cut
-        if len(cols):
-            prev_ts = int(cols.ts[-1])
+        prev_ts = int(cols.ts[-1])
         yield cols
         del cols  # hold one block at a time
     if rest:
@@ -600,8 +599,7 @@ class LogWriter:
             self._fh.seek(0)
             self._last_ts = None
             for cols in _iter_columns(self._fh):
-                if len(cols):
-                    self._last_ts = int(cols.ts[-1])
+                self._last_ts = int(cols.ts[-1])
                 del cols  # hold one block at a time
             committed = self._fh.tell()
             self._torn_at = committed if self._fh.seek(0, os.SEEK_END) > committed else None

@@ -11,9 +11,11 @@ sample.  eps is one gaussian(0, sigma_mw) value per sampling step, all
 drawn by one call at the start of the run (the same stream as one draw
 per step), so noise enters as power jitter and zero-noise level series
 stay monotone.  Energy is clamped to [0, full] after every piece, plugged
-or not.  Emitted samples quantize the state exactly like a real device
-would: level_pct = floor(100 * E / E_full) and charge_uah =
-round(E / (nominal_voltage_mv/1000) * 1000).
+or not.  A device whose energy reads 0 at a sample time powers off: that
+sample is the log's last, and later events are not simulated.  Emitted
+samples quantize the state exactly like a real device would:
+level_pct = floor(100 * E / E_full) and
+charge_uah = round(E / (nominal_voltage_mv/1000) * 1000).
 
 Determinism: the gaussian stream is numpy's PCG64 generator seeded from
 the scenario, which is stable across platforms, so equal scenarios give
@@ -186,6 +188,8 @@ def simulate(scenario: Scenario) -> list[LogRecord]:
             health=BatteryHealth.GOOD,
         )
         records.append(LogRecord(sample=sample, apps=apps))
+        if energy == 0.0:  # the device powers off: no sample and no event after this one
+            break
     return records
 
 

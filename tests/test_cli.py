@@ -10,7 +10,17 @@ from dataclasses import replace
 
 import pytest
 
-from semo import BatteryStatus, LogRecord, rate_to_power, read_battery_sample, save_scenario, table1_scenario, write_log
+from semo import (
+    TABLE1_APPS,
+    BatteryStatus,
+    LogRecord,
+    rate_to_power,
+    read_battery_sample,
+    save_scenario,
+    simulate,
+    table1_scenario,
+    write_log,
+)
 from semo.cli import main
 from semo.recorder import record_to_json
 
@@ -269,6 +279,87 @@ class TestAnalyze:
         assert code == 0
         assert out == whole
         assert "unterminated final line 6 of the log (31 bytes)" in caplog.text
+
+
+@pytest.fixture(scope="module")
+def table1_log(tmp_path_factory):
+    path = tmp_path_factory.mktemp("table1") / "log.jsonl"
+    write_log(path, simulate(table1_scenario()))
+    return path
+
+
+WITH_POWER = ("--capacity-mah", "1500", "--voltage-mv", "3700")
+
+# Both formats print fixed decimals, so these bytes hold on any BLAS build.
+TABLE1_OUTPUT = {
+    ("table", ()): """\
+rank  group            rate_pct_per_h  flags
+   1  file download           18.0180
+   2  video streaming         13.5135
+   3  play games               9.3694
+   4  web browsing             5.9459
+   5  text message             3.2433
+baseline: 2.5225 pct/h
+residual rms: 0.000069 pct/h
+""",
+    ("table", WITH_POWER): """\
+rank  group            rate_pct_per_h    power_mw  flags
+   1  file download           18.0180      1000.0
+   2  video streaming         13.5135       750.0
+   3  play games               9.3694       520.0
+   4  web browsing             5.9459       330.0
+   5  text message             3.2433       180.0
+baseline: 2.5225 pct/h (140.0 mW)
+residual rms: 0.000069 pct/h
+""",
+    ("csv", ()): (
+        "group,rate_pct_per_h,power_mw,flags\r\n"
+        "file download,18.017967,,\r\n"
+        "video streaming,13.513491,,\r\n"
+        "play games,9.369406,,\r\n"
+        "web browsing,5.945897,,\r\n"
+        "text message,3.243278,,\r\n"
+    ),
+    ("csv", WITH_POWER): (
+        "group,rate_pct_per_h,power_mw,flags\r\n"
+        "file download,18.017967,999.997,\r\n"
+        "video streaming,13.513491,749.999,\r\n"
+        "play games,9.369406,520.002,\r\n"
+        "web browsing,5.945897,329.997,\r\n"
+        "text message,3.243278,180.002,\r\n"
+    ),
+}
+
+
+class TestAnalyzeTable1:
+    """`semo analyze` on the log of table1_scenario(), in every format."""
+
+    @pytest.mark.parametrize("fmt, constants", list(TABLE1_OUTPUT), ids=["table", "table-mw", "csv", "csv-mw"])
+    def test_output_bytes_pinned(self, capsys, table1_log, fmt, constants):
+        code, out, err = run_cli(capsys, "analyze", str(table1_log), "--format", fmt, *constants)
+        assert (code, err) == (0, "")
+        assert out == TABLE1_OUTPUT[fmt, constants]
+
+    @pytest.mark.parametrize("constants", [(), WITH_POWER], ids=["plain", "mw"])
+    def test_json_keys_in_order(self, capsys, table1_log, constants):
+        code, out, _ = run_cli(capsys, "analyze", str(table1_log), "--json", *constants)
+        assert code == 0
+        payload = json.loads(out)
+        power = ["power_mw"] if constants else []
+        keys = ["baseline_pct_per_h", "groups", "unobserved", "residual_rms", "ranking"]
+        assert list(payload) == keys + (["baseline_power_mw"] if constants else [])
+        for entry in payload["groups"] + payload["ranking"]:
+            assert list(entry) == ["apps", "rate_pct_per_h", "flags"] + power
+        assert [entry["apps"] for entry in payload["ranking"]] == [[name] for name in TABLE1_APPS]
+
+    def test_power_overflow_fails_alike_in_every_format(self, capsys, table1_log):
+        constants = ("--capacity-mah", "1e308", "--voltage-mv", "1e308")
+        results = {
+            fmt: run_cli(capsys, "analyze", str(table1_log), *fmt, *constants)
+            for fmt in [("--format", "table"), ("--format", "csv"), ("--format", "json"), ("--json",)]
+        }
+        assert {(code, out) for code, out, _ in results.values()} == {(1, "")}
+        assert len({err for _, _, err in results.values()}) == 1
 
 
 class TestExport:

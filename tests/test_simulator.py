@@ -115,6 +115,16 @@ class TestSimulate:
         assert records[-1].sample.level_pct == 0
         assert records[-1].sample.charge_uah == 0
 
+    def test_powers_off_at_empty(self):
+        # 40 W empties the 3700 mWh battery between the samples at 5 and 6 minutes;
+        # the plug-in after that finds the device off
+        schedule = (ScheduleEvent(3600, EventKind.PLUG_IN),)
+        records = simulate(baseline_scenario(baseline_mw=40_000.0, duration_s=7200, schedule=schedule))
+        assert [r.sample.ts_ms for r in records] == [k * 60_000 for k in range(7)]
+        assert [r.sample.charge_uah for r in records].count(0) == 1
+        assert records[-1].sample.charge_uah == 0
+        assert {r.sample.status for r in records} == {BatteryStatus.DISCHARGING}
+
     def test_energy_never_above_full_while_discharging(self):
         # sigma 20x the baseline: some steps have negative net power at full
         scenario = baseline_scenario(
@@ -410,7 +420,7 @@ class TestPinnedLogs:
             (table1_scenario, "09dee71091313a8ea25f8d4c79207fe44cb645c1aa3f671ef383d9920ebdd2a1"),
             (
                 lambda: churn_scenario(10_000, 50, seed=1, capacity_share=0.7)[0],  # runs empty
-                "b815cfa5905b08165a8dd6651cbc3279cbdab06fbf9aa07248ae46bfbd87ad6c",
+                "d7354801a548316a8fc26a70c714fc31ee4ce7a67b8e5673aa91b0f5a01aff54",
             ),
             (_mixed_scenario, "b7cfd33a441f6b57972b4c43861cfeca37d7d29643696526627d2cd4d5be57ee"),
         ],
