@@ -65,8 +65,6 @@ from .sources import (
     FileTreeSource,
     ReplaySource,
     make_app_set,
-    read_battery_sample,
-    read_running_apps,
 )
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from .errors import DegenerateSystem, SemoError, TooFewSamples
 from .inspector import describe, evaluate
 from .recorder import RecorderConfig, load_columns, run_loop, sample_dict, write_log
 from .simulator import load_scenario, simulate
-from .sources import FileTreeSource, read_battery_sample
+from .sources import FileTreeSource
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -46,7 +46,7 @@ log = logging.getLogger("semo")
 
 
 def cmd_inspect(args) -> int:
-    sample = read_battery_sample(args.source_root)
+    sample = FileTreeSource(args.source_root).read_battery_sample()
     warnings = evaluate(sample)
     if args.json:
         payload = {
@@ -73,10 +73,7 @@ def cmd_record(args) -> int:
         stop.set()
 
     for sig in (signal.SIGINT, signal.SIGTERM):
-        try:
-            signal.signal(sig, _handle)
-        except ValueError:  # not on the main thread (tests drive run_loop directly)
-            pass
+        signal.signal(sig, _handle)
 
     log.info("recording to %s every %d s; stop with SIGINT", args.out, args.interval)
     written = run_loop(config, source, stop=stop)
@@ -140,43 +137,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("inspect", help="print the battery report and any warnings")
+    # One parent parser gives every subcommand the same --json.
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="print one JSON document on stdout")
+
+    p = sub.add_parser("inspect", parents=[json_flag], help="print the battery report and any warnings")
     p.add_argument("--source-root", default=None, help="battery source directory (default: $SEMO_SOURCE_ROOT)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("record", help="sample battery and apps periodically into a JSONL log")
+    p = sub.add_parser("record", parents=[json_flag], help="sample battery and apps periodically into a JSONL log")
     p.add_argument("--out", required=True, help="log file to append to")
     p.add_argument("--interval", type=int, default=60, help="seconds between samples (default 60)")
     p.add_argument("--source-root", default=None)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_record)
 
-    p = sub.add_parser("curve", help="emit the battery-level curve as ts_ms,level_pct rows")
+    p = sub.add_parser("curve", parents=[json_flag], help="emit the battery-level curve as ts_ms,level_pct rows")
     p.add_argument("log")
     p.add_argument("--tail", type=int, default=None, help="only the last N points (real-time view)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_curve)
 
-    p = sub.add_parser("analyze", help="rank applications by estimated drain rate")
+    p = sub.add_parser("analyze", parents=[json_flag], help="rank applications by estimated drain rate")
     p.add_argument("log")
     p.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p.add_argument("--capacity-mah", type=float, default=None, help="battery capacity for mW conversion")
     p.add_argument("--voltage-mv", type=float, default=None, help="nominal voltage for mW conversion")
     p.add_argument("--use-charge-counter", choices=CHARGE_COUNTER_MODES, default="auto")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("export", help="export a log to CSV for external analysis")
+    p = sub.add_parser("export", parents=[json_flag], help="export a log to CSV for external analysis")
     p.add_argument("log")
     p.add_argument("--csv", required=True, help="destination CSV path")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_export)
 
-    p = sub.add_parser("simulate", help="generate a synthetic log from a scenario file")
+    p = sub.add_parser("simulate", parents=[json_flag], help="generate a synthetic log from a scenario file")
     p.add_argument("scenario", help="scenario JSON document")
     p.add_argument("--out", required=True, help="log file to write")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
     return parser
 

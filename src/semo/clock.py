@@ -17,11 +17,9 @@ class SystemClock:
 
         time.sleep alone would resume after a signal handler sets the stop
         event (PEP 475), so a recorder would exit only when its interval ends.
+        Without `stop`, a fresh event that nothing sets is waited on.
         """
-        if stop is None:
-            time.sleep(seconds)
-        else:
-            stop.wait(seconds)
+        (threading.Event() if stop is None else stop).wait(seconds)
 
 
 class SimulatedClock:

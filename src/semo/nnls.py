@@ -50,8 +50,7 @@ def _reduce_rows(X, y, sw):
     for start in range(0, m, BLOCK_ROWS):
         rows = slice(start, min(start + BLOCK_ROWS, m))
         block = np.column_stack([X[rows], y[rows]])
-        if sw is not None:
-            block *= sw[rows, None]
+        block *= sw[rows, None]
         R = np.linalg.qr(np.vstack([R, block]), mode="r")
     return R
 
@@ -78,20 +77,18 @@ def solve_nnls(X, y, weights=None) -> np.ndarray:
         raise ValueError(f"y has shape {y.shape}, expected ({m},)")
     if m == 0 or n == 0:
         raise DegenerateSystem("empty design matrix")
-    sw = None
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (m,):
-            raise ValueError(f"weights have shape {w.shape}, expected ({m},)")
-        if not np.all((w > 0) & np.isfinite(w)):
-            raise ValueError("weights must be finite and strictly positive")
-        sw = np.sqrt(w)
+    # Unit weights scale no row: multiplying by 1.0 is exact.
+    w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
+    if w.shape != (m,):
+        raise ValueError(f"weights have shape {w.shape}, expected ({m},)")
+    if not np.all((w > 0) & np.isfinite(w)):
+        raise ValueError("weights must be finite and strictly positive")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("X and y must be finite")
     if not np.all(X.any(axis=0)):
         raise DegenerateSystem("design matrix has an all-zero column")
 
-    R = _reduce_rows(X, y, sw)
+    R = _reduce_rows(X, y, np.sqrt(w))
     if not np.all(np.isfinite(R)):
         raise ValueError("X and y must be finite")
     A, b = R[:, :n], R[:, n]

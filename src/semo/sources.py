@@ -22,8 +22,7 @@ so unlisted vendor strings stay readable.
 FileTreeSource reads each field file whole with os.open, os.read and
 os.close, opening it anew on every read (a file replaced by rename is
 read from its new inode, which a kept descriptor would miss), and
-decodes the bytes as strict UTF-8.  The module functions
-read_battery_sample and read_running_apps go through it.
+decodes the bytes as strict UTF-8.
 """
 
 from __future__ import annotations
@@ -44,36 +43,35 @@ DEFAULT_SOURCE_ROOT = Path("/sys/class/power_supply/BAT0")
 AppSet = tuple[str, ...]
 
 
-def _spaced_lower(wire: str) -> str:
-    out = []
-    for i, ch in enumerate(wire):
-        if ch.isupper() and i > 0:
-            out.append(" ")
-        out.append(ch.lower())
-    return "".join(out)
+class _SourceEnum(Enum):
+    """A battery field read from text: status and health.
+
+    A member's value is its log spelling ("NotCharging"); its label is
+    the lower-case spaced form ("not charging").  Each subclass gets one
+    label -> member table, _by_label, set after its members exist, so
+    from_source is a single dict lookup.
+    """
+
+    @classmethod
+    def from_source(cls, text: str) -> "_SourceEnum":
+        # Members are truthy; UNKNOWN is looked up only on a miss.
+        return cls._by_label.get(text.strip().lower()) or cls.UNKNOWN
+
+    @property
+    def label(self) -> str:
+        """Lower-case human form, e.g. NOT_CHARGING -> 'not charging'."""
+        return "".join(f" {c.lower()}" if c.isupper() and i else c.lower() for i, c in enumerate(self.value))
 
 
-class BatteryStatus(Enum):
+class BatteryStatus(_SourceEnum):
     CHARGING = "Charging"
     DISCHARGING = "Discharging"
     FULL = "Full"
     NOT_CHARGING = "NotCharging"
     UNKNOWN = "Unknown"
 
-    @classmethod
-    def from_source(cls, text: str) -> "BatteryStatus":
-        return _STATUS_BY_SOURCE.get(text.strip().lower(), cls.UNKNOWN)
 
-    @property
-    def label(self) -> str:
-        """Lower-case human form, e.g. NOT_CHARGING -> 'not charging'."""
-        return _spaced_lower(self.value)
-
-
-_STATUS_BY_SOURCE = {status.label: status for status in BatteryStatus}
-
-
-class BatteryHealth(Enum):
+class BatteryHealth(_SourceEnum):
     GOOD = "Good"
     OVERHEAT = "Overheat"
     DEAD = "Dead"
@@ -81,16 +79,9 @@ class BatteryHealth(Enum):
     COLD = "Cold"
     UNKNOWN = "Unknown"
 
-    @classmethod
-    def from_source(cls, text: str) -> "BatteryHealth":
-        return _HEALTH_BY_SOURCE.get(text.strip().lower(), cls.UNKNOWN)
 
-    @property
-    def label(self) -> str:
-        return _spaced_lower(self.value)
-
-
-_HEALTH_BY_SOURCE = {health.label: health for health in BatteryHealth}
+BatteryStatus._by_label = {status.label: status for status in BatteryStatus}
+BatteryHealth._by_label = {health.label: health for health in BatteryHealth}
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,16 +214,6 @@ class FileTreeSource:
     def read_running_apps(self) -> AppSet:
         """Read the running-application listing (one name per line)."""
         return make_app_set(self._read_field("running_apps").splitlines())
-
-
-def read_battery_sample(source_root: str | Path | None = None, clock=None) -> BatterySample:
-    """One battery sample from a source directory; see FileTreeSource.read_battery_sample."""
-    return FileTreeSource(source_root).read_battery_sample(clock)
-
-
-def read_running_apps(source_root: str | Path | None = None) -> AppSet:
-    """The running-application listing of a source directory (one name per line)."""
-    return FileTreeSource(source_root).read_running_apps()
 
 
 class ReplaySource:

@@ -13,9 +13,9 @@ import pytest
 from semo import (
     TABLE1_APPS,
     BatteryStatus,
+    FileTreeSource,
     LogRecord,
     rate_to_power,
-    read_battery_sample,
     save_scenario,
     simulate,
     table1_scenario,
@@ -79,7 +79,7 @@ class TestInspect:
         assert payload["warnings"][0]["kind"] == "LowBattery"
         assert payload["warnings"][0]["threshold"] == 15
         # the sample is the log record without apps, in the same key order
-        read = replace(read_battery_sample(low_battery_source), ts_ms=payload["sample"]["ts_ms"])
+        read = replace(FileTreeSource(low_battery_source).read_battery_sample(), ts_ms=payload["sample"]["ts_ms"])
         logged = json.loads(record_to_json(LogRecord(read, ("game",))))
         del logged["apps"]
         assert list(payload["sample"].items()) == list(logged.items())
@@ -133,6 +133,43 @@ class TestAnalyze:
         assert lines[1].split()[:2] == ["1", "B"]
         assert any(line.startswith("baseline:") for line in lines)
         assert any(line.startswith("residual rms:") for line in lines)
+
+    @pytest.mark.parametrize(
+        "bad_line,message",
+        [
+            (record_to_json(make_record(MIN, 99, apps=("ab",))).encode().replace(b"ab", b"a\xffb"), "invalid UTF-8"),
+            (b"[1,2]", "record must be a JSON object"),
+        ],
+        ids=["utf8-in-apps", "array"],
+    )
+    def test_unreadable_line_exits_one(self, capsys, tmp_path, bad_line, message):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(record_to_json(make_record(0, 100)).encode() + b"\n" + bad_line + b"\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out, err) == (1, "", f"error: log line 2: {message}\n")
+
+    def test_table_names_unobserved_apps(self, capsys, tmp_path):
+        # "fleeting" runs in one discharging sample, the last before a
+        # charge, so it starts no usable interval; apps seen only while
+        # charging are outside the universe and not listed.
+        path = tmp_path / "log.jsonl"
+        charging = BatteryStatus.CHARGING
+        write_log(path, [
+            make_record(0, 100, apps=("A",)),
+            make_record(MIN, 99, apps=("A",)),
+            make_record(2 * MIN, 99, apps=("A", "fleeting"), status=charging),
+            make_record(3 * MIN, 99, apps=("A", "fleeting")),
+            make_record(4 * MIN, 99, apps=("A", "plugged"), status=charging),
+            make_record(5 * MIN, 99, apps=("A",)),
+            make_record(6 * MIN, 98, apps=("A",)),
+        ])
+        code, out, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "baseline: 60.0000 pct/h",
+            "residual rms: 0.000000 pct/h",
+            "unobserved: fleeting",
+        ]
 
     def test_table_with_power_column(self, capsys, sample_log):
         code, out, _ = run_cli(
@@ -411,6 +448,13 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", str(scenario_path), "--out", str(tmp_path / "x"))
         assert code == 1
         assert out == ""
+
+    def test_non_object_scenario_exits_one(self, capsys, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text("[1]")
+        code, out, err = run_cli(capsys, "simulate", str(scenario_path), "--out", str(tmp_path / "x"))
+        assert (code, out) == (1, "")
+        assert "scenario must be a JSON object" in err
 
     def test_pipeline_simulate_then_analyze(self, capsys, tmp_path):
         scenario_path = tmp_path / "scenario.json"

@@ -81,6 +81,12 @@ class TestDegenerate:
         with pytest.raises(ValueError):
             solve_nnls(np.array([[np.nan], [1.0]]), np.ones(2))
 
+    def test_overflow_in_reduced_system_rejected(self):
+        X, y = [[1e308, 1.0], [1e308, 2.0]], [1e308, 1e308]
+        assert np.all(np.isfinite(X)) and np.all(np.isfinite(y))
+        with pytest.raises(ValueError, match="^X and y must be finite$"):
+            solve_nnls(X, y)
+
 
 class TestAgainstOracle:
     def test_matches_subset_enumeration(self):

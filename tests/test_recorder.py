@@ -281,6 +281,22 @@ class TestStrictParsing:
                 read(path)
             assert exc.value.line == 2
 
+    @pytest.mark.parametrize(
+        "bad_line,message",
+        [
+            (record_to_json(make_record(2000, 79, apps=("ab",))).encode().replace(b"ab", b"a\xffb"), "invalid UTF-8"),
+            (b"[1,2]", "record must be a JSON object"),
+        ],
+        ids=["utf8-in-apps", "array"],
+    )
+    def test_undecodable_or_non_object_line_is_a_parse_error(self, tmp_path, bad_line, message):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(record_to_json(make_record(1000, 80)).encode() + b"\n" + bad_line + b"\n")
+        for read in (load_log, load_columns, LogWriter):
+            with pytest.raises(LogParseError, match=f"^log line 2: {message}$") as exc:
+                read(path)
+            assert exc.value.line == 2
+
     def test_non_monotonic_across_lines(self, tmp_path):
         path = tmp_path / "log.jsonl"
         lines = [record_to_json(make_record(2000, 80)), record_to_json(make_record(1000, 79))]

@@ -14,8 +14,6 @@ from semo import (
     ReplaySource,
     SimulatedClock,
     make_app_set,
-    read_battery_sample,
-    read_running_apps,
 )
 from semo.sources import FIELD_NAMES, BatterySample, resolve_source_root
 
@@ -29,7 +27,7 @@ def source_dir(tmp_path):
 
 class TestReadBatterySample:
     def test_parses_all_fields(self, source_dir):
-        sample = read_battery_sample(source_dir, SimulatedClock(1_000))
+        sample = FileTreeSource(source_dir).read_battery_sample(SimulatedClock(1_000))
         assert sample.ts_ms == 1_000
         assert sample.level_pct == 80
         assert sample.voltage_mv == 3900
@@ -40,42 +38,42 @@ class TestReadBatterySample:
 
     def test_charge_counter_present(self, tmp_path):
         root = write_source_dir(tmp_path, charge_now="1200000")
-        sample = read_battery_sample(root, SimulatedClock())
+        sample = FileTreeSource(root).read_battery_sample(SimulatedClock())
         assert sample.charge_uah == 1_200_000
 
     def test_level_out_of_range_is_malformed(self, tmp_path):
         root = write_source_dir(tmp_path, capacity="142")
         with pytest.raises(MalformedField):
-            read_battery_sample(root, SimulatedClock())
+            FileTreeSource(root).read_battery_sample(SimulatedClock())
 
     @pytest.mark.parametrize("content", ["abc", "3.5", "", "12 34"])
     def test_non_integer_is_malformed(self, tmp_path, content):
         root = write_source_dir(tmp_path, capacity=content)
         with pytest.raises(MalformedField):
-            read_battery_sample(root, SimulatedClock())
+            FileTreeSource(root).read_battery_sample(SimulatedClock())
 
     @pytest.mark.parametrize("missing", ["capacity", "voltage_now", "temp", "status", "health"])
     def test_mandatory_file_absent(self, tmp_path, missing):
         root = write_source_dir(tmp_path)
         (root / missing).unlink()
         with pytest.raises(MissingField) as exc:
-            read_battery_sample(root, SimulatedClock())
+            FileTreeSource(root).read_battery_sample(SimulatedClock())
         assert exc.value.field == missing
 
     def test_malformed_charge_is_not_ignored(self, tmp_path):
         root = write_source_dir(tmp_path, charge_now="lots")
         with pytest.raises(MalformedField):
-            read_battery_sample(root, SimulatedClock())
+            FileTreeSource(root).read_battery_sample(SimulatedClock())
 
     def test_unknown_enum_strings_map_to_unknown(self, tmp_path):
         root = write_source_dir(tmp_path, status="Trickle", health="Warm")
-        sample = read_battery_sample(root, SimulatedClock())
+        sample = FileTreeSource(root).read_battery_sample(SimulatedClock())
         assert sample.status is BatteryStatus.UNKNOWN
         assert sample.health is BatteryHealth.UNKNOWN
 
     def test_multiword_enum_strings(self, tmp_path):
         root = write_source_dir(tmp_path, status="Not charging", health="Over voltage")
-        sample = read_battery_sample(root, SimulatedClock())
+        sample = FileTreeSource(root).read_battery_sample(SimulatedClock())
         assert sample.status is BatteryStatus.NOT_CHARGING
         assert sample.health is BatteryHealth.OVER_VOLTAGE
 
@@ -101,12 +99,12 @@ class TestReadBatterySample:
 
     def test_voltage_microvolt_floor_division(self, tmp_path):
         root = write_source_dir(tmp_path, voltage_now="3900499")
-        assert read_battery_sample(root, SimulatedClock()).voltage_mv == 3900
+        assert FileTreeSource(root).read_battery_sample(SimulatedClock()).voltage_mv == 3900
 
     def test_nonpositive_voltage_with_known_status(self, tmp_path):
         root = write_source_dir(tmp_path, voltage_now="0")
         with pytest.raises(MalformedField):
-            read_battery_sample(root, SimulatedClock())
+            FileTreeSource(root).read_battery_sample(SimulatedClock())
 
     @pytest.mark.parametrize("name", ["temp", "charge_now", "status"])
     def test_unreadable_field_is_malformed(self, tmp_path, name):
@@ -114,20 +112,20 @@ class TestReadBatterySample:
         (root / name).unlink()
         (root / name).mkdir()
         with pytest.raises(MalformedField) as exc:
-            read_battery_sample(root, SimulatedClock())
+            FileTreeSource(root).read_battery_sample(SimulatedClock())
         assert exc.value.field == name
 
     def test_undecodable_field_is_malformed(self, tmp_path):
         root = write_source_dir(tmp_path)
         (root / "status").write_bytes(b"Dis\xffcharging\n")
         with pytest.raises(MalformedField) as exc:
-            read_battery_sample(root, SimulatedClock())
+            FileTreeSource(root).read_battery_sample(SimulatedClock())
         assert exc.value.field == "status"
 
     def test_no_trailing_newline_accepted(self, tmp_path):
         root = write_source_dir(tmp_path)
         (root / "capacity").write_text("55")
-        assert read_battery_sample(root, SimulatedClock()).level_pct == 55
+        assert FileTreeSource(root).read_battery_sample(SimulatedClock()).level_pct == 55
 
     def test_parsing_is_total(self, tmp_path):
         # Every source directory yields exactly one of
@@ -150,7 +148,7 @@ class TestReadBatterySample:
                 else:
                     (root / name).write_text(value)
             try:
-                sample = read_battery_sample(root, SimulatedClock())
+                sample = FileTreeSource(root).read_battery_sample(SimulatedClock())
             except (MissingField, MalformedField):
                 continue
             assert sample.level_pct in range(0, 101)
@@ -159,31 +157,31 @@ class TestReadBatterySample:
 class TestReadRunningApps:
     def test_dedupes_and_sorts(self, tmp_path):
         root = write_source_dir(tmp_path, apps=("browser", "game", "browser"))
-        assert read_running_apps(root) == ("browser", "game")
+        assert FileTreeSource(root).read_running_apps() == ("browser", "game")
 
     def test_empty_file(self, tmp_path):
         root = write_source_dir(tmp_path, apps=())
-        assert read_running_apps(root) == ()
+        assert FileTreeSource(root).read_running_apps() == ()
 
     def test_sort_order(self, tmp_path):
         root = write_source_dir(tmp_path, apps=("b", "a"))
-        assert read_running_apps(root) == ("a", "b")
+        assert FileTreeSource(root).read_running_apps() == ("a", "b")
 
     def test_blank_lines_dropped(self, tmp_path):
         root = write_source_dir(tmp_path)
         (root / "running_apps").write_text("a\n\n  \nb\n")
-        assert read_running_apps(root) == ("a", "b")
+        assert FileTreeSource(root).read_running_apps() == ("a", "b")
 
     def test_unreadable_listing_is_malformed(self, tmp_path):
         root = write_source_dir(tmp_path, apps=None)
         (root / "running_apps").mkdir()
         with pytest.raises(MalformedField):
-            read_running_apps(root)
+            FileTreeSource(root).read_running_apps()
 
     def test_missing_listing(self, tmp_path):
         root = write_source_dir(tmp_path, apps=None)
         with pytest.raises(MissingField):
-            read_running_apps(root)
+            FileTreeSource(root).read_running_apps()
 
     @given(
         names=st.lists(
@@ -201,9 +199,9 @@ class TestReadRunningApps:
         shuffled = list(names)
         seed.shuffle(shuffled)
         write_source_dir(root, apps=shuffled)
-        first = read_running_apps(root)
+        first = FileTreeSource(root).read_running_apps()
         write_source_dir(root, apps=names)
-        assert read_running_apps(root) == first == make_app_set(names)
+        assert FileTreeSource(root).read_running_apps() == first == make_app_set(names)
 
 
 def reference_field(root: Path, name: str) -> str:
@@ -247,7 +245,7 @@ def reference_reads(root: Path):
 
 
 def new_reads(root: Path):
-    return read_battery_sample(root, SimulatedClock(1000)), read_running_apps(root)
+    return FileTreeSource(root).read_battery_sample(SimulatedClock(1000)), FileTreeSource(root).read_running_apps()
 
 
 def outcome(read, root: Path):
@@ -304,7 +302,7 @@ class TestOsLevelReads:
         listing = b"".join(b"app%05d\r\n" % i for i in range(8000))
         assert len(listing) > 1 << 16
         (root / "running_apps").write_bytes(listing)
-        apps = read_running_apps(root)
+        apps = FileTreeSource(root).read_running_apps()
         assert len(apps) == 8000 and apps == reference_reads(root)[1]
 
     def test_file_replaced_by_rename_is_read_anew(self, tmp_path):
@@ -320,7 +318,7 @@ class TestSourceRoot:
     def test_env_override(self, tmp_path, monkeypatch):
         root = write_source_dir(tmp_path, capacity="33")
         monkeypatch.setenv("SEMO_SOURCE_ROOT", str(root))
-        assert read_battery_sample(clock=SimulatedClock()).level_pct == 33
+        assert FileTreeSource().read_battery_sample(SimulatedClock()).level_pct == 33
 
     def test_argument_beats_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SEMO_SOURCE_ROOT", "/nowhere")
