@@ -16,7 +16,6 @@ from .analyzer import (
     INSEPARABLE_FLAG,
     attribute,
     build_intervals,
-    export_csv,
     merge_identifiability_groups,
     rate_to_power,
 )
@@ -29,14 +28,13 @@ from .errors import (
     MalformedField,
     MissingField,
     NonMonotonicTimestamp,
-    ReplayExhausted,
     ScenarioInvalid,
     SemoError,
     TooFewSamples,
     UnwritableRecord,
 )
 from .inspector import BatteryWarning, InspectorConfig, WarningKind, describe, evaluate
-from .nnls import solve_nnls, weighted_sse
+from .nnls import solve_nnls
 from .recorder import (
     LogRecord,
     LogWriter,
@@ -63,7 +61,6 @@ from .sources import (
     BatterySample,
     BatteryStatus,
     FileTreeSource,
-    ReplaySource,
     make_app_set,
 )
 

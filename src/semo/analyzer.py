@@ -18,13 +18,12 @@ attribute and build_intervals build those columns from records with
 recorder.LogColumns.from_records, which refuses what the log writer
 refuses and records out of order; `semo analyze` reads them from the
 log with recorder.load_columns.  The analyzer holds no rule of the log
-format itself.  `semo export` writes the same columns as CSV
-(export_columns_csv), and export_csv writes records through them.
-Battery constants must be finite and positive, and rate_to_power
-refuses a power that overflows to infinity.  The result formats of
-`semo analyze`, table, CSV and JSON, live here too and render one
-payload that holds every mW, so such a power leaves no output and fails
-alike in every format.
+format itself: the CSV of `semo export` spells the log's fields, so
+recorder.export_columns_csv writes it.  Battery constants must be
+finite and positive, and rate_to_power refuses a power that overflows
+to infinity.  The result formats of `semo analyze`, table, CSV and
+JSON, live here too and render one payload that holds every mW, so such
+a power leaves no output and fails alike in every format.
 """
 
 from __future__ import annotations
@@ -344,35 +343,6 @@ def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> 
         unobserved=grouping.unobserved,
         residual_rms=residual_rms,
     )
-
-
-def export_csv(records, path) -> None:
-    """Write records as CSV, as export_columns_csv writes their columns."""
-    export_columns_csv(LogColumns.from_records(records), path)
-
-
-def export_columns_csv(columns: LogColumns, path) -> None:
-    """Write a log's columns as CSV, one row per record.
-
-    Columns ts_ms,level_pct,voltage_mv,temp_dc,charge_uah,status,apps:
-    charge_uah empty where the counter is absent, status as the log
-    spells it, apps semicolon-joined.
-    """
-    statuses = [status.value for status in STATUSES]
-    apps = [";".join(app_set) for app_set in columns.app_sets]
-    rows = zip(
-        columns.ts.tolist(),
-        columns.level.tolist(),
-        columns.voltage.tolist(),
-        columns.temp.tolist(),
-        columns.charges(),
-        map(statuses.__getitem__, columns.status.tolist()),
-        map(apps.__getitem__, columns.apps.tolist()),
-    )
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ts_ms", "level_pct", "voltage_mv", "temp_dc", "charge_uah", "status", "apps"])
-        writer.writerows(rows)
 
 
 # The result formats of `semo analyze` render one payload.  It shows mW

@@ -25,14 +25,13 @@ from .analyzer import (
     CHARGE_COUNTER_MODES,
     attribute_columns,
     check_battery_constants,
-    export_columns_csv,
     write_result_csv,
     write_result_json,
     write_result_table,
 )
 from .errors import DegenerateSystem, SemoError, TooFewSamples
 from .inspector import describe, evaluate
-from .recorder import RecorderConfig, load_columns, run_loop, sample_dict, write_log
+from .recorder import RecorderConfig, export_columns_csv, load_columns, run_loop, sample_dict, write_log
 from .simulator import load_scenario, simulate
 from .sources import FileTreeSource
 

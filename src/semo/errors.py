@@ -24,10 +24,6 @@ class MalformedField(SemoError):
         super().__init__(f"malformed battery source field {field}: {detail}")
 
 
-class ReplayExhausted(SemoError):
-    """A replay source was asked for more ticks than its log contains."""
-
-
 class NonMonotonicTimestamp(SemoError):
     """An append would not keep log timestamps strictly increasing."""
 

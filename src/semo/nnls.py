@@ -31,18 +31,6 @@ TOL = 1e-9
 ROUNDS_PER_COLUMN = 3
 
 
-def weighted_sse(X, y, beta, weights=None) -> float:
-    """Objective value sum_i w_i * (y_i - X_i . beta)^2."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    beta = np.asarray(beta, dtype=float)
-    residual = y - X @ beta
-    if weights is None:
-        return float(residual @ residual)
-    w = np.asarray(weights, dtype=float)
-    return float(w @ (residual * residual))
-
-
 def _reduce_rows(X, y, sw):
     """Triangular factor R of [sw X | sw y], folding BLOCK_ROWS rows per QR."""
     m, n = X.shape

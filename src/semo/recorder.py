@@ -1,4 +1,4 @@
-"""Periodic sampling into an append-only JSONL log, plus log access.
+"""Periodic sampling into an append-only JSONL log, plus log access and export.
 
 One record per line, field names and order exactly:
 
@@ -40,12 +40,16 @@ once) and, only when that fails, record_to_json on each record, so
 that the first record the writer refuses raises its UnwritableRecord.
 Records out of order are refused with the reader's own test.  So memory
 and disk accept the same records, and this module alone decides what a
-valid log is.
+valid log is.  An app name must be valid UTF-8 text: a JSON escape can
+spell a lone surrogate ("\\ud800") that no writer can encode, so the
+reader refuses its line too.  export_columns_csv writes a log's columns
+as the CSV of `semo export`, spelling status as the log does.
 """
 
 from __future__ import annotations
 
 import collections
+import csv
 import io
 import json
 import logging
@@ -141,7 +145,7 @@ def record_to_json(record: LogRecord) -> str:
     reader would reject: an integer field that is not exactly an int (a
     float, a bool), a status or health that is not a member of its enum,
     or apps that are not a tuple of sorted, unique, non-empty names
-    without surrounding whitespace.
+    without surrounding whitespace, in valid UTF-8 text.
     """
     s = record.sample
     ts, level, voltage, temp, charge = s.ts_ms, s.level_pct, s.voltage_mv, s.temp_dc, s.charge_uah
@@ -191,6 +195,10 @@ def _apps_error(apps) -> str | None:
         if app <= prev:
             return "apps must be sorted and unique"
         prev = app
+    try:
+        "".join(apps).encode()
+    except UnicodeEncodeError:  # a lone surrogate, which JSON escapes can spell but UTF-8 cannot
+        return "app names must be valid UTF-8 text"
     return None
 
 
@@ -557,6 +565,30 @@ def load_columns(path: str | Path) -> LogColumns:
     apps = _AppTable()
     with open(path, "rb") as fh:
         return _concat(list(_iter_columns(fh, apps)), apps)
+
+
+def export_columns_csv(columns: LogColumns, path) -> None:
+    """Write a log's columns as CSV, one row per record.
+
+    Columns ts_ms,level_pct,voltage_mv,temp_dc,charge_uah,status,apps:
+    charge_uah empty where the counter is absent, status as the log
+    spells it, apps semicolon-joined.
+    """
+    statuses = [status.value for status in STATUSES]
+    apps = [";".join(app_set) for app_set in columns.app_sets]
+    rows = zip(
+        columns.ts.tolist(),
+        columns.level.tolist(),
+        columns.voltage.tolist(),
+        columns.temp.tolist(),
+        columns.charges(),
+        map(statuses.__getitem__, columns.status.tolist()),
+        map(apps.__getitem__, columns.apps.tolist()),
+    )
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["ts_ms", "level_pct", "voltage_mv", "temp_dc", "charge_uah", "status", "apps"])
+        writer.writerows(rows)
 
 
 def _checked_line(record: LogRecord, last_ts: int | None) -> bytes:

@@ -315,6 +315,8 @@ def load_scenario(path: str | Path) -> Scenario:
             payload = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ScenarioInvalid(f"scenario file is not valid JSON: {exc.msg}") from None
+        except (ValueError, RecursionError) as exc:  # invalid UTF-8, too many digits, nesting too deep
+            raise ScenarioInvalid(f"scenario file is not valid JSON: {exc}") from None
     return scenario_from_dict(payload)
 
 

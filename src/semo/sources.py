@@ -2,8 +2,7 @@
 
 The primary source is a directory of plain-text files laid out like the
 Linux power-supply class (one value per file, units below), which keeps
-fixtures bit-exact and the core platform-neutral.  A replay source feeds
-previously recorded log records back through the same interface.
+fixtures bit-exact and the core platform-neutral.
 
 Source directory layout (single line each, trailing newline optional):
 
@@ -28,13 +27,13 @@ decodes the bytes as strict UTF-8.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable
 
 from .clock import SystemClock
-from .errors import MalformedField, MissingField, ReplayExhausted
+from .errors import MalformedField, MissingField
 
 SOURCE_ROOT_ENV = "SEMO_SOURCE_ROOT"
 DEFAULT_SOURCE_ROOT = Path("/sys/class/power_supply/BAT0")
@@ -214,31 +213,3 @@ class FileTreeSource:
     def read_running_apps(self) -> AppSet:
         """Read the running-application listing (one name per line)."""
         return make_app_set(self._read_field("running_apps").splitlines())
-
-
-class ReplaySource:
-    """Feeds an existing log back through the source interface, in order.
-
-    Each read_battery_sample() call advances to the next record; the
-    matching read_running_apps() returns that record's app set, so one
-    sampling tick consumes exactly one record.  Timestamps are re-stamped
-    from the clock to honor the source contract.
-    """
-
-    def __init__(self, records):
-        self._records = list(records)
-        self._pos = -1
-
-    def read_battery_sample(self, clock=None) -> BatterySample:
-        if self._pos + 1 >= len(self._records):
-            raise ReplayExhausted(f"replay log exhausted after {len(self._records)} records")
-        self._pos += 1
-        sample = self._records[self._pos].sample
-        if clock is not None:
-            sample = replace(sample, ts_ms=clock.now_ms())
-        return sample
-
-    def read_running_apps(self) -> AppSet:
-        if self._pos < 0:
-            raise ReplayExhausted("read_battery_sample must be called first")
-        return self._records[self._pos].apps

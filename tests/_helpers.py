@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,37 @@ def write_source_dir(
     if apps is not None:
         (root / "running_apps").write_text("".join(f"{a}\n" for a in apps))
     return root
+
+
+class ReplaySource:
+    """A fake source that feeds records back, one per sampling tick.
+
+    read_battery_sample(clock) gives the next record's sample, re-stamped
+    from the clock; read_running_apps() gives that record's apps.
+    """
+
+    def __init__(self, records):
+        self._records = iter(records)
+        self._record = None
+
+    def read_battery_sample(self, clock):
+        self._record = next(self._records)
+        return replace(self._record.sample, ts_ms=clock.now_ms())
+
+    def read_running_apps(self):
+        return self._record.apps
+
+
+def weighted_sse(X, y, beta, weights=None) -> float:
+    """Objective value sum_i w_i * (y_i - X_i . beta)^2."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    residual = y - X @ beta
+    if weights is None:
+        return float(residual @ residual)
+    w = np.asarray(weights, dtype=float)
+    return float(w @ (residual * residual))
 
 
 def nnls_oracle(X, y, weights=None):

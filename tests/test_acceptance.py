@@ -17,7 +17,6 @@ from semo import (
     LogRecord,
     NoiseModel,
     RecorderConfig,
-    ReplaySource,
     Scenario,
     ScheduleEvent,
     SimulatedClock,
@@ -31,17 +30,18 @@ from semo import (
     table1_scenario,
     write_log,
 )
-from semo.nnls import weighted_sse
 from semo.recorder import record_to_json
 from semo.simulator import TABLE1_APPS
 from semo.sources import BatteryStatus, make_app_set
 
 from _helpers import (
+    ReplaySource,
     make_record,
     make_sample,
     nnls_oracle,
     random_exact_scenario,
     segments_to_schedule,
+    weighted_sse,
 )
 
 

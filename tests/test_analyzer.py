@@ -19,7 +19,6 @@ from semo import (
     build_intervals,
     merge_identifiability_groups,
     rate_to_power,
-    export_csv,
     make_app_set,
     simulate,
     solve_nnls,
@@ -29,9 +28,8 @@ import semo.analyzer as analyzer_module
 import semo.recorder as recorder_module
 from semo.analyzer import attribute_columns, write_result_csv
 from semo.recorder import LogColumns, load_columns, record_to_json
-from semo.nnls import weighted_sse
 
-from _helpers import churn_scenario, make_record, make_sample, random_exact_scenario
+from _helpers import churn_scenario, make_record, make_sample, random_exact_scenario, weighted_sse
 
 MIN = 60_000  # one minute in ms
 HOUR = 3_600_000
@@ -162,8 +160,9 @@ class TestBuildIntervals:
             make_record(MIN, True),
             LogRecord(replace(make_sample(MIN, 79), status="Discharging"), ()),
             LogRecord(make_sample(MIN, 79), ["a"]),
+            make_record(MIN, 79, apps=("\ud800",)),
         ],
-        ids=["float-ts", "float-level", "bool-level", "string-status", "list-apps"],
+        ids=["float-ts", "float-level", "bool-level", "string-status", "list-apps", "lone-surrogate-app"],
     )
     @pytest.mark.parametrize("fn", [LogColumns.from_records, build_intervals, attribute])
     def test_records_the_writer_refuses_are_refused_alike(self, fn, bad):
@@ -705,19 +704,6 @@ class TestRateToPower:
 
 
 class TestExportCsv:
-    def test_records_export(self, tmp_path):
-        records = [
-            make_record(1000, 80, apps=("a", "b"), charge_uah=5),
-            make_record(2000, 79, apps=()),
-        ]
-        path = tmp_path / "out.csv"
-        export_csv(records, path)
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["ts_ms", "level_pct", "voltage_mv", "temp_dc", "charge_uah", "status", "apps"]
-        assert len(rows) == 3
-        assert rows[1] == ["1000", "80", "3900", "310", "5", "Discharging", "a;b"]
-        assert rows[2][4] == ""  # absent charge stays empty
-
     def test_result_export(self, tmp_path):
         records = [
             make_record(0 * HOUR, 100, apps=()),

@@ -139,8 +139,12 @@ class TestAnalyze:
         [
             (record_to_json(make_record(MIN, 99, apps=("ab",))).encode().replace(b"ab", b"a\xffb"), "invalid UTF-8"),
             (b"[1,2]", "record must be a JSON object"),
+            (
+                record_to_json(make_record(MIN, 99, apps=("ab",))).encode().replace(b"ab", b"\\ud800"),
+                "app names must be valid UTF-8 text",
+            ),
         ],
-        ids=["utf8-in-apps", "array"],
+        ids=["utf8-in-apps", "array", "lone-surrogate-in-apps"],
     )
     def test_unreadable_line_exits_one(self, capsys, tmp_path, bad_line, message):
         path = tmp_path / "log.jsonl"
@@ -455,6 +459,25 @@ class TestSimulateCommand:
         code, out, err = run_cli(capsys, "simulate", str(scenario_path), "--out", str(tmp_path / "x"))
         assert (code, out) == (1, "")
         assert "scenario must be a JSON object" in err
+
+    def test_nested_too_deep_is_one_error_line(self, capsys, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "simulate", str(scenario_path), "--out", str(tmp_path / "x"))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: scenario file is not valid JSON: ")
+
+    def test_lone_surrogate_app_is_refused_before_the_log_opens(self, capsys, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        save_scenario(table1_scenario(), scenario_path)
+        payload = json.loads(scenario_path.read_text())
+        payload["apps"]["\ud800"] = 10.0  # json.dumps writes it as the escape \ud800
+        scenario_path.write_text(json.dumps(payload))
+        log_path = tmp_path / "sim.jsonl"
+        code, out, err = run_cli(capsys, "simulate", str(scenario_path), "--out", str(log_path))
+        assert (code, out, err) == (1, "", "error: app names must be valid UTF-8 text\n")
+        assert not log_path.exists()
 
     def test_pipeline_simulate_then_analyze(self, capsys, tmp_path):
         scenario_path = tmp_path / "scenario.json"

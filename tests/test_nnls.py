@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import semo.nnls as nnls_module
-from semo import DegenerateSystem, solve_nnls, weighted_sse
+from semo import DegenerateSystem, solve_nnls
 
-from _helpers import nnls_oracle
+from _helpers import nnls_oracle, weighted_sse
 
 
 def random_instance(rng, max_rows=8, max_cols=3):

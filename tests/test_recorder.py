@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import gc
 import json
@@ -23,7 +24,6 @@ from semo import (
     MissingField,
     NonMonotonicTimestamp,
     RecorderConfig,
-    ReplaySource,
     SimulatedClock,
     UnwritableRecord,
     load_log,
@@ -34,10 +34,17 @@ from semo import (
     write_log,
 )
 import semo.recorder as recorder_module
-from semo.recorder import LogColumns, load_columns, record_from_json, record_to_json, sample_dict
+from semo.recorder import (
+    LogColumns,
+    export_columns_csv,
+    load_columns,
+    record_from_json,
+    record_to_json,
+    sample_dict,
+)
 from semo.sources import make_app_set
 
-from _helpers import make_record, make_sample, write_source_dir
+from _helpers import ReplaySource, make_record, make_sample, write_source_dir
 
 
 class TestAppendAndLoad:
@@ -104,6 +111,7 @@ UNREADABLE_RECORDS = {
     "apps None": LogRecord(GOOD.sample, None),
     "apps str": LogRecord(GOOD.sample, "ab"),
     "apps empty str": LogRecord(GOOD.sample, ""),
+    "lone surrogate app": LogRecord(GOOD.sample, ("\ud800",)),
 }
 
 
@@ -233,6 +241,29 @@ def test_record_to_json_writes_what_json_dumps_wrote(tmp_path_factory, record):
     assert load_log(path) == [record]
 
 
+# st.characters() leaves out category Cs, the surrogates; draw names with them half the time.
+any_names = st.text(st.characters(blacklist_categories=())) | st.text(
+    st.characters(whitelist_categories=("Cs",)) | st.characters(), min_size=1
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(names=st.lists(any_names, max_size=3))
+def test_any_app_names_round_trip_or_are_refused(tmp_path_factory, names):
+    """Text names, lone surrogates included: the log keeps them, or record_to_json refuses them."""
+    record = make_record(1000, 80, apps=names)
+    path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+    try:
+        record_to_json(record)
+    except UnwritableRecord:
+        with pytest.raises(UnwritableRecord):
+            write_log(path, [record])
+        assert path.read_bytes() == b""
+    else:
+        write_log(path, [record])
+        assert load_log(path) == [record]
+
+
 class TestStrictParsing:
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "log.jsonl"
@@ -286,8 +317,12 @@ class TestStrictParsing:
         [
             (record_to_json(make_record(2000, 79, apps=("ab",))).encode().replace(b"ab", b"a\xffb"), "invalid UTF-8"),
             (b"[1,2]", "record must be a JSON object"),
+            (
+                record_to_json(make_record(2000, 79, apps=("ab",))).encode().replace(b"ab", b"\\ud800"),
+                "app names must be valid UTF-8 text",
+            ),
         ],
-        ids=["utf8-in-apps", "array"],
+        ids=["utf8-in-apps", "array", "lone-surrogate-in-apps"],
     )
     def test_undecodable_or_non_object_line_is_a_parse_error(self, tmp_path, bad_line, message):
         path = tmp_path / "log.jsonl"
@@ -693,6 +728,21 @@ class TestCurve:
         series = curve(records)
         assert len(series) == len(records)
         assert all(0 <= level <= 100 for _, level in series)
+
+
+class TestExportColumnsCsv:
+    def test_records_export(self, tmp_path):
+        records = [
+            make_record(1000, 80, apps=("a", "b"), charge_uah=5),
+            make_record(2000, 79, apps=()),
+        ]
+        path = tmp_path / "out.csv"
+        export_columns_csv(LogColumns.from_records(records), path)
+        rows = list(csv.reader(path.open()))
+        assert rows[0] == ["ts_ms", "level_pct", "voltage_mv", "temp_dc", "charge_uah", "status", "apps"]
+        assert len(rows) == 3
+        assert rows[1] == ["1000", "80", "3900", "310", "5", "Discharging", "a;b"]
+        assert rows[2][4] == ""  # absent charge stays empty
 
 
 class TestSampleOnce:

@@ -224,6 +224,7 @@ class TestValidation:
             dict(apps={"": 5.0}),
             dict(apps={" game": 5.0}),  # the log would strip it and merge it with "game"
             dict(apps={"game\t": 5.0}),
+            dict(apps={"\ud800": 5.0}),  # a lone surrogate: no log line can hold it
             dict(duration_s=0),
             dict(sample_interval_s=0),
             dict(noise=NoiseModel(sigma_mw=-1.0)),
@@ -366,7 +367,19 @@ class TestScenarioJson:
     def test_not_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")
-        with pytest.raises(ScenarioInvalid):
+        message = "^scenario file is not valid JSON: Expecting property name enclosed in double quotes$"
+        with pytest.raises(ScenarioInvalid, match=message):
+            load_scenario(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"[" * 100_000, b'{"capacity_mah": ' + b"1" * 5000 + b"}", b'{"apps": {"\xff": 1.0}}'],
+        ids=["nested-too-deep", "over-the-digit-limit", "invalid-utf8"],
+    )
+    def test_undecodable_json_file(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ScenarioInvalid, match="^scenario file is not valid JSON: "):
             load_scenario(path)
 
     def test_scenario_file_is_plain_json(self, tmp_path):

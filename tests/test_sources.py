@@ -10,14 +10,12 @@ from semo import (
     FileTreeSource,
     MalformedField,
     MissingField,
-    ReplayExhausted,
-    ReplaySource,
     SimulatedClock,
     make_app_set,
 )
 from semo.sources import FIELD_NAMES, BatterySample, resolve_source_root
 
-from _helpers import make_record, write_source_dir
+from _helpers import write_source_dir
 
 
 @pytest.fixture
@@ -333,31 +331,6 @@ class TestSourceRoot:
         source = FileTreeSource(source_dir)
         assert source.read_battery_sample(SimulatedClock(5)).ts_ms == 5
         assert source.read_running_apps() == ("browser", "game")
-
-
-class TestReplaySource:
-    def test_replays_in_order_with_clock_timestamps(self):
-        records = [make_record(1000, 90, apps=("a",)), make_record(2000, 89, apps=("b",))]
-        clock = SimulatedClock(7_000)
-        source = ReplaySource(records)
-        sample = source.read_battery_sample(clock)
-        assert (sample.ts_ms, sample.level_pct) == (7_000, 90)
-        assert source.read_running_apps() == ("a",)
-        clock.sleep(1)
-        sample = source.read_battery_sample(clock)
-        assert (sample.ts_ms, sample.level_pct) == (8_000, 89)
-        assert source.read_running_apps() == ("b",)
-
-    def test_exhaustion(self):
-        source = ReplaySource([make_record(1, 50)])
-        source.read_battery_sample(SimulatedClock())
-        with pytest.raises(ReplayExhausted):
-            source.read_battery_sample(SimulatedClock())
-
-    def test_apps_before_first_sample(self):
-        source = ReplaySource([make_record(1, 50)])
-        with pytest.raises(ReplayExhausted):
-            source.read_running_apps()
 
 
 def test_make_app_set_normalizes():
