@@ -10,11 +10,23 @@ orthonormal columns, so ||b - A beta|| = ||R[:, n] - R[:, :n] beta|| for
 every beta.  The objective, the gradient A'(b - A beta) and every
 least-squares solution on a column subset are those of the full system,
 and R keeps the condition number of A (a Gram-matrix X'WX solve would
-square it).  On the reduced system this is the Lawson-Hanson procedure:
-the coefficient with the largest positive gradient leaves the zero
-bound, a least-squares solve runs on the free columns, and a line search
-pins any coefficient the solve drove negative back at zero.  Finite and
-deterministic; ties break on the lowest column index.
+square it).
+
+Feasible start: the unconstrained least squares on R is solved first.
+When R has full column rank and every coefficient of that solution is
+positive, it is returned as is.  It is exact: the unconstrained
+minimizer is unique and lies inside the constraint set, so no point of
+that set does better, and its zero gradient with no column at the bound
+meets the KKT conditions.  The solve is the one the loop's last round
+makes once every column is free, so such a fit gives the same bits
+either way, unless the loop would have held a tiny coefficient at zero
+within TOL.  Otherwise (a rank-deficient design, or a coefficient at or
+below zero) the Lawson-Hanson procedure runs from beta = 0: the
+coefficient with the largest positive gradient leaves the zero bound, a
+least-squares solve runs on the free columns, and a line search pins any
+coefficient the solve drove negative back at zero.  It stops when no
+gradient over the bound columns exceeds TOL.  Finite and deterministic;
+ties break on the lowest column index.
 """
 
 from __future__ import annotations
@@ -52,9 +64,11 @@ def _free_ls(A, b, free):
 def solve_nnls(X, y, weights=None) -> np.ndarray:
     """Return beta >= 0 minimizing the weighted squared residual.
 
-    Stops once no gradient over the columns held at zero exceeds TOL, or
-    after ROUNDS_PER_COLUMN rounds per column.  Raises DegenerateSystem
-    when the design has no usable columns (empty, or an all-zero column).
+    Returns the plain least-squares fit when it is unique and positive.
+    Otherwise the active-set loop stops once no gradient over the columns
+    held at zero exceeds TOL, or after ROUNDS_PER_COLUMN rounds per column.
+    Raises DegenerateSystem when the design has no usable columns (empty,
+    or an all-zero column).
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -80,6 +94,11 @@ def solve_nnls(X, y, weights=None) -> np.ndarray:
     if not np.all(np.isfinite(R)):
         raise ValueError("X and y must be finite")
     A, b = R[:, :n], R[:, n]
+
+    # Feasible start: a unique, positive unconstrained minimizer is the answer.
+    beta, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+    if rank == n and np.all(beta > 0.0):
+        return beta
 
     beta = np.zeros(n)
     free = np.zeros(n, dtype=bool)

@@ -152,12 +152,27 @@ def tall_instance(rng, m, n, kind):
     elif kind == "rank-deficient":
         X[:, -1] = X[:, 1] + X[:, 2]
     w = 10.0 ** rng.uniform(-2.0, 2.0, size=m)
-    y = X @ rng.uniform(-1.0, 3.0, size=n) + rng.normal(scale=0.5, size=m) / np.sqrt(w)
+    # "positive" keeps every true coefficient well above zero, so the fit is feasible unconstrained
+    low = 1.0 if kind == "positive" else -1.0
+    y = X @ rng.uniform(low, 3.0, size=n) + rng.normal(scale=0.5, size=m) / np.sqrt(w)
     return X, y, w
 
 
 TALL_SHAPES = [(50, 5), (400, 30), (2000, 60), (5000, 101)]
-TALL_KINDS = ["full-rank", "duplicated", "rank-deficient"]
+TALL_KINDS = ["full-rank", "duplicated", "rank-deficient", "positive"]
+
+
+def count_free_ls(monkeypatch):
+    """Record the free-column count of every active-set solve `solve_nnls` makes."""
+    calls = []
+    solve = nnls_module._free_ls
+
+    def counted(A, b, free):
+        calls.append(int(free.sum()))
+        return solve(A, b, free)
+
+    monkeypatch.setattr(nnls_module, "_free_ls", counted)
+    return calls
 
 
 class TestTallWeighted:
@@ -195,3 +210,44 @@ class TestTallWeighted:
         default = solve_nnls(X, y, weights=w)
         monkeypatch.setattr(nnls_module, "BLOCK_ROWS", 7)
         np.testing.assert_allclose(solve_nnls(X, y, weights=w), default, rtol=1e-9, atol=1e-12)
+
+
+class TestFeasibleStart:
+    """A positive unconstrained minimizer is returned without the active-set loop."""
+
+    @pytest.mark.parametrize("m,n", TALL_SHAPES)
+    def test_positive_unconstrained_fit_skips_the_loop(self, monkeypatch, m, n):
+        X, y, w = tall_instance(np.random.default_rng([m, n, 7]), m, n, "positive")
+        sw = np.sqrt(w)
+        expected, _, rank, _ = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
+        assert rank == n and np.all(expected > 0)
+        calls = count_free_ls(monkeypatch)
+        beta = solve_nnls(X, y, weights=w)
+        assert calls == []
+        np.testing.assert_allclose(beta, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["rank-deficient", "negative"])
+    def test_infeasible_start_falls_back_to_the_loop(self, monkeypatch, kind):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(5)
+        m = 300
+        X = np.column_stack([np.ones(m), rng.random((m, 3)) < 0.5]).astype(float)
+        if kind == "rank-deficient":
+            X[:, 3] = X[:, 1]
+        truth = [2.0, 1.0, 3.0, 1.0] if kind == "rank-deficient" else [2.0, 1.0, -1.0, 3.0]
+        w = 10.0 ** rng.uniform(-2.0, 2.0, size=m)
+        y = X @ truth + rng.normal(scale=0.1, size=m) / np.sqrt(w)
+        sw = np.sqrt(w)
+        A, b = X * sw[:, None], y * sw
+        start, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
+        if kind == "rank-deficient":
+            # the minimum-norm solution is positive, but it is not the unique minimizer
+            assert rank < 4 and np.all(start > 0)
+        else:
+            assert rank == 4 and np.min(start) <= 0
+        calls = count_free_ls(monkeypatch)
+        beta = solve_nnls(X, y, weights=w)
+        assert calls
+        _, ref_rnorm = scipy_optimize.nnls(A, b)
+        ours = weighted_sse(X, y, beta, w)
+        assert abs(ours - ref_rnorm**2) <= 1e-9 * max(1.0, ref_rnorm**2)
