@@ -8,6 +8,12 @@ deterministic device simulator supplies logs with known ground truth so
 the attribution accuracy is measurable.
 """
 
+import os
+
+# One BLAS thread: a thread pool makes the analyzer's small QR several times
+# slower on a busy host.  Holds only if numpy is not loaded yet; a set value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analyzer import (
     AttributionResult,
     DischargeInterval,

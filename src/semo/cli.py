@@ -187,7 +187,3 @@ def main(argv=None) -> int:
     except (SemoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

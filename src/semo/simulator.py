@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -78,30 +79,44 @@ class Scenario:
 
 
 def validate_scenario(scenario: Scenario) -> None:
-    """Raise ScenarioInvalid with a reason on the first violated invariant."""
+    """Raise ScenarioInvalid with a reason on the first violated invariant.
+
+    The one check of a scenario, built in Python or loaded from JSON; types
+    are checked, never coerced.  Integer fields must be exactly int, as in
+    the log: a float, bool or numpy integer there makes records no writer
+    accepts.  Other numbers must be a finite int or float, never a bool.
+    """
 
     def bad(reason: str):
         raise ScenarioInvalid(reason)
 
-    if not (math.isfinite(scenario.capacity_mah) and scenario.capacity_mah > 0):
-        bad(f"capacity_mah must be positive and finite: {scenario.capacity_mah}")
-    if scenario.nominal_voltage_mv <= 0:
-        bad(f"nominal_voltage_mv must be positive: {scenario.nominal_voltage_mv}")
-    if not (math.isfinite(scenario.baseline_mw) and scenario.baseline_mw >= 0):
-        bad(f"baseline_mw must be non-negative and finite: {scenario.baseline_mw}")
+    if not all(type(name) is str for name in scenario.apps):
+        bad(f"app names must be strings: {list(scenario.apps)!r}")
     if (reason := _apps_error(sorted(scenario.apps))) is not None:
         bad(reason)  # the log's own name rule: a name it would rewrite would merge two apps
-    for name, power in scenario.apps.items():
-        if not (math.isfinite(power) and power >= 0):
-            bad(f"app power must be non-negative and finite: {name}={power}")
-    if scenario.duration_s <= 0:
-        bad(f"duration_s must be positive: {scenario.duration_s}")
-    if scenario.sample_interval_s < 1:
-        bad(f"sample_interval_s must be >= 1: {scenario.sample_interval_s}")
-    if not (math.isfinite(scenario.noise.sigma_mw) and scenario.noise.sigma_mw >= 0):
-        bad(f"noise sigma_mw must be non-negative and finite: {scenario.noise.sigma_mw}")
-    if scenario.noise.seed < 0:
-        bad(f"noise seed must be non-negative: {scenario.noise.seed}")
+    integers = (  # (key, value, least value allowed)
+        ("nominal_voltage_mv", scenario.nominal_voltage_mv, 1),
+        ("duration_s", scenario.duration_s, 1),
+        ("sample_interval_s", scenario.sample_interval_s, 1),
+        ("noise seed", scenario.noise.seed, 0),
+    )
+    for key, value, least in integers:
+        if type(value) is not int or value < least:
+            bad(f"{key} must be an integer >= {least}: {value!r}")
+    numbers = {
+        "capacity_mah": scenario.capacity_mah,
+        "nominal_voltage_mv": scenario.nominal_voltage_mv,
+        "baseline_mw": scenario.baseline_mw,
+        "noise sigma_mw": scenario.noise.sigma_mw,
+        "initial_level_pct": scenario.initial_level_pct,
+        **{f"power of app {name!r}": power for name, power in scenario.apps.items()},
+    }
+    for key, value in numbers.items():
+        # the bound refuses nan, inf and an int that no float can hold
+        if not (type(value) in (int, float) and 0 <= value <= sys.float_info.max):
+            bad(f"{key} must be a non-negative finite number: {value!r}")
+    if not 0 < scenario.full_energy_mwh * 1e6 / scenario.nominal_voltage_mv < math.inf:  # the full charge in µAh
+        bad(f"full charge must be positive and finite: {scenario.capacity_mah!r} mAh")
     if not 0 < scenario.initial_level_pct <= 100:
         bad(f"initial_level_pct must be in (0, 100]: {scenario.initial_level_pct}")
 
@@ -109,10 +124,12 @@ def validate_scenario(scenario: Scenario) -> None:
     plugged = False
     last_t = 0
     for event in scenario.schedule:
-        if event.t_s < 0:
-            bad(f"schedule times must be non-negative: {event.t_s}")
-        if event.t_s < last_t:
-            bad(f"schedule times must be non-decreasing: {event.t_s} after {last_t}")
+        if type(event.t_s) is not int or event.t_s < last_t:  # last_t starts at 0
+            bad(f"schedule times must be non-negative, non-decreasing integers: {event.t_s!r} after {last_t}")
+        if not isinstance(event.kind, EventKind):
+            bad(f"schedule event kind must be an EventKind: {event.kind!r}")
+        if not (event.app is None or type(event.app) is str):
+            bad(f"schedule app must be a string or None: {event.app!r}")
         last_t = event.t_s
         if event.kind in (EventKind.START, EventKind.STOP):
             if event.app is None:
@@ -147,7 +164,7 @@ def simulate(scenario: Scenario) -> list[LogRecord]:
     n_steps = scenario.duration_s // interval
     rng = np.random.Generator(np.random.PCG64(scenario.noise.seed))
     # noise[k] jitters the step that ends at sample k; no step ends at t=0
-    noise = [0.0, *rng.normal(0.0, scenario.noise.sigma_mw, n_steps).tolist()]
+    noise = [0.0, *rng.normal(0.0, abs(scenario.noise.sigma_mw), n_steps).tolist()]  # numpy refuses -0.0
     events = scenario.schedule
     running: set[str] = set()
     plugged = False
@@ -193,8 +210,6 @@ def simulate(scenario: Scenario) -> list[LogRecord]:
     return records
 
 
-TABLE1_APPS = ("file download", "video streaming", "play games", "web browsing", "text message")
-
 _TABLE1_POWERS_MW = {
     "file download": 1000.0,
     "video streaming": 750.0,
@@ -202,6 +217,7 @@ _TABLE1_POWERS_MW = {
     "web browsing": 330.0,
     "text message": 180.0,
 }
+TABLE1_APPS = tuple(_TABLE1_POWERS_MW)
 
 
 def table1_scenario() -> Scenario:
@@ -257,53 +273,32 @@ _REQUIRED_KEYS = {"capacity_mah", "nominal_voltage_mv", "baseline_mw", "apps", "
 _OPTIONAL_KEYS = {"sample_interval_s", "noise", "initial_level_pct"}
 
 
-def _integer(value, key: str) -> int:
-    if type(value) is not int:  # refuses a bool too
-        raise ScenarioInvalid(f"{key} must be a JSON integer: {value!r}")
-    return value
-
-
-def _number(value, key: str) -> float:
-    if type(value) not in (int, float):
-        raise ScenarioInvalid(f"{key} must be a JSON number: {value!r}")
-    return float(value)
-
-
 def scenario_from_dict(payload: dict) -> Scenario:
+    """Map a JSON document onto a Scenario; values pass through uncoerced
+    and validate_scenario judges them."""
     if not isinstance(payload, dict):
         raise ScenarioInvalid("scenario must be a JSON object")
-    keys = set(payload)
-    missing = _REQUIRED_KEYS - keys
-    unknown = keys - _REQUIRED_KEYS - _OPTIONAL_KEYS
+    missing = _REQUIRED_KEYS - payload.keys()
+    unknown = payload.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS
     if missing:
         raise ScenarioInvalid(f"scenario missing keys: {sorted(missing)}")
     if unknown:
         raise ScenarioInvalid(f"scenario has unknown keys: {sorted(unknown)}")
 
     try:
-        events = []
-        for entry in payload["schedule"]:
-            kind, app = EventKind(entry["event"]), entry.get("app")
-            if not (app is None or type(app) is str):
-                raise ScenarioInvalid(f"app must be a JSON string: {app!r}")
-            events.append(ScheduleEvent(t_s=_integer(entry["t_s"], "t_s"), kind=kind, app=app))
-        noise_payload = payload.get("noise", {})
-        noise = NoiseModel(
-            sigma_mw=_number(noise_payload.get("sigma_mw", 0.0), "noise sigma_mw"),
-            seed=_integer(noise_payload.get("seed", 0), "noise seed"),
-        )
+        noise = payload.get("noise", {})
         scenario = Scenario(
-            capacity_mah=_number(payload["capacity_mah"], "capacity_mah"),
-            nominal_voltage_mv=_integer(payload["nominal_voltage_mv"], "nominal_voltage_mv"),
-            baseline_mw=_number(payload["baseline_mw"], "baseline_mw"),
-            apps={str(k): _number(v, f"power of app {k!r}") for k, v in payload["apps"].items()},
-            schedule=tuple(events),
-            duration_s=_integer(payload["duration_s"], "duration_s"),
-            sample_interval_s=_integer(payload.get("sample_interval_s", 60), "sample_interval_s"),
-            noise=noise,
-            initial_level_pct=_number(payload.get("initial_level_pct", 100.0), "initial_level_pct"),
+            capacity_mah=payload["capacity_mah"],
+            nominal_voltage_mv=payload["nominal_voltage_mv"],
+            baseline_mw=payload["baseline_mw"],
+            apps=dict(payload["apps"].items()),
+            schedule=tuple(ScheduleEvent(e["t_s"], EventKind(e["event"]), e.get("app")) for e in payload["schedule"]),
+            duration_s=payload["duration_s"],
+            sample_interval_s=payload.get("sample_interval_s", 60),
+            noise=NoiseModel(sigma_mw=noise.get("sigma_mw", 0.0), seed=noise.get("seed", 0)),
+            initial_level_pct=payload.get("initial_level_pct", 100.0),
         )
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ScenarioInvalid(f"scenario does not match the schema: {exc}") from None
     validate_scenario(scenario)
     return scenario

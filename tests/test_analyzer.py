@@ -57,6 +57,10 @@ class TestBuildIntervals:
         assert len(intervals) == 1
         assert intervals[0].rate_pct_per_h == pytest.approx(60.0)
         assert intervals[0].active == ("A",)
+        with pytest.raises(ValueError, match="^interval must have positive duration$"):
+            DischargeInterval(MIN, MIN, 1.0, ("A",))
+        with pytest.raises(ValueError, match="^drop_pct must be non-negative$"):
+            DischargeInterval(0, MIN, -1.0, ("A",))
 
     def test_charging_pair_excluded_neighbors_kept(self):
         records = [
@@ -715,7 +719,8 @@ class TestExportCsv:
         path = tmp_path / "result.csv"
         with path.open("w", newline="") as fh:
             write_result_csv(fh, result, capacity_mah=1000, nominal_voltage_mv=3700)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["group", "rate_pct_per_h", "power_mw", "flags"]
         assert len(rows) == 3  # header + 2 groups
         assert rows[1][0] == "B"  # ranking order
@@ -730,7 +735,8 @@ class TestExportCsv:
         path = tmp_path / "result.csv"
         with path.open("w", newline="") as fh:
             write_result_csv(fh, attribute(records))
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert all(row[2] == "" for row in rows[1:])
 
 

@@ -621,3 +621,13 @@ def test_record_stops_promptly_on_sigint(tmp_path):
     assert proc.returncode == 0, err
     assert stopped_after < 5, f"exit took {stopped_after:.1f} s after SIGINT"
     assert json.loads(out)["records_written"] == 1
+
+
+@pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "user-set"])
+def test_import_pins_blas_threads_unless_set(given, expected):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = "import os, semo, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected + "\n", "")

@@ -72,6 +72,10 @@ class TestDegenerate:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_nnls(np.ones((2, 2)), np.ones(3))
+        with pytest.raises(ValueError, match="^X must be a 2-D matrix$"):
+            solve_nnls(np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match=r"^weights have shape \(3,\), expected \(2,\)$"):
+            solve_nnls(np.ones((2, 2)), np.ones(2), weights=np.ones(3))
 
     def test_nonpositive_weights(self):
         with pytest.raises(ValueError):

@@ -738,7 +738,8 @@ class TestExportColumnsCsv:
         ]
         path = tmp_path / "out.csv"
         export_columns_csv(LogColumns.from_records(records), path)
-        rows = list(csv.reader(path.open()))
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
         assert rows[0] == ["ts_ms", "level_pct", "voltage_mv", "temp_dc", "charge_uah", "status", "apps"]
         assert len(rows) == 3
         assert rows[1] == ["1000", "80", "3900", "310", "5", "Discharging", "a;b"]

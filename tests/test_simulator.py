@@ -64,6 +64,7 @@ class TestSimulate:
         first = "".join(record_to_json(r) + "\n" for r in simulate(scenario))
         second = "".join(record_to_json(r) + "\n" for r in simulate(scenario))
         assert first == second
+        assert simulate(baseline_scenario(noise=NoiseModel(sigma_mw=-0.0))) == simulate(baseline_scenario())
 
     def test_different_seeds_differ(self):
         a = simulate(baseline_scenario(noise=NoiseModel(sigma_mw=30.0, seed=1)))
@@ -232,6 +233,31 @@ class TestValidation:
             dict(initial_level_pct=0.0),
             dict(initial_level_pct=101.0),
             dict(apps={"x": float("inf")}),
+            # types are checked, not coerced: a Scenario built in Python meets the JSON file's rules
+            dict(duration_s=3600.5),
+            dict(duration_s=True),
+            dict(duration_s=np.int64(3600)),
+            dict(sample_interval_s=60.0),
+            dict(sample_interval_s=True),
+            dict(nominal_voltage_mv=3700.0),
+            dict(nominal_voltage_mv=True),
+            dict(noise=NoiseModel(seed=2.5)),
+            dict(noise=NoiseModel(seed=True)),
+            dict(capacity_mah=True),
+            dict(capacity_mah="1000"),
+            dict(capacity_mah=10**400),  # an int that no float can hold
+            dict(baseline_mw=True),
+            dict(baseline_mw="370"),
+            dict(apps={"x": True}),
+            dict(apps={"x": "500"}),
+            dict(initial_level_pct=True),
+            dict(initial_level_pct="100"),
+            dict(noise=NoiseModel(sigma_mw="1.5")),
+            dict(apps={"x": 5.0, 7: 5.0}),  # an int name next to a string one
+            # the full charge must be a positive, finite number of µAh
+            dict(nominal_voltage_mv=10**400),
+            dict(capacity_mah=1e308),
+            dict(capacity_mah=5e-324, nominal_voltage_mv=1),  # the full energy underflows to 0
         ],
     )
     def test_field_invariants(self, overrides):
@@ -252,6 +278,10 @@ class TestValidation:
             (ScheduleEvent(10, EventKind.PLUG_IN), ScheduleEvent(20, EventKind.PLUG_IN)),
             (ScheduleEvent(-5, EventKind.PLUG_IN),),
             (ScheduleEvent(10, EventKind.START, None),),
+            (ScheduleEvent(10.5, EventKind.PLUG_IN),),
+            (ScheduleEvent(True, EventKind.PLUG_IN),),
+            (ScheduleEvent(10, "start", "x"),),  # a kind that is not an EventKind
+            (ScheduleEvent(10, EventKind.PLUG_IN, ["x"]),),
         ],
     )
     def test_schedule_invariants(self, schedule):
@@ -342,6 +372,7 @@ class TestScenarioJson:
             ("apps", {"x": 500.0, " x": 300.0}),
             ("noise.seed", -1),
             ("initial_level_pct", True),
+            ("schedule", [{"t_s": 90, "event": "plug_in", "app": ["x"]}]),
         ],
     )
     def test_bad_value_rejected_not_coerced(self, key, value):
