@@ -39,7 +39,7 @@ from .errors import (
     TooFewSamples,
     UnwritableRecord,
 )
-from .inspector import BatteryWarning, InspectorConfig, WarningKind, describe, evaluate
+from .inspector import BatteryWarning, WarningKind, describe, evaluate
 from .nnls import solve_nnls
 from .recorder import (
     LogRecord,

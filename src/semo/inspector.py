@@ -20,59 +20,48 @@ class WarningKind(Enum):
 class BatteryWarning:
     kind: WarningKind
     message: str
-    # Configured limit that was crossed; None for kinds without a numeric limit.
+    # Limit that was crossed; None for kinds without a numeric limit.
     threshold: int | None
 
 
-@dataclass(frozen=True)
-class InspectorConfig:
-    low_battery_pct: int = 15
-    overheat_dc: int = 450
-    voltage_min_mv: int = 3000
-    voltage_max_mv: int = 4500
-
-    def __post_init__(self):
-        if not 0 < self.low_battery_pct < 100:
-            raise ValueError(f"low_battery_pct must be in 1..99: {self.low_battery_pct}")
-        if self.voltage_min_mv >= self.voltage_max_mv:
-            raise ValueError("voltage_min_mv must be below voltage_max_mv")
-
+LOW_BATTERY_PCT = 15
+OVERHEAT_DC = 450  # tenths of a degree Celsius: 45.0 °C
+VOLTAGE_MIN_MV = 3000
+VOLTAGE_MAX_MV = 4500
 
 # Low-battery reminders are pointless while on the charger.
 _DRAINING = (BatteryStatus.DISCHARGING, BatteryStatus.NOT_CHARGING)
 _HEALTHY = (BatteryHealth.GOOD, BatteryHealth.UNKNOWN)
 
-DEFAULT_CONFIG = InspectorConfig()
 
-
-def evaluate(sample: BatterySample, config: InspectorConfig = DEFAULT_CONFIG) -> list[BatteryWarning]:
+def evaluate(sample: BatterySample) -> list[BatteryWarning]:
     """Return the warnings a sample triggers, in WarningKind declaration order.
 
-    Low battery fires strictly below the configured percent and only while
-    draining; overheat strictly above the limit; voltage bounds are inclusive.
+    Low battery fires strictly below LOW_BATTERY_PCT and only while draining;
+    overheat strictly above OVERHEAT_DC; the voltage bounds are inclusive.
     Total and deterministic: no input raises.
     """
     warnings = []
-    if sample.level_pct < config.low_battery_pct and sample.status in _DRAINING:
+    if sample.level_pct < LOW_BATTERY_PCT and sample.status in _DRAINING:
         warnings.append(
             BatteryWarning(
                 kind=WarningKind.LOW_BATTERY,
                 message=(
                     f"battery at {sample.level_pct}% "
-                    f"(below {config.low_battery_pct}%), connect the charger"
+                    f"(below {LOW_BATTERY_PCT}%), connect the charger"
                 ),
-                threshold=config.low_battery_pct,
+                threshold=LOW_BATTERY_PCT,
             )
         )
-    if sample.temp_dc > config.overheat_dc:
+    if sample.temp_dc > OVERHEAT_DC:
         warnings.append(
             BatteryWarning(
                 kind=WarningKind.OVERHEAT,
                 message=(
                     f"battery temperature {sample.temp_dc / 10:.1f} °C "
-                    f"exceeds {config.overheat_dc / 10:.1f} °C"
+                    f"exceeds {OVERHEAT_DC / 10:.1f} °C"
                 ),
-                threshold=config.overheat_dc,
+                threshold=OVERHEAT_DC,
             )
         )
     if sample.health not in _HEALTHY:
@@ -83,18 +72,14 @@ def evaluate(sample: BatterySample, config: InspectorConfig = DEFAULT_CONFIG) ->
                 threshold=None,
             )
         )
-    if not config.voltage_min_mv <= sample.voltage_mv <= config.voltage_max_mv:
-        crossed = (
-            config.voltage_min_mv
-            if sample.voltage_mv < config.voltage_min_mv
-            else config.voltage_max_mv
-        )
+    if not VOLTAGE_MIN_MV <= sample.voltage_mv <= VOLTAGE_MAX_MV:
+        crossed = VOLTAGE_MIN_MV if sample.voltage_mv < VOLTAGE_MIN_MV else VOLTAGE_MAX_MV
         warnings.append(
             BatteryWarning(
                 kind=WarningKind.VOLTAGE_OUT_OF_RANGE,
                 message=(
                     f"battery voltage {sample.voltage_mv} mV outside "
-                    f"[{config.voltage_min_mv}, {config.voltage_max_mv}] mV"
+                    f"[{VOLTAGE_MIN_MV}, {VOLTAGE_MAX_MV}] mV"
                 ),
                 threshold=crossed,
             )

@@ -273,33 +273,38 @@ _REQUIRED_KEYS = {"capacity_mah", "nominal_voltage_mv", "baseline_mw", "apps", "
 _OPTIONAL_KEYS = {"sample_interval_s", "noise", "initial_level_pct"}
 
 
+def _check_keys(obj, what: str, required: set, optional: set) -> None:
+    if not isinstance(obj, dict):
+        raise ScenarioInvalid(f"{what} must be a JSON object")
+    missing = required - obj.keys()
+    unknown = obj.keys() - required - optional
+    if missing:
+        raise ScenarioInvalid(f"{what} missing keys: {sorted(missing)}")
+    if unknown:
+        raise ScenarioInvalid(f"{what} has unknown keys: {sorted(unknown)}")
+
+
 def scenario_from_dict(payload: dict) -> Scenario:
     """Map a JSON document onto a Scenario; values pass through uncoerced
-    and validate_scenario judges them."""
-    if not isinstance(payload, dict):
-        raise ScenarioInvalid("scenario must be a JSON object")
-    missing = _REQUIRED_KEYS - payload.keys()
-    unknown = payload.keys() - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if missing:
-        raise ScenarioInvalid(f"scenario missing keys: {sorted(missing)}")
-    if unknown:
-        raise ScenarioInvalid(f"scenario has unknown keys: {sorted(unknown)}")
-
+    and validate_scenario judges them.  Absent optional keys take the
+    dataclass defaults; an unknown or missing key at any level is refused."""
+    _check_keys(payload, "scenario", _REQUIRED_KEYS, _OPTIONAL_KEYS)
+    if not isinstance(payload["schedule"], list):
+        raise ScenarioInvalid("scenario schedule must be a JSON array")
+    for i, entry in enumerate(payload["schedule"]):
+        _check_keys(entry, f"scenario schedule[{i}]", {"t_s", "event"}, {"app"})
+    fields = dict(payload)
+    if "noise" in payload:
+        _check_keys(payload["noise"], "scenario noise", set(), {"sigma_mw", "seed"})
+        fields["noise"] = NoiseModel(**payload["noise"])
     try:
-        noise = payload.get("noise", {})
-        scenario = Scenario(
-            capacity_mah=payload["capacity_mah"],
-            nominal_voltage_mv=payload["nominal_voltage_mv"],
-            baseline_mw=payload["baseline_mw"],
-            apps=dict(payload["apps"].items()),
-            schedule=tuple(ScheduleEvent(e["t_s"], EventKind(e["event"]), e.get("app")) for e in payload["schedule"]),
-            duration_s=payload["duration_s"],
-            sample_interval_s=payload.get("sample_interval_s", 60),
-            noise=NoiseModel(sigma_mw=noise.get("sigma_mw", 0.0), seed=noise.get("seed", 0)),
-            initial_level_pct=payload.get("initial_level_pct", 100.0),
+        fields["apps"] = dict(payload["apps"].items())
+        fields["schedule"] = tuple(
+            ScheduleEvent(e["t_s"], EventKind(e["event"]), e.get("app")) for e in payload["schedule"]
         )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (TypeError, ValueError, AttributeError) as exc:
         raise ScenarioInvalid(f"scenario does not match the schema: {exc}") from None
+    scenario = Scenario(**fields)
     validate_scenario(scenario)
     return scenario
 

@@ -15,6 +15,7 @@ from semo import (
     BatteryStatus,
     FileTreeSource,
     LogRecord,
+    WarningKind,
     rate_to_power,
     save_scenario,
     simulate,
@@ -83,6 +84,16 @@ class TestInspect:
         logged = json.loads(record_to_json(LogRecord(read, ("game",))))
         del logged["apps"]
         assert list(payload["sample"].items()) == list(logged.items())
+
+    def test_json_every_warning_with_its_threshold(self, capsys, tmp_path):
+        source = write_source_dir(
+            tmp_path / "bat", capacity="10", temp="460", health="Overheat", voltage_now="2900000"
+        )
+        code, out, _ = run_cli(capsys, "inspect", "--json", "--source-root", str(source))
+        assert code == 2
+        warnings = json.loads(out)["warnings"]
+        assert [w["kind"] for w in warnings] == [kind.value for kind in WarningKind]
+        assert [w["threshold"] for w in warnings] == [15, 450, None, 3000]
 
     def test_env_var_source_root(self, capsys, healthy_source, monkeypatch):
         monkeypatch.setenv("SEMO_SOURCE_ROOT", str(healthy_source))

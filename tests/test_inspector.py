@@ -4,11 +4,11 @@ from hypothesis import given, strategies as st
 from semo import (
     BatteryHealth,
     BatteryStatus,
-    InspectorConfig,
     WarningKind,
     describe,
     evaluate,
 )
+from semo.inspector import LOW_BATTERY_PCT, OVERHEAT_DC, VOLTAGE_MAX_MV, VOLTAGE_MIN_MV
 
 from _helpers import make_sample
 
@@ -25,26 +25,17 @@ class TestLowBattery:
 
     def test_suppressed_while_charging(self):
         sample = make_sample(0, 14, status=BatteryStatus.CHARGING)
-        assert [w.kind for w in warnings_of(sample)] == []
+        assert [w.kind for w in evaluate(sample)] == []
 
     def test_fires_while_not_charging(self):
         sample = make_sample(0, 14, status=BatteryStatus.NOT_CHARGING)
-        assert [w.kind for w in warnings_of(sample)] == [WarningKind.LOW_BATTERY]
-
-    def test_custom_threshold(self):
-        config = InspectorConfig(low_battery_pct=30)
-        warnings = evaluate(make_sample(0, 29), config)
-        assert warnings and warnings[0].threshold == 30
-
-
-def warnings_of(sample, config=None):
-    return evaluate(sample, config) if config else evaluate(sample)
+        assert [w.kind for w in evaluate(sample)] == [WarningKind.LOW_BATTERY]
 
 
 class TestOtherKinds:
     def test_overheat_strictly_above(self):
-        assert warnings_of(make_sample(0, 50, temp_dc=450)) == []
-        warnings = warnings_of(make_sample(0, 50, temp_dc=451))
+        assert evaluate(make_sample(0, 50, temp_dc=450)) == []
+        warnings = evaluate(make_sample(0, 50, temp_dc=451))
         assert [w.kind for w in warnings] == [WarningKind.OVERHEAT]
         assert warnings[0].threshold == 450
 
@@ -52,24 +43,24 @@ class TestOtherKinds:
         "health", [BatteryHealth.OVERHEAT, BatteryHealth.DEAD, BatteryHealth.OVER_VOLTAGE, BatteryHealth.COLD]
     )
     def test_unhealthy(self, health):
-        warnings = warnings_of(make_sample(0, 50, health=health))
+        warnings = evaluate(make_sample(0, 50, health=health))
         assert [w.kind for w in warnings] == [WarningKind.UNHEALTHY_BATTERY]
         assert warnings[0].threshold is None
 
     def test_unknown_health_is_not_a_warning(self):
-        assert warnings_of(make_sample(0, 50, health=BatteryHealth.UNKNOWN)) == []
+        assert evaluate(make_sample(0, 50, health=BatteryHealth.UNKNOWN)) == []
 
     def test_voltage_bounds_inclusive(self):
-        assert warnings_of(make_sample(0, 50, voltage_mv=3000)) == []
-        assert warnings_of(make_sample(0, 50, voltage_mv=4500)) == []
-        low = warnings_of(make_sample(0, 50, voltage_mv=2999))
-        high = warnings_of(make_sample(0, 50, voltage_mv=4501))
+        assert evaluate(make_sample(0, 50, voltage_mv=3000)) == []
+        assert evaluate(make_sample(0, 50, voltage_mv=4500)) == []
+        low = evaluate(make_sample(0, 50, voltage_mv=2999))
+        high = evaluate(make_sample(0, 50, voltage_mv=4501))
         assert low[0].threshold == 3000
         assert high[0].threshold == 4500
 
     def test_multiple_warnings_in_declaration_order(self):
         sample = make_sample(0, 5, temp_dc=600, health=BatteryHealth.DEAD, voltage_mv=4900)
-        kinds = [w.kind for w in warnings_of(sample)]
+        kinds = [w.kind for w in evaluate(sample)]
         assert kinds == [
             WarningKind.LOW_BATTERY,
             WarningKind.OVERHEAT,
@@ -92,17 +83,16 @@ sample_strategy = st.builds(
 class TestProperties:
     @given(sample=sample_strategy)
     def test_every_emitted_warning_guard_holds(self, sample):
-        config = InspectorConfig()
-        for warning in evaluate(sample, config):
+        for warning in evaluate(sample):
             if warning.kind is WarningKind.LOW_BATTERY:
-                assert sample.level_pct < config.low_battery_pct
+                assert sample.level_pct < LOW_BATTERY_PCT
                 assert sample.status in (BatteryStatus.DISCHARGING, BatteryStatus.NOT_CHARGING)
             elif warning.kind is WarningKind.OVERHEAT:
-                assert sample.temp_dc > config.overheat_dc
+                assert sample.temp_dc > OVERHEAT_DC
             elif warning.kind is WarningKind.UNHEALTHY_BATTERY:
                 assert sample.health not in (BatteryHealth.GOOD, BatteryHealth.UNKNOWN)
             else:
-                assert not config.voltage_min_mv <= sample.voltage_mv <= config.voltage_max_mv
+                assert not VOLTAGE_MIN_MV <= sample.voltage_mv <= VOLTAGE_MAX_MV
 
     @given(level_a=st.integers(0, 100), level_b=st.integers(0, 100))
     def test_low_battery_monotone_in_level(self, level_a, level_b):
@@ -140,13 +130,3 @@ class TestDescribe:
             assert report.count(prefix) == 1
         assert len(report.splitlines()) == 7
 
-
-class TestConfigInvariants:
-    @pytest.mark.parametrize("pct", [0, 100, -5])
-    def test_low_battery_bounds(self, pct):
-        with pytest.raises(ValueError):
-            InspectorConfig(low_battery_pct=pct)
-
-    def test_voltage_window_ordering(self):
-        with pytest.raises(ValueError):
-            InspectorConfig(voltage_min_mv=4500, voltage_max_mv=3000)

@@ -332,6 +332,33 @@ class TestScenarioJson:
         with pytest.raises(ScenarioInvalid):
             scenario_from_dict(payload)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("noise", {"sigma": 25.0, "seed": 3}, r"scenario noise has unknown keys: \['sigma'\]"),
+            ("noise", [25.0, 3], "scenario noise must be a JSON object"),
+            (
+                "schedule",
+                [{"t_s": 0, "event": "start", "app": "x"}, {"t_s": 90, "event": "stop", "app": "x", "when": 1}],
+                r"scenario schedule\[1\] has unknown keys: \['when'\]",
+            ),
+            ("schedule", [{"t_s": 90, "kind": "start", "app": "x"}], r"scenario schedule\[0\] missing keys: \['event'\]"),
+            ("schedule", [["t_s", 90]], r"scenario schedule\[0\] must be a JSON object"),
+            ("schedule", {}, "scenario schedule must be a JSON array"),
+        ],
+        ids=["misspelt-noise-key", "noise-not-object", "extra-entry-key", "missing-entry-key", "entry-not-object", "schedule-not-array"],
+    )
+    def test_nested_shape_rejected(self, key, value, message):
+        payload = scenario_to_dict(baseline_scenario(apps={"x": 500.0}))
+        payload[key] = value
+        with pytest.raises(ScenarioInvalid, match=f"^{message}$"):
+            scenario_from_dict(payload)
+
+    def test_partial_noise_takes_the_default(self):
+        payload = scenario_to_dict(baseline_scenario())
+        payload["noise"] = {"seed": 3}
+        assert scenario_from_dict(payload).noise == NoiseModel(seed=3)
+
     def test_bad_event_kind_rejected(self):
         payload = scenario_to_dict(baseline_scenario())
         payload["schedule"] = [{"t_s": 0, "event": "explode"}]
