@@ -37,7 +37,6 @@ from .errors import (
     ScenarioInvalid,
     SemoError,
     TooFewSamples,
-    UnwritableRecord,
 )
 from .inspector import BatteryWarning, WarningKind, describe, evaluate
 from .nnls import solve_nnls

@@ -15,15 +15,15 @@ pair masks, counter and level drops, censoring and run boundaries are
 array operations, and only each run's drops are summed one by one, in
 pair order, so every interval is bit-identical to a pair-by-pair loop.
 attribute and build_intervals build those columns from records with
-recorder.LogColumns.from_records, which refuses what the log writer
-refuses and records out of order; `semo analyze` reads them from the
-log with recorder.load_columns.  The analyzer holds no rule of the log
-format itself: the CSV of `semo export` spells the log's fields, so
-recorder.export_columns_csv writes it.  Battery constants must be
-finite and positive, and rate_to_power refuses a power that overflows
-to infinity.  The result formats of `semo analyze`, table, CSV and
-JSON, live here too and render one payload that holds every mW, so such
-a power leaves no output and fails alike in every format.
+recorder.LogColumns.from_records, which refuses records out of order;
+`semo analyze` reads them from the log with recorder.load_columns.  The
+analyzer holds no rule of the log format itself: the CSV of `semo
+export` spells the log's fields, so recorder.export_columns_csv writes
+it.  Battery constants must be finite and positive, and rate_to_power
+refuses a power that overflows to infinity.  The result formats of
+`semo analyze`, table, CSV and JSON, live here too and render one
+payload that holds every mW, so such a power leaves no output and fails
+alike in every format.
 """
 
 from __future__ import annotations

@@ -28,10 +28,6 @@ class NonMonotonicTimestamp(SemoError):
     """An append would not keep log timestamps strictly increasing."""
 
 
-class UnwritableRecord(SemoError, ValueError):
-    """A record whose log line the reader would reject; nothing was written."""
-
-
 class LogParseError(SemoError):
     """A log line failed strict parsing; carries the 1-based line number."""
 

@@ -26,24 +26,21 @@ power loss cut short, is ignored with a warning.  The writer holds an
 advisory exclusive lock so at most one recorder owns a log at a time;
 readers are unrestricted.
 
-record_to_json, the one serializer, formats the line directly.  It
-raises UnwritableRecord (a ValueError) for a record whose line the
-reader would reject (an integer field that is not exactly an int, apps
-that _apps_error refuses); _checked_line, the one step of both
-LogWriter.append and write_log, then raises NonMonotonicTimestamp for a
-timestamp not above the last one written.  So neither writer leaves a
-log that load_log or the next LogWriter refuses; run_loop skips such a
-tick.  LogColumns.from_records, the way in for records held in memory,
-applies the writer's rule: a cheap test per column (the types of the
-integer fields, status and health members, each distinct apps list
-once) and, only when that fails, record_to_json on each record, so
-that the first record the writer refuses raises its UnwritableRecord.
-Records out of order are refused with the reader's own test.  So memory
-and disk accept the same records, and this module alone decides what a
-valid log is.  An app name must be valid UTF-8 text: a JSON escape can
-spell a lone surrogate ("\\ud800") that no writer can encode, so the
-reader refuses its line too.  export_columns_csv writes a log's columns
-as the CSV of `semo export`, spelling status as the log does.
+A record is valid once built: BatterySample refuses an integer field
+that is not exactly an int, a status or health that is not a member, or
+a value out of range, and LogRecord refuses apps that _apps_error
+rejects, each with ValueError.  So every LogRecord has a line the reader
+accepts, and record_to_json, the one serializer, only formats it.
+_checked_line, the one step of both LogWriter.append and write_log,
+raises NonMonotonicTimestamp for a timestamp not above the last one
+written, so neither writer leaves a log that load_log or the next
+LogWriter refuses; run_loop skips such a tick.  LogColumns.from_records,
+the way in for records held in memory, refuses records out of order
+with the reader's own test.  An app name must be valid UTF-8 text: a
+JSON escape can spell a lone surrogate ("\\ud800") that no writer can
+encode, so LogRecord and the reader refuse it alike.
+export_columns_csv writes a log's columns as the CSV of `semo export`,
+spelling status as the log does.
 """
 
 from __future__ import annotations
@@ -74,7 +71,6 @@ from .errors import (
     MalformedField,
     MissingField,
     NonMonotonicTimestamp,
-    UnwritableRecord,
 )
 from .sources import AppSet, BatteryHealth, BatterySample, BatteryStatus
 
@@ -109,10 +105,24 @@ _CANONICAL_LINE = re.compile(
 
 @dataclass(frozen=True, slots=True)
 class LogRecord:
-    """One recorder row: a battery sample plus the apps running at that tick."""
+    """One recorder row: a battery sample plus the apps running at that tick.
+
+    Raises ValueError unless sample is a BatterySample and apps a tuple
+    of sorted, unique, non-empty names without surrounding whitespace,
+    in valid UTF-8 text.
+    """
 
     sample: BatterySample
     apps: AppSet
+
+    def __post_init__(self):
+        if not isinstance(self.sample, BatterySample):
+            raise ValueError(f"sample must be a BatterySample, got {self.sample!r}")
+        if type(self.apps) is not tuple:
+            raise ValueError(f"apps must be a tuple of strings, got {self.apps!r}")
+        error = _apps_error(list(self.apps))
+        if error is not None:
+            raise ValueError(error)
 
 
 @dataclass(frozen=True)
@@ -139,29 +149,9 @@ def sample_dict(sample: BatterySample) -> dict:
 
 
 def record_to_json(record: LogRecord) -> str:
-    """The log line of a record, without its newline.
-
-    Raises UnwritableRecord, a ValueError, for a record whose line the
-    reader would reject: an integer field that is not exactly an int (a
-    float, a bool), a status or health that is not a member of its enum,
-    or apps that are not a tuple of sorted, unique, non-empty names
-    without surrounding whitespace, in valid UTF-8 text.
-    """
+    """The log line of a record, without its newline."""
     s = record.sample
     ts, level, voltage, temp, charge = s.ts_ms, s.level_pct, s.voltage_mv, s.temp_dc, s.charge_uah
-    if not (type(ts) is type(level) is type(voltage) is type(temp) is int) or (
-        charge is not None and type(charge) is not int
-    ):
-        fields = {"ts_ms": ts, "level_pct": level, "voltage_mv": voltage, "temp_dc": temp, "charge_uah": charge}
-        key = next(k for k, v in fields.items() if type(v) is not int and not (k == "charge_uah" and v is None))
-        raise UnwritableRecord(f"field {key} must be an integer, got {fields[key]!r}")
-    if type(s.status) is not BatteryStatus or type(s.health) is not BatteryHealth:
-        raise UnwritableRecord(f"unknown status/health: {s.status!r}/{s.health!r}")
-    if type(record.apps) is not tuple:
-        raise UnwritableRecord(f"apps must be a tuple of strings, got {record.apps!r}")
-    error = _apps_error(list(record.apps))
-    if error is not None:
-        raise UnwritableRecord(error)
     apps = ",".join(map(_json_string, record.apps))
     return (
         f'{{"ts_ms":{ts},"level_pct":{level},"voltage_mv":{voltage},"temp_dc":{temp},'
@@ -173,13 +163,6 @@ def record_to_json(record: LogRecord) -> str:
 def _code(code_by_wire: dict[str, int], word) -> int:
     """Code of a status or health spelling, -1 where it is unknown or not a string."""
     return code_by_wire.get(word, -1) if type(word) is str else -1
-
-
-def _require_int(payload: dict, key: str, lineno: int) -> int:
-    value = payload[key]
-    if type(value) is not int:  # bools are ints; reject them too
-        raise LogParseError(lineno, f"field {key} must be an integer, got {value!r}")
-    return value
 
 
 def _apps_error(apps) -> str | None:
@@ -232,10 +215,10 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
 
     try:
         sample = BatterySample(
-            ts_ms=_require_int(payload, "ts_ms", lineno),
-            level_pct=_require_int(payload, "level_pct", lineno),
-            voltage_mv=_require_int(payload, "voltage_mv", lineno),
-            temp_dc=_require_int(payload, "temp_dc", lineno),
+            ts_ms=payload["ts_ms"],
+            level_pct=payload["level_pct"],
+            voltage_mv=payload["voltage_mv"],
+            temp_dc=payload["temp_dc"],
             charge_uah=charge,
             status=STATUSES[status],
             health=HEALTHS[health],
@@ -285,8 +268,7 @@ class LogColumns:
     def from_records(cls, records) -> "LogColumns":
         """The columns of LogRecords, in their order.
 
-        Raises the UnwritableRecord of the first record that
-        record_to_json refuses, then ValueError unless ts increase strictly.
+        Raises ValueError unless ts increase strictly.
         """
         columns = _columns_of_records(list(records), _AppTable())
         row = _first_not_increasing(columns.ts, None)
@@ -382,29 +364,8 @@ def _member_codes(members, all_members: tuple) -> np.ndarray:
     return codes
 
 
-def _writable(ints: tuple, charge: list, status: np.ndarray, health: np.ndarray, app_lists: list) -> bool:
-    """Whether record_to_json accepts every record of these fields.
-
-    The test goes column by column: each integer field's set of value
-    types against the writer's, every status and health code against -1,
-    and _apps_error once per distinct app list.
-    """
-    try:
-        distinct = dict.fromkeys(app_lists)
-    except TypeError:  # an unhashable apps value or name
-        return False
-    return (
-        all(set(map(type, column)) <= {int} for column in ints)
-        and set(map(type, charge)) <= {int, type(None)}
-        and (status >= 0).all()
-        and (health >= 0).all()
-        and set(map(type, distinct)) <= {tuple}
-        and all(_apps_error(list(app_list)) is None for app_list in distinct)
-    )
-
-
 def _columns_of_records(records: list, apps: _AppTable) -> LogColumns:
-    """The columns of records; the UnwritableRecord of the first one record_to_json refuses."""
+    """The columns of records."""
     samples = [record.sample for record in records]
     ts = [s.ts_ms for s in samples]
     level = [s.level_pct for s in samples]
@@ -414,9 +375,6 @@ def _columns_of_records(records: list, apps: _AppTable) -> LogColumns:
     status = _member_codes([s.status for s in samples], STATUSES)
     health = _member_codes([s.health for s in samples], HEALTHS)
     app_lists = [record.apps for record in records]
-    if not _writable((ts, level, voltage, temp), charge, status, health, app_lists):
-        for record in records:
-            record_to_json(record)  # raises for the first record the writer refuses
     ids = {app_list: apps.id_of(app_list) for app_list in dict.fromkeys(app_lists)}
     return LogColumns(
         ts=_int_column(ts),
@@ -592,12 +550,11 @@ def export_columns_csv(columns: LogColumns, path) -> None:
 
 
 def _checked_line(record: LogRecord, last_ts: int | None) -> bytes:
-    """A record's line and newline as bytes; UnwritableRecord, then NonMonotonicTimestamp unless ts > last_ts."""
-    line = (record_to_json(record) + "\n").encode()
+    """A record's line and newline as bytes; NonMonotonicTimestamp unless ts > last_ts."""
     ts = record.sample.ts_ms
     if last_ts is not None and ts <= last_ts:
         raise NonMonotonicTimestamp(f"ts {ts} not above last written {last_ts}")
-    return line
+    return (record_to_json(record) + "\n").encode()
 
 
 def write_log(path: str | Path, records) -> None:
@@ -644,7 +601,7 @@ class LogWriter:
         return self._last_ts
 
     def append(self, record: LogRecord) -> None:
-        """Write one record's line; a record the reader would reject leaves the file untouched."""
+        """Write one record's line; a record out of order leaves the file untouched."""
         line = _checked_line(record, self._last_ts)
         if self._torn_at is not None:
             self._fh.truncate(self._torn_at)
@@ -675,12 +632,11 @@ def run_loop(config: RecorderConfig, source, clock=None, stop: threading.Event |
 
     The first sample is taken immediately, and setting stop ends the wait
     for the next one at once.  A tick whose source read fails, or whose
-    record the writer refuses (out of order, or unwritable), is logged to
-    diagnostics and skipped; the loop carries on.  I/O
-    failures on the log itself propagate (the caller exits nonzero).
-    When the loop ends, for whatever reason once the log is open, one
-    line reports the ticks written and the ticks skipped by exception
-    type.  Returns the number of records written.
+    record is out of order, is logged to diagnostics and skipped; the
+    loop carries on.  I/O failures on the log itself propagate (the
+    caller exits nonzero).  When the loop ends, for whatever reason once
+    the log is open, one line reports the ticks written and the ticks
+    skipped by exception type.  Returns the number of records written.
     """
     clock = clock if clock is not None else SystemClock()
     stop = stop if stop is not None else threading.Event()
@@ -692,7 +648,7 @@ def run_loop(config: RecorderConfig, source, clock=None, stop: threading.Event |
                 try:
                     writer.append(sample_once(source, clock))
                     written += 1
-                except (MissingField, MalformedField, NonMonotonicTimestamp, UnwritableRecord) as exc:
+                except (MissingField, MalformedField, NonMonotonicTimestamp) as exc:
                     skipped[type(exc).__name__] += 1
                     log.warning("sampling tick skipped: %s", exc)
                 clock.sleep(config.interval_s, stop)

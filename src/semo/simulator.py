@@ -83,8 +83,9 @@ def validate_scenario(scenario: Scenario) -> None:
 
     The one check of a scenario, built in Python or loaded from JSON; types
     are checked, never coerced.  Integer fields must be exactly int, as in
-    the log: a float, bool or numpy integer there makes records no writer
-    accepts.  Other numbers must be a finite int or float, never a bool.
+    the log: a float, bool or numpy integer there makes samples that
+    BatterySample refuses.  Other numbers must be a finite int or float,
+    never a bool.
     """
 
     def bad(reason: str):

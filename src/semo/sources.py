@@ -11,7 +11,8 @@ Source directory layout (single line each, trailing newline optional):
     temp          integer tenths of a degree Celsius
     charge_now    integer microampere-hours (optional file)
     status        "Charging" | "Discharging" | "Full" | "Not charging" | other
-    health        "Good" | "Overheat" | "Dead" | "Over voltage" | "Cold" | other
+    health        "Good" | "Overheat" | "Dead" | "Over voltage" | "Cold" |
+                  "Unspecified failure" | other
     running_apps  one application name per line
 
 Status and health match a member's label ("not charging"), ignoring case;
@@ -76,6 +77,7 @@ class BatteryHealth(_SourceEnum):
     DEAD = "Dead"
     OVER_VOLTAGE = "OverVoltage"
     COLD = "Cold"
+    UNSPECIFIED_FAILURE = "UnspecifiedFailure"
     UNKNOWN = "Unknown"
 
 
@@ -90,6 +92,11 @@ class BatterySample:
     ts_ms is milliseconds since the Unix epoch, voltage is millivolts,
     temperature is tenths of a degree Celsius, charge (when the coulomb
     counter exists) is microampere-hours remaining.
+
+    A sample holds only what the log can hold: the integer fields are
+    exactly int (a float, a bool or a numpy integer is refused; charge
+    may be None), status and health are members of their enums, and the
+    values are in range.  Anything else raises ValueError.
     """
 
     ts_ms: int
@@ -101,12 +108,21 @@ class BatterySample:
     health: BatteryHealth
 
     def __post_init__(self):
-        if not 0 <= self.level_pct <= 100:
-            raise ValueError(f"level_pct out of range 0..100: {self.level_pct}")
-        if self.voltage_mv <= 0 and self.status is not BatteryStatus.UNKNOWN:
-            raise ValueError(f"voltage_mv must be positive: {self.voltage_mv}")
-        if self.charge_uah is not None and self.charge_uah < 0:
-            raise ValueError(f"charge_uah must be non-negative: {self.charge_uah}")
+        ts, level, voltage, temp, charge = self.ts_ms, self.level_pct, self.voltage_mv, self.temp_dc, self.charge_uah
+        if not (type(ts) is type(level) is type(voltage) is type(temp) is int) or (
+            charge is not None and type(charge) is not int
+        ):
+            fields = {"ts_ms": ts, "level_pct": level, "voltage_mv": voltage, "temp_dc": temp, "charge_uah": charge}
+            key = next(k for k, v in fields.items() if type(v) is not int and not (k == "charge_uah" and v is None))
+            raise ValueError(f"field {key} must be an integer, got {fields[key]!r}")
+        if type(self.status) is not BatteryStatus or type(self.health) is not BatteryHealth:
+            raise ValueError(f"unknown status/health: {self.status!r}/{self.health!r}")
+        if not 0 <= level <= 100:
+            raise ValueError(f"level_pct out of range 0..100: {level}")
+        if voltage <= 0 and self.status is not BatteryStatus.UNKNOWN:
+            raise ValueError(f"voltage_mv must be positive: {voltage}")
+        if charge is not None and charge < 0:
+            raise ValueError(f"charge_uah must be non-negative: {charge}")
 
 
 def make_app_set(names: Iterable[str]) -> AppSet:

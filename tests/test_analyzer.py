@@ -14,7 +14,6 @@ from semo import (
     LogRecord,
     NoiseModel,
     TooFewSamples,
-    UnwritableRecord,
     attribute,
     build_intervals,
     merge_identifiability_groups,
@@ -27,7 +26,7 @@ from semo import (
 import semo.analyzer as analyzer_module
 import semo.recorder as recorder_module
 from semo.analyzer import attribute_columns, write_result_csv
-from semo.recorder import LogColumns, load_columns, record_to_json
+from semo.recorder import load_columns
 
 from _helpers import churn_scenario, make_record, make_sample, random_exact_scenario, weighted_sse
 
@@ -157,24 +156,24 @@ class TestBuildIntervals:
             fn(iter(records))
 
     @pytest.mark.parametrize(
-        "bad",
+        "build, message",
         [
-            make_record(MIN + 0.5, 79),
-            make_record(MIN, 79.9),
-            make_record(MIN, True),
-            LogRecord(replace(make_sample(MIN, 79), status="Discharging"), ()),
-            LogRecord(make_sample(MIN, 79), ["a"]),
-            make_record(MIN, 79, apps=("\ud800",)),
+            (lambda: make_record(MIN + 0.5, 79), "field ts_ms must be an integer, got 60000.5"),
+            (lambda: make_record(MIN, 79.9), "field level_pct must be an integer, got 79.9"),
+            (lambda: make_record(MIN, True), "field level_pct must be an integer, got True"),
+            (
+                lambda: LogRecord(replace(make_sample(MIN, 79), status="Discharging"), ()),
+                "unknown status/health: 'Discharging'/<BatteryHealth.GOOD: 'Good'>",
+            ),
+            (lambda: LogRecord(make_sample(MIN, 79), ["a"]), "apps must be a tuple of strings, got ['a']"),
+            (lambda: make_record(MIN, 79, apps=("\ud800",)), "app names must be valid UTF-8 text"),
         ],
         ids=["float-ts", "float-level", "bool-level", "string-status", "list-apps", "lone-surrogate-app"],
     )
-    @pytest.mark.parametrize("fn", [LogColumns.from_records, build_intervals, attribute])
-    def test_records_the_writer_refuses_are_refused_alike(self, fn, bad):
-        with pytest.raises(UnwritableRecord) as writer:
-            record_to_json(bad)
-        with pytest.raises(UnwritableRecord) as reader:
-            fn([make_record(0, 80), bad, make_record(2 * MIN, 78)])
-        assert str(reader.value) == str(writer.value)
+    def test_records_the_writer_refused_are_never_built(self, build, message):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
 
 
 def full_scale_uah(records):

@@ -95,6 +95,16 @@ class TestInspect:
         assert [w["kind"] for w in warnings] == [kind.value for kind in WarningKind]
         assert [w["threshold"] for w in warnings] == [15, 450, None, 3000]
 
+    def test_unspecified_failure_exits_two(self, capsys, tmp_path):
+        source = write_source_dir(tmp_path / "bat", health="Unspecified failure")
+        code, out, _ = run_cli(capsys, "inspect", "--json", "--source-root", str(source))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["sample"]["health"] == "UnspecifiedFailure"
+        assert [(w["kind"], w["message"]) for w in payload["warnings"]] == [
+            ("UnhealthyBattery", "battery health is unspecified failure")
+        ]
+
     def test_env_var_source_root(self, capsys, healthy_source, monkeypatch):
         monkeypatch.setenv("SEMO_SOURCE_ROOT", str(healthy_source))
         code, out, _ = run_cli(capsys, "inspect")

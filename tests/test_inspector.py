@@ -40,7 +40,14 @@ class TestOtherKinds:
         assert warnings[0].threshold == 450
 
     @pytest.mark.parametrize(
-        "health", [BatteryHealth.OVERHEAT, BatteryHealth.DEAD, BatteryHealth.OVER_VOLTAGE, BatteryHealth.COLD]
+        "health",
+        [
+            BatteryHealth.OVERHEAT,
+            BatteryHealth.DEAD,
+            BatteryHealth.OVER_VOLTAGE,
+            BatteryHealth.COLD,
+            BatteryHealth.UNSPECIFIED_FAILURE,
+        ],
     )
     def test_unhealthy(self, health):
         warnings = evaluate(make_sample(0, 50, health=health))
@@ -123,6 +130,9 @@ class TestDescribe:
 
     def test_unknown_health(self):
         assert "health: unknown" in describe(make_sample(0, 80, health=BatteryHealth.UNKNOWN))
+
+    def test_unspecified_failure_health(self):
+        assert "health: unspecified failure" in describe(make_sample(0, 80, health=BatteryHealth.UNSPECIFIED_FAILURE))
 
     def test_every_field_exactly_once(self):
         report = describe(make_sample(1_700_000_000_000, 42, charge_uah=5))

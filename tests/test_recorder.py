@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,6 @@ from semo import (
     NonMonotonicTimestamp,
     RecorderConfig,
     SimulatedClock,
-    UnwritableRecord,
     load_log,
     run_loop,
     sample_once,
@@ -35,6 +35,7 @@ from semo import (
 )
 import semo.recorder as recorder_module
 from semo.recorder import (
+    LOG_FIELDS,
     LogColumns,
     export_columns_csv,
     load_columns,
@@ -96,52 +97,39 @@ def _with(record: LogRecord, **fields) -> LogRecord:
 
 
 GOOD = make_record(2000, 79, apps=("a", "b"))
+# Builders of records whose line the reader would reject, each with the ValueError that building raises.
 UNREADABLE_RECORDS = {
-    "float level": _with(GOOD, level_pct=50.0),
-    "bool level": _with(GOOD, level_pct=True),
-    "float ts": _with(GOOD, ts_ms=2000.0),
-    "bool charge": _with(GOOD, charge_uah=False),
-    "status string": _with(GOOD, status="Discharging"),
-    "unsorted apps": LogRecord(GOOD.sample, ("b", "a")),
-    "padded app": LogRecord(GOOD.sample, (" x",)),
-    "empty app": LogRecord(GOOD.sample, ("",)),
-    "non-string app": LogRecord(GOOD.sample, ("a", 1)),
-    "unhashable app": LogRecord(GOOD.sample, ("a", ["b"])),
-    "apps list": LogRecord(GOOD.sample, ["a", "b"]),
-    "apps None": LogRecord(GOOD.sample, None),
-    "apps str": LogRecord(GOOD.sample, "ab"),
-    "apps empty str": LogRecord(GOOD.sample, ""),
-    "lone surrogate app": LogRecord(GOOD.sample, ("\ud800",)),
+    "float level": (lambda: _with(GOOD, level_pct=50.0), "field level_pct must be an integer, got 50.0"),
+    "bool level": (lambda: _with(GOOD, level_pct=True), "field level_pct must be an integer, got True"),
+    "float ts": (lambda: _with(GOOD, ts_ms=2000.0), "field ts_ms must be an integer, got 2000.0"),
+    "bool charge": (lambda: _with(GOOD, charge_uah=False), "field charge_uah must be an integer, got False"),
+    "status string": (
+        lambda: _with(GOOD, status="Discharging"),
+        "unknown status/health: 'Discharging'/<BatteryHealth.GOOD: 'Good'>",
+    ),
+    "unsorted apps": (lambda: LogRecord(GOOD.sample, ("b", "a")), "apps must be sorted and unique"),
+    "padded app": (lambda: LogRecord(GOOD.sample, (" x",)), "app name ' x' has surrounding whitespace"),
+    "empty app": (lambda: LogRecord(GOOD.sample, ("",)), "app names must be non-empty strings"),
+    "non-string app": (lambda: LogRecord(GOOD.sample, ("a", 1)), "app names must be non-empty strings"),
+    "unhashable app": (lambda: LogRecord(GOOD.sample, ("a", ["b"])), "app names must be non-empty strings"),
+    "apps list": (lambda: LogRecord(GOOD.sample, ["a", "b"]), "apps must be a tuple of strings, got ['a', 'b']"),
+    "apps None": (lambda: LogRecord(GOOD.sample, None), "apps must be a tuple of strings, got None"),
+    "apps str": (lambda: LogRecord(GOOD.sample, "ab"), "apps must be a tuple of strings, got 'ab'"),
+    "apps empty str": (lambda: LogRecord(GOOD.sample, ""), "apps must be a tuple of strings, got ''"),
+    "lone surrogate app": (lambda: LogRecord(GOOD.sample, ("\ud800",)), "app names must be valid UTF-8 text"),
 }
 
 
-class TestWriterRefusesWhatItsReaderRejects:
-    @pytest.mark.parametrize("record", UNREADABLE_RECORDS.values(), ids=UNREADABLE_RECORDS.keys())
-    def test_rejected_append_leaves_the_log_loadable(self, tmp_path, record):
-        path = tmp_path / "log.jsonl"
-        first = make_record(1000, 80, apps=("a",))
-        write_log(path, [first])
-        with path.open("ab") as fh:
-            fh.write(b'{"ts_ms":15')  # a torn final line, which only a written append may cut off
-        before = path.read_bytes()
-        with LogWriter(path) as writer:
-            with pytest.raises(UnwritableRecord):
-                writer.append(record)
-        assert path.read_bytes() == before
-        assert load_log(path) == [first]
-        with LogWriter(path) as writer:
-            assert writer.last_ts_ms == 1000
-            writer.append(GOOD)
-        assert load_log(path) == [first, GOOD]
+class TestARecordTheReaderRejectsIsNeverBuilt:
+    @pytest.mark.parametrize("build, message", UNREADABLE_RECORDS.values(), ids=UNREADABLE_RECORDS.keys())
+    def test_building_it_raises(self, build, message):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
 
-    @pytest.mark.parametrize("record", UNREADABLE_RECORDS.values(), ids=UNREADABLE_RECORDS.keys())
-    def test_write_log_and_record_to_json_refuse_it(self, tmp_path, record):
-        with pytest.raises(UnwritableRecord):
-            record_to_json(record)
-        path = tmp_path / "log.jsonl"
-        with pytest.raises(UnwritableRecord):
-            write_log(path, [record])
-        assert path.read_bytes() == b""
+    def test_sample_must_be_a_battery_sample(self):
+        with pytest.raises(ValueError, match=r"^sample must be a BatterySample, got \{'ts_ms': 2000\}$"):
+            LogRecord({"ts_ms": 2000}, ("a",))
 
 
 class TestWritersShareOneCheckedLine:
@@ -152,15 +140,6 @@ class TestWritersShareOneCheckedLine:
         with pytest.raises(NonMonotonicTimestamp, match=f"^ts {ts} not above last written 120000$"):
             write_log(path, [first, make_record(ts, 79), make_record(180_000, 78)])
         assert load_log(path) == [first]
-
-    def test_unwritable_is_refused_before_out_of_order(self, tmp_path):
-        late_and_bad = _with(GOOD, ts_ms=0, level_pct=50.0)
-        with pytest.raises(UnwritableRecord):
-            write_log(tmp_path / "a.jsonl", [GOOD, late_and_bad])
-        with LogWriter(tmp_path / "b.jsonl") as writer:
-            writer.append(GOOD)
-            with pytest.raises(UnwritableRecord):
-                writer.append(late_and_bad)
 
     def test_table1_written_byte_identically(self, tmp_path):
         records = simulate(table1_scenario())
@@ -250,21 +229,91 @@ any_names = st.text(st.characters(blacklist_categories=())) | st.text(
 @settings(max_examples=200, deadline=None)
 @given(names=st.lists(any_names, max_size=3))
 def test_any_app_names_round_trip_or_are_refused(tmp_path_factory, names):
-    """Text names, lone surrogates included: the log keeps them, or record_to_json refuses them."""
-    record = make_record(1000, 80, apps=names)
-    path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+    """Text names, lone surrogates included: the log keeps them, or building the record refuses them."""
     try:
-        record_to_json(record)
-    except UnwritableRecord:
-        with pytest.raises(UnwritableRecord):
-            write_log(path, [record])
-        assert path.read_bytes() == b""
+        record = make_record(1000, 80, apps=names)
+    except ValueError as exc:
+        assert str(exc) == "app names must be valid UTF-8 text"
+        assert any("\ud800" <= char <= "\udfff" for name in names for char in name)
     else:
+        path = tmp_path_factory.mktemp("logs") / "log.jsonl"
         write_log(path, [record])
         assert load_log(path) == [record]
 
 
+not_ints = (
+    st.floats()
+    | st.booleans()
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.text(max_size=2)
+    | st.lists(st.integers(), max_size=1)
+)
+raw_names = st.lists(tricky_names | any_names | st.sampled_from([" a", "b ", "\ud800", ""]), max_size=4)
+# For each field, values of any kind: of the right type, out of range, or of a type the log cannot hold.
+ANY_FIELD_VALUES = {
+    "ts_ms": not_ints | huge_ints,
+    "level_pct": not_ints | st.integers(-5, 105),
+    "voltage_mv": not_ints | st.integers(-5, 5),
+    "temp_dc": not_ints | st.none(),
+    "charge_uah": not_ints | st.integers(-5, 5),
+    "status": st.sampled_from([status.value for status in BatteryStatus]) | st.sampled_from(BatteryHealth) | st.none(),
+    "health": st.sampled_from([health.value for health in BatteryHealth]) | st.sampled_from(BatteryStatus),
+    "apps": raw_names.map(tuple) | raw_names | st.none() | st.text(max_size=2),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_record_that_can_be_built_can_be_written_and_read_back(tmp_path_factory, data):
+    """Building a record with any field values raises ValueError, or the log and the columns keep it unchanged."""
+    valid = data.draw(valid_records(), label="valid")
+    fields = {name: getattr(valid.sample, name) for name in LOG_FIELDS[:-1]}
+    fields["apps"] = valid.apps
+    for name in data.draw(st.sets(st.sampled_from(LOG_FIELDS), max_size=3), label="changed"):
+        fields[name] = data.draw(ANY_FIELD_VALUES[name], label=name)
+    apps = fields.pop("apps")
+    try:
+        record = LogRecord(BatterySample(**fields), apps)
+    except ValueError:
+        return
+    path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+    write_log(path, [record])
+    assert load_log(path) == [record]
+    assert LogColumns.from_records([record]).records() == [record]
+
+
+# One line per rule of the log, each as line 2 of a log, with the error that load_log and LogWriter give.
+ONE_FAULT_PER_RULE = [
+    *[
+        (key, value, f"field {key} must be an integer, got {value!r}")
+        for key in ("ts_ms", "level_pct", "voltage_mv", "temp_dc")
+        for value in (79.5, True)
+    ],
+    ("charge_uah", 79.5, "field charge_uah must be an integer or null, got 79.5"),
+    ("charge_uah", True, "field charge_uah must be an integer or null, got True"),
+    ("charge_uah", "7", "field charge_uah must be an integer or null, got '7'"),
+    ("status", "Sleeping", "unknown status/health: 'Sleeping'/'Good'"),
+    ("apps", ["b", "a"], "apps must be sorted and unique"),
+    ("level_pct", 101, "level_pct out of range 0..100: 101"),
+    ("voltage_mv", 0, "voltage_mv must be positive: 0"),
+    ("charge_uah", -1, "charge_uah must be non-negative: -1"),
+]
+
+
 class TestStrictParsing:
+    @pytest.mark.parametrize(
+        "key, value, message", ONE_FAULT_PER_RULE, ids=[f"{key}={value!r}" for key, value, _ in ONE_FAULT_PER_RULE]
+    )
+    def test_each_rule_gives_its_pinned_error(self, tmp_path, key, value, message):
+        payload = json.loads(record_to_json(make_record(2000, 79, apps=("a", "b"), charge_uah=7)))
+        payload[key] = value
+        path = tmp_path / "log.jsonl"
+        path.write_text(record_to_json(make_record(1000, 80)) + "\n" + json.dumps(payload, separators=(",", ":")) + "\n")
+        for read in (load_log, LogWriter):
+            with pytest.raises(LogParseError) as refused:
+                read(path)
+            assert (refused.value.line, str(refused.value)) == (2, f"log line 2: {message}")
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "log.jsonl"
         good = record_to_json(make_record(1000, 80))
@@ -818,7 +867,7 @@ class TestRunLoop:
                 if self.calls in (4, 5):
                     raise MalformedField("temp", "not an integer")
                 if self.calls == 6:
-                    return make_sample(clock.now_ms(), 80.0)  # a line the reader would reject
+                    raise MalformedField("sample", "field level_pct must be an integer, got 80.0")
                 return make_sample(clock.now_ms(), 80)
 
             def read_running_apps(self):
@@ -833,7 +882,7 @@ class TestRunLoop:
         timestamps = [r.sample.ts_ms for r in load_log(config.out_path)]
         assert timestamps == [1, 120_001, 360_001, 420_001]  # ticks 2, 4, 5 and 6 missing
         assert [r.getMessage() for r in caplog.records if "stopped" in r.getMessage()] == [
-            "recorder stopped: 4 ticks written, 4 skipped, MalformedField 2, MissingField 1, UnwritableRecord 1"
+            "recorder stopped: 4 ticks written, 4 skipped, MalformedField 3, MissingField 1"
         ]
 
     def test_unreadable_source_field_skips_the_tick(self, tmp_path, caplog):

@@ -63,8 +63,22 @@ class TestReadBatterySample:
         with pytest.raises(MalformedField):
             FileTreeSource(root).read_battery_sample(SimulatedClock())
 
-    def test_unknown_enum_strings_map_to_unknown(self, tmp_path):
-        root = write_source_dir(tmp_path, status="Trickle", health="Warm")
+    # Linux power-supply health strings that Android's BatteryManager has no value for
+    @pytest.mark.parametrize(
+        "health",
+        [
+            "Warm",
+            "Over current",
+            "Hot",
+            "Cool",
+            "Watchdog timer expire",
+            "Safety timer expire",
+            "Calibration required",
+            "No battery",
+        ],
+    )
+    def test_unknown_enum_strings_map_to_unknown(self, tmp_path, health):
+        root = write_source_dir(tmp_path, status="Trickle", health=health)
         sample = FileTreeSource(root).read_battery_sample(SimulatedClock())
         assert sample.status is BatteryStatus.UNKNOWN
         assert sample.health is BatteryHealth.UNKNOWN
@@ -88,6 +102,7 @@ class TestReadBatterySample:
             ("Dead", BatteryHealth.DEAD),
             ("Over voltage", BatteryHealth.OVER_VOLTAGE),
             ("Cold", BatteryHealth.COLD),
+            ("Unspecified failure", BatteryHealth.UNSPECIFIED_FAILURE),
             ("Unknown", BatteryHealth.UNKNOWN),
         ],
     )
