@@ -27,9 +27,11 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,12 +63,26 @@ class NoiseModel:
     seed: int = 0
 
 
+MAX_SAMPLES = 10_000_000  # the most samples one run may hold: about 2.4 GB of records in simulate
+
+
 @dataclass(frozen=True)
 class Scenario:
+    """A run to simulate, which checks itself when built.
+
+    Building one, in Python, from JSON or by dataclasses.replace, raises
+    ScenarioInvalid with a reason on the first violated invariant, so
+    every Scenario can be simulated.  Types are checked, never coerced.
+    Integer fields must be exactly int, as in the log: a float, bool or
+    numpy integer there makes samples that BatterySample refuses.  Other
+    numbers must be a finite int or float, never a bool.  apps is kept
+    as a read-only copy, so the check keeps holding.
+    """
+
     capacity_mah: float
     nominal_voltage_mv: int
     baseline_mw: float
-    apps: dict[str, float]
+    apps: Mapping[str, float]
     schedule: tuple[ScheduleEvent, ...]
     duration_s: int
     sample_interval_s: int = 60
@@ -77,87 +93,84 @@ class Scenario:
     def full_energy_mwh(self) -> float:
         return self.capacity_mah * self.nominal_voltage_mv / 1000.0
 
+    def __post_init__(self):
+        def bad(reason: str):
+            raise ScenarioInvalid(reason)
 
-def validate_scenario(scenario: Scenario) -> None:
-    """Raise ScenarioInvalid with a reason on the first violated invariant.
+        if not isinstance(self.apps, Mapping):
+            bad(f"apps must be a mapping of app names to powers: {self.apps!r}")
+        object.__setattr__(self, "apps", MappingProxyType(dict(self.apps)))
+        if not all(type(name) is str for name in self.apps):
+            bad(f"app names must be strings: {list(self.apps)!r}")
+        if (reason := _apps_error(sorted(self.apps))) is not None:
+            bad(reason)  # the log's own name rule: a name it would rewrite would merge two apps
+        integers = (  # (key, value, least value allowed)
+            ("nominal_voltage_mv", self.nominal_voltage_mv, 1),
+            ("duration_s", self.duration_s, 1),
+            ("sample_interval_s", self.sample_interval_s, 1),
+            ("noise seed", self.noise.seed, 0),
+        )
+        for key, value, least in integers:
+            if type(value) is not int or value < least:
+                bad(f"{key} must be an integer >= {least}: {value!r}")
+        if (samples := self.duration_s // self.sample_interval_s + 1) > MAX_SAMPLES:
+            bad(f"the run would hold {samples} samples, more than the cap of {MAX_SAMPLES}")
+        numbers = {
+            "capacity_mah": self.capacity_mah,
+            "nominal_voltage_mv": self.nominal_voltage_mv,
+            "baseline_mw": self.baseline_mw,
+            "noise sigma_mw": self.noise.sigma_mw,
+            "initial_level_pct": self.initial_level_pct,
+            **{f"power of app {name!r}": power for name, power in self.apps.items()},
+        }
+        for key, value in numbers.items():
+            # the bound refuses nan, inf and an int that no float can hold
+            if not (type(value) in (int, float) and 0 <= value <= sys.float_info.max):
+                bad(f"{key} must be a non-negative finite number: {value!r}")
+        if not 0 < self.full_energy_mwh * 1e6 / self.nominal_voltage_mv < math.inf:  # the full charge in µAh
+            bad(f"full charge must be positive and finite: {self.capacity_mah!r} mAh")
+        if not 0 < self.initial_level_pct <= 100:
+            bad(f"initial_level_pct must be in (0, 100]: {self.initial_level_pct}")
 
-    The one check of a scenario, built in Python or loaded from JSON; types
-    are checked, never coerced.  Integer fields must be exactly int, as in
-    the log: a float, bool or numpy integer there makes samples that
-    BatterySample refuses.  Other numbers must be a finite int or float,
-    never a bool.
-    """
+        running: set[str] = set()
+        plugged = False
+        last_t = 0
+        for event in self.schedule:
+            if type(event.t_s) is not int or event.t_s < last_t:  # last_t starts at 0
+                bad(f"schedule times must be non-negative, non-decreasing integers: {event.t_s!r} after {last_t}")
+            if not isinstance(event.kind, EventKind):
+                bad(f"schedule event kind must be an EventKind: {event.kind!r}")
+            if not (event.app is None or type(event.app) is str):
+                bad(f"schedule app must be a string or None: {event.app!r}")
+            last_t = event.t_s
+            if event.kind in (EventKind.START, EventKind.STOP):
+                if event.app is None:
+                    bad(f"{event.kind.value} event needs an app name")
+                if event.app not in self.apps:
+                    bad(f"schedule references unknown app: {event.app!r}")
+            plugged = _apply_event(event, running, plugged)
 
-    def bad(reason: str):
-        raise ScenarioInvalid(reason)
 
-    if not all(type(name) is str for name in scenario.apps):
-        bad(f"app names must be strings: {list(scenario.apps)!r}")
-    if (reason := _apps_error(sorted(scenario.apps))) is not None:
-        bad(reason)  # the log's own name rule: a name it would rewrite would merge two apps
-    integers = (  # (key, value, least value allowed)
-        ("nominal_voltage_mv", scenario.nominal_voltage_mv, 1),
-        ("duration_s", scenario.duration_s, 1),
-        ("sample_interval_s", scenario.sample_interval_s, 1),
-        ("noise seed", scenario.noise.seed, 0),
-    )
-    for key, value, least in integers:
-        if type(value) is not int or value < least:
-            bad(f"{key} must be an integer >= {least}: {value!r}")
-    numbers = {
-        "capacity_mah": scenario.capacity_mah,
-        "nominal_voltage_mv": scenario.nominal_voltage_mv,
-        "baseline_mw": scenario.baseline_mw,
-        "noise sigma_mw": scenario.noise.sigma_mw,
-        "initial_level_pct": scenario.initial_level_pct,
-        **{f"power of app {name!r}": power for name, power in scenario.apps.items()},
-    }
-    for key, value in numbers.items():
-        # the bound refuses nan, inf and an int that no float can hold
-        if not (type(value) in (int, float) and 0 <= value <= sys.float_info.max):
-            bad(f"{key} must be a non-negative finite number: {value!r}")
-    if not 0 < scenario.full_energy_mwh * 1e6 / scenario.nominal_voltage_mv < math.inf:  # the full charge in µAh
-        bad(f"full charge must be positive and finite: {scenario.capacity_mah!r} mAh")
-    if not 0 < scenario.initial_level_pct <= 100:
-        bad(f"initial_level_pct must be in (0, 100]: {scenario.initial_level_pct}")
-
-    running: set[str] = set()
-    plugged = False
-    last_t = 0
-    for event in scenario.schedule:
-        if type(event.t_s) is not int or event.t_s < last_t:  # last_t starts at 0
-            bad(f"schedule times must be non-negative, non-decreasing integers: {event.t_s!r} after {last_t}")
-        if not isinstance(event.kind, EventKind):
-            bad(f"schedule event kind must be an EventKind: {event.kind!r}")
-        if not (event.app is None or type(event.app) is str):
-            bad(f"schedule app must be a string or None: {event.app!r}")
-        last_t = event.t_s
-        if event.kind in (EventKind.START, EventKind.STOP):
-            if event.app is None:
-                bad(f"{event.kind.value} event needs an app name")
-            if event.app not in scenario.apps:
-                bad(f"schedule references unknown app: {event.app!r}")
-            if event.kind is EventKind.START:
-                if event.app in running:
-                    bad(f"app started twice without stop: {event.app!r}")
-                running.add(event.app)
-            else:
-                if event.app not in running:
-                    bad(f"stop for app that is not running: {event.app!r}")
-                running.remove(event.app)
-        elif event.kind is EventKind.PLUG_IN:
-            if plugged:
-                bad("plug_in while already plugged")
-            plugged = True
-        elif event.kind is EventKind.PLUG_OUT:
-            if not plugged:
-                bad("plug_out while not plugged")
-            plugged = False
+def _apply_event(event: ScheduleEvent, running: set[str], plugged: bool) -> bool:
+    """Apply one event to the running set and return the new plug state;
+    raise ScenarioInvalid on a transition that the state does not allow."""
+    if event.kind is EventKind.START:
+        if event.app in running:
+            raise ScenarioInvalid(f"app started twice without stop: {event.app!r}")
+        running.add(event.app)
+    elif event.kind is EventKind.STOP:
+        if event.app not in running:
+            raise ScenarioInvalid(f"stop for app that is not running: {event.app!r}")
+        running.remove(event.app)
+    elif plugged == (event.kind is EventKind.PLUG_IN):  # a plug event must change the plug state
+        raise ScenarioInvalid("plug_in while already plugged" if plugged else "plug_out while not plugged")
+    else:
+        plugged = not plugged
+    return plugged
 
 
 def simulate(scenario: Scenario) -> list[LogRecord]:
     """Run a scenario and return its sampled log, first sample at t=0."""
-    validate_scenario(scenario)
     e_full = scenario.full_energy_mwh
     energy = e_full * scenario.initial_level_pct / 100.0
     voltage_mv = scenario.nominal_voltage_mv
@@ -187,15 +200,10 @@ def simulate(scenario: Scenario) -> list[LogRecord]:
                 break
             event = events[idx]
             idx += 1
-            if event.kind is EventKind.START:
-                running.add(event.app)
-            elif event.kind is EventKind.STOP:
-                running.discard(event.app)
-            else:
-                plugged = event.kind is EventKind.PLUG_IN
-                continue
-            apps = make_app_set(running)
-            load_mw = scenario.baseline_mw + sum(scenario.apps[a] for a in running)
+            plugged = _apply_event(event, running, plugged)
+            if event.kind in (EventKind.START, EventKind.STOP):
+                apps = make_app_set(running)
+                load_mw = scenario.baseline_mw + sum(scenario.apps[a] for a in running)
         sample = BatterySample(
             ts_ms=t * 1000,
             level_pct=max(0, min(100, math.floor(energy * 100.0 / e_full))),
@@ -287,7 +295,7 @@ def _check_keys(obj, what: str, required: set, optional: set) -> None:
 
 def scenario_from_dict(payload: dict) -> Scenario:
     """Map a JSON document onto a Scenario; values pass through uncoerced
-    and validate_scenario judges them.  Absent optional keys take the
+    and the Scenario's own check judges them.  Absent optional keys take the
     dataclass defaults; an unknown or missing key at any level is refused."""
     _check_keys(payload, "scenario", _REQUIRED_KEYS, _OPTIONAL_KEYS)
     if not isinstance(payload["schedule"], list):
@@ -299,15 +307,12 @@ def scenario_from_dict(payload: dict) -> Scenario:
         _check_keys(payload["noise"], "scenario noise", set(), {"sigma_mw", "seed"})
         fields["noise"] = NoiseModel(**payload["noise"])
     try:
-        fields["apps"] = dict(payload["apps"].items())
         fields["schedule"] = tuple(
             ScheduleEvent(e["t_s"], EventKind(e["event"]), e.get("app")) for e in payload["schedule"]
         )
-    except (TypeError, ValueError, AttributeError) as exc:
+    except ValueError as exc:  # an event name that is no EventKind
         raise ScenarioInvalid(f"scenario does not match the schema: {exc}") from None
-    scenario = Scenario(**fields)
-    validate_scenario(scenario)
-    return scenario
+    return Scenario(**fields)
 
 
 def load_scenario(path: str | Path) -> Scenario:

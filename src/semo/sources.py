@@ -82,7 +82,12 @@ class BatteryHealth(_SourceEnum):
 
 
 BatteryStatus._by_label = {status.label: status for status in BatteryStatus}
-BatteryHealth._by_label = {health.label: health for health in BatteryHealth}
+# The JEITA temperature states, mapped as Android's healthd maps them (BatteryMonitor getBatteryHealth)
+BatteryHealth._by_label = {health.label: health for health in BatteryHealth} | {
+    "hot": BatteryHealth.OVERHEAT,
+    "warm": BatteryHealth.GOOD,
+    "cool": BatteryHealth.GOOD,
+}
 
 
 @dataclass(frozen=True, slots=True)

@@ -24,6 +24,7 @@ from semo import (
 )
 from semo.cli import main
 from semo.recorder import record_to_json
+from semo.simulator import MAX_SAMPLES
 
 from _helpers import make_record, write_source_dir
 
@@ -104,6 +105,15 @@ class TestInspect:
         assert [(w["kind"], w["message"]) for w in payload["warnings"]] == [
             ("UnhealthyBattery", "battery health is unspecified failure")
         ]
+
+    def test_hot_battery_is_unhealthy(self, capsys, tmp_path):
+        # the JEITA state Hot reads as Overheat even when the temperature reading is mild
+        source = write_source_dir(tmp_path / "bat", health="Hot", temp="300")
+        code, out, _ = run_cli(capsys, "inspect", "--json", "--source-root", str(source))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["sample"]["health"] == "Overheat"
+        assert [w["kind"] for w in payload["warnings"]] == ["UnhealthyBattery"]
 
     def test_env_var_source_root(self, capsys, healthy_source, monkeypatch):
         monkeypatch.setenv("SEMO_SOURCE_ROOT", str(healthy_source))
@@ -498,6 +508,18 @@ class TestSimulateCommand:
         log_path = tmp_path / "sim.jsonl"
         code, out, err = run_cli(capsys, "simulate", str(scenario_path), "--out", str(log_path))
         assert (code, out, err) == (1, "", "error: app names must be valid UTF-8 text\n")
+        assert not log_path.exists()
+
+    def test_run_over_the_sample_cap_is_refused_before_the_log_opens(self, capsys, tmp_path):
+        scenario_path = tmp_path / "scenario.json"
+        save_scenario(table1_scenario(), scenario_path)
+        payload = json.loads(scenario_path.read_text())
+        payload["duration_s"] = 10**100  # a 101-digit integer
+        scenario_path.write_text(json.dumps(payload))
+        log_path = tmp_path / "sim.jsonl"
+        code, out, err = run_cli(capsys, "simulate", str(scenario_path), "--out", str(log_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: the run would hold {10**100 // 60 + 1} samples, more than the cap of {MAX_SAMPLES}\n"
         assert not log_path.exists()
 
     def test_pipeline_simulate_then_analyze(self, capsys, tmp_path):

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semo import (
     BatteryStatus,
@@ -21,8 +23,8 @@ from semo import (
     simulate,
     table1_scenario,
 )
-from semo.recorder import record_to_json, write_log
-from semo.simulator import scenario_from_dict, scenario_to_dict
+from semo.recorder import load_log, record_to_json, write_log
+from semo.simulator import MAX_SAMPLES, scenario_from_dict, scenario_to_dict
 
 from _helpers import churn_scenario, random_exact_scenario, segments_to_schedule
 
@@ -214,79 +216,158 @@ class TestConservationAndQuantization:
             assert abs(charge_pct - record.sample.level_pct) <= 1.0
 
 
-class TestValidation:
-    @pytest.mark.parametrize(
-        "overrides",
-        [
-            dict(capacity_mah=0.0),
-            dict(nominal_voltage_mv=0),
-            dict(baseline_mw=-1.0),
-            dict(apps={"x": -5.0}),
-            dict(apps={"": 5.0}),
-            dict(apps={" game": 5.0}),  # the log would strip it and merge it with "game"
-            dict(apps={"game\t": 5.0}),
-            dict(apps={"\ud800": 5.0}),  # a lone surrogate: no log line can hold it
-            dict(duration_s=0),
-            dict(sample_interval_s=0),
-            dict(noise=NoiseModel(sigma_mw=-1.0)),
-            dict(noise=NoiseModel(seed=-1)),
-            dict(initial_level_pct=0.0),
-            dict(initial_level_pct=101.0),
-            dict(apps={"x": float("inf")}),
-            # types are checked, not coerced: a Scenario built in Python meets the JSON file's rules
-            dict(duration_s=3600.5),
-            dict(duration_s=True),
-            dict(duration_s=np.int64(3600)),
-            dict(sample_interval_s=60.0),
-            dict(sample_interval_s=True),
-            dict(nominal_voltage_mv=3700.0),
-            dict(nominal_voltage_mv=True),
-            dict(noise=NoiseModel(seed=2.5)),
-            dict(noise=NoiseModel(seed=True)),
-            dict(capacity_mah=True),
-            dict(capacity_mah="1000"),
-            dict(capacity_mah=10**400),  # an int that no float can hold
-            dict(baseline_mw=True),
-            dict(baseline_mw="370"),
-            dict(apps={"x": True}),
-            dict(apps={"x": "500"}),
-            dict(initial_level_pct=True),
-            dict(initial_level_pct="100"),
-            dict(noise=NoiseModel(sigma_mw="1.5")),
-            dict(apps={"x": 5.0, 7: 5.0}),  # an int name next to a string one
-            # the full charge must be a positive, finite number of µAh
-            dict(nominal_voltage_mv=10**400),
-            dict(capacity_mah=1e308),
-            dict(capacity_mah=5e-324, nominal_voltage_mv=1),  # the full energy underflows to 0
-        ],
+INVALID_OVERRIDES = [
+    dict(capacity_mah=0.0),
+    dict(nominal_voltage_mv=0),
+    dict(baseline_mw=-1.0),
+    dict(apps={"x": -5.0}),
+    dict(apps={"": 5.0}),
+    dict(apps={" game": 5.0}),  # the log would strip it and merge it with "game"
+    dict(apps={"game\t": 5.0}),
+    dict(apps={"\ud800": 5.0}),  # a lone surrogate: no log line can hold it
+    dict(duration_s=0),
+    dict(sample_interval_s=0),
+    dict(noise=NoiseModel(sigma_mw=-1.0)),
+    dict(noise=NoiseModel(seed=-1)),
+    dict(initial_level_pct=0.0),
+    dict(initial_level_pct=101.0),
+    dict(apps={"x": float("inf")}),
+    # types are checked, not coerced: a Scenario built in Python meets the JSON file's rules
+    dict(duration_s=3600.5),
+    dict(duration_s=True),
+    dict(duration_s=np.int64(3600)),
+    dict(sample_interval_s=60.0),
+    dict(sample_interval_s=True),
+    dict(nominal_voltage_mv=3700.0),
+    dict(nominal_voltage_mv=True),
+    dict(noise=NoiseModel(seed=2.5)),
+    dict(noise=NoiseModel(seed=True)),
+    dict(capacity_mah=True),
+    dict(capacity_mah="1000"),
+    dict(capacity_mah=10**400),  # an int that no float can hold
+    dict(baseline_mw=True),
+    dict(baseline_mw="370"),
+    dict(apps={"x": True}),
+    dict(apps={"x": "500"}),
+    dict(initial_level_pct=True),
+    dict(initial_level_pct="100"),
+    dict(noise=NoiseModel(sigma_mw="1.5")),
+    dict(apps={"x": 5.0, 7: 5.0}),  # an int name next to a string one
+    # the full charge must be a positive, finite number of µAh
+    dict(nominal_voltage_mv=10**400),
+    dict(capacity_mah=1e308),
+    dict(capacity_mah=5e-324, nominal_voltage_mv=1),  # the full energy underflows to 0
+]
+
+# each schedule is invalid for a scenario whose only app is "x"
+INVALID_SCHEDULES = [
+    (ScheduleEvent(10, EventKind.START, "ghost"),),
+    (ScheduleEvent(10, EventKind.STOP, "x"),),
+    (
+        ScheduleEvent(10, EventKind.START, "x"),
+        ScheduleEvent(20, EventKind.START, "x"),
+    ),
+    (ScheduleEvent(20, EventKind.START, "x"), ScheduleEvent(10, EventKind.STOP, "x")),
+    (ScheduleEvent(10, EventKind.PLUG_OUT),),
+    (ScheduleEvent(10, EventKind.PLUG_IN), ScheduleEvent(20, EventKind.PLUG_IN)),
+    (ScheduleEvent(-5, EventKind.PLUG_IN),),
+    (ScheduleEvent(10, EventKind.START, None),),
+    (ScheduleEvent(10.5, EventKind.PLUG_IN),),
+    (ScheduleEvent(True, EventKind.PLUG_IN),),
+    (ScheduleEvent(10, "start", "x"),),  # a kind that is not an EventKind
+    (ScheduleEvent(10, EventKind.PLUG_IN, ["x"]),),
+]
+
+NOT_MAPPINGS = [["x"], None, "ab"]
+
+
+@st.composite
+def _small_valid_fields(draw) -> dict:
+    """The fields of a valid scenario: at most 3 apps and at most 3 h at 60 s."""
+    names = draw(st.lists(st.sampled_from(["x", "y", "z"]), unique=True, max_size=3))
+    t, running, plugged, schedule = 0, set(), False, []
+    for dt, name in draw(st.lists(st.tuples(st.integers(0, 1800), st.sampled_from([*names, None])), max_size=8)):
+        t += dt
+        if name is None:  # a plug event
+            schedule.append(ScheduleEvent(t, EventKind.PLUG_OUT if plugged else EventKind.PLUG_IN))
+            plugged = not plugged
+        else:
+            schedule.append(ScheduleEvent(t, EventKind.STOP if name in running else EventKind.START, name))
+            running ^= {name}
+    power = st.floats(0.0, 3000.0)
+    return dict(
+        capacity_mah=draw(st.floats(1.0, 5000.0)),
+        nominal_voltage_mv=draw(st.integers(1000, 4500)),
+        baseline_mw=draw(power),
+        apps={name: draw(power) for name in names},
+        schedule=tuple(schedule),
+        duration_s=draw(st.integers(1, 3 * 3600)),
+        sample_interval_s=60,
+        noise=NoiseModel(sigma_mw=draw(st.floats(0.0, 50.0)), seed=draw(st.integers(0, 2**32))),
+        initial_level_pct=draw(st.floats(1.0, 100.0)),
     )
+
+
+@st.composite
+def _fields_with_replacements(draw) -> dict:
+    """A valid scenario's fields with up to 3 replaced by invalid or other valid values."""
+    fields = draw(_small_valid_fields())
+    replacement = st.one_of(
+        st.sampled_from(INVALID_OVERRIDES),
+        st.sampled_from(INVALID_SCHEDULES).map(lambda schedule: {"schedule": schedule}),
+        st.sampled_from(NOT_MAPPINGS).map(lambda apps: {"apps": apps}),
+        _small_valid_fields().flatmap(lambda valid: st.sampled_from(sorted(valid.items()))).map(lambda kv: dict([kv])),
+    )
+    for override in draw(st.lists(replacement, max_size=3)):
+        fields.update(override)
+    return fields
+
+
+class TestValidation:
+    @pytest.mark.parametrize("overrides", INVALID_OVERRIDES)
     def test_field_invariants(self, overrides):
         with pytest.raises(ScenarioInvalid):
             simulate(baseline_scenario(**overrides))
 
-    @pytest.mark.parametrize(
-        "schedule",
-        [
-            (ScheduleEvent(10, EventKind.START, "ghost"),),
-            (ScheduleEvent(10, EventKind.STOP, "x"),),
-            (
-                ScheduleEvent(10, EventKind.START, "x"),
-                ScheduleEvent(20, EventKind.START, "x"),
-            ),
-            (ScheduleEvent(20, EventKind.START, "x"), ScheduleEvent(10, EventKind.STOP, "x")),
-            (ScheduleEvent(10, EventKind.PLUG_OUT),),
-            (ScheduleEvent(10, EventKind.PLUG_IN), ScheduleEvent(20, EventKind.PLUG_IN)),
-            (ScheduleEvent(-5, EventKind.PLUG_IN),),
-            (ScheduleEvent(10, EventKind.START, None),),
-            (ScheduleEvent(10.5, EventKind.PLUG_IN),),
-            (ScheduleEvent(True, EventKind.PLUG_IN),),
-            (ScheduleEvent(10, "start", "x"),),  # a kind that is not an EventKind
-            (ScheduleEvent(10, EventKind.PLUG_IN, ["x"]),),
-        ],
-    )
+    @pytest.mark.parametrize("schedule", INVALID_SCHEDULES)
     def test_schedule_invariants(self, schedule):
         with pytest.raises(ScenarioInvalid):
             simulate(baseline_scenario(apps={"x": 100.0}, schedule=schedule))
+
+    @pytest.mark.parametrize("apps", NOT_MAPPINGS + [[("x", 5.0)]])  # a list of pairs is refused, not coerced
+    def test_apps_must_be_a_mapping(self, apps):
+        with pytest.raises(ScenarioInvalid, match="^apps must be a mapping of app names to powers: "):
+            baseline_scenario(apps=apps)
+
+    def test_checked_scenario_cannot_change(self):
+        apps = {"x": 100.0}
+        scenario = baseline_scenario(apps=apps, schedule=(ScheduleEvent(10, EventKind.START, "x"),))
+        with pytest.raises(TypeError):
+            scenario.apps["x"] = 1.0
+        apps["x"] = -5.0
+        assert dict(scenario.apps) == {"x": 100.0}
+        with pytest.raises(ScenarioInvalid, match=r"^duration_s must be an integer >= 1: 0$"):
+            replace(scenario, duration_s=0)
+
+    def test_sample_cap(self):
+        message = f"^the run would hold {10**100 // 60 + 1} samples, more than the cap of {MAX_SAMPLES}$"
+        with pytest.raises(ScenarioInvalid, match=message):
+            baseline_scenario(duration_s=10**100)
+        baseline_scenario(duration_s=(MAX_SAMPLES - 1) * 60)  # built only: simulating it would take gigabytes
+        with pytest.raises(ScenarioInvalid, match=f"^the run would hold {MAX_SAMPLES + 1} samples"):
+            baseline_scenario(duration_s=MAX_SAMPLES * 60)
+
+    @settings(max_examples=150, deadline=None)
+    @given(fields=_fields_with_replacements())
+    def test_a_scenario_that_builds_simulates(self, tmp_path_factory, fields):
+        try:
+            scenario = Scenario(**fields)
+        except ScenarioInvalid:
+            return
+        records = simulate(scenario)
+        path = tmp_path_factory.mktemp("log") / "sim.jsonl"
+        write_log(path, records)
+        assert load_log(path) == records
 
 
 class TestTable1:
@@ -345,8 +426,17 @@ class TestScenarioJson:
             ("schedule", [{"t_s": 90, "kind": "start", "app": "x"}], r"scenario schedule\[0\] missing keys: \['event'\]"),
             ("schedule", [["t_s", 90]], r"scenario schedule\[0\] must be a JSON object"),
             ("schedule", {}, "scenario schedule must be a JSON array"),
+            ("apps", ["x", 500.0], r"apps must be a mapping of app names to powers: \['x', 500\.0\]"),
         ],
-        ids=["misspelt-noise-key", "noise-not-object", "extra-entry-key", "missing-entry-key", "entry-not-object", "schedule-not-array"],
+        ids=[
+            "misspelt-noise-key",
+            "noise-not-object",
+            "extra-entry-key",
+            "missing-entry-key",
+            "entry-not-object",
+            "schedule-not-array",
+            "apps-not-object",
+        ],
     )
     def test_nested_shape_rejected(self, key, value, message):
         payload = scenario_to_dict(baseline_scenario(apps={"x": 500.0}))

@@ -67,10 +67,7 @@ class TestReadBatterySample:
     @pytest.mark.parametrize(
         "health",
         [
-            "Warm",
             "Over current",
-            "Hot",
-            "Cool",
             "Watchdog timer expire",
             "Safety timer expire",
             "Calibration required",
@@ -104,6 +101,10 @@ class TestReadBatterySample:
             ("Cold", BatteryHealth.COLD),
             ("Unspecified failure", BatteryHealth.UNSPECIFIED_FAILURE),
             ("Unknown", BatteryHealth.UNKNOWN),
+            # the JEITA temperature states, as Android's healthd maps them
+            ("Hot", BatteryHealth.OVERHEAT),
+            ("Warm", BatteryHealth.GOOD),
+            ("Cool", BatteryHealth.GOOD),
         ],
     )
     def test_every_kernel_spelling_maps_to_its_member(self, text, member):
