@@ -28,9 +28,12 @@ readers are unrestricted.
 
 A record is valid once built: BatterySample refuses an integer field
 that is not exactly an int, a status or health that is not a member, or
-a value out of range, and LogRecord refuses apps that _apps_error
-rejects, each with ValueError.  So every LogRecord has a line the reader
-accepts, and record_to_json, the one serializer, only formats it.
+a value out of range, and LogRecord refuses apps that are neither an
+AppSet nor a tuple that makes one, each with ValueError.  AppSet owns
+the app-name rule, so a record holding one checks no name again, and
+the reader builds one AppSet per distinct apps text.  So every LogRecord
+has a line the reader accepts, and record_to_json, the one serializer,
+only formats it.
 _checked_line, the one step of both LogWriter.append and write_log,
 raises NonMonotonicTimestamp for a timestamp not above the last one
 written, so neither writer leaves a log that load_log or the next
@@ -38,7 +41,7 @@ LogWriter refuses; run_loop skips such a tick.  LogColumns.from_records,
 the way in for records held in memory, refuses records out of order
 with the reader's own test.  An app name must be valid UTF-8 text: a
 JSON escape can spell a lone surrogate ("\\ud800") that no writer can
-encode, so LogRecord and the reader refuse it alike.
+encode, so AppSet refuses it, for LogRecord and the reader alike.
 export_columns_csv writes a log's columns as the CSV of `semo export`,
 spelling status as the log does.
 """
@@ -107,9 +110,9 @@ _CANONICAL_LINE = re.compile(
 class LogRecord:
     """One recorder row: a battery sample plus the apps running at that tick.
 
-    Raises ValueError unless sample is a BatterySample and apps a tuple
-    of sorted, unique, non-empty names without surrounding whitespace,
-    in valid UTF-8 text.
+    Raises ValueError unless sample is a BatterySample and apps an
+    AppSet, or a plain tuple that makes one; such a tuple is stored as
+    its AppSet.  An AppSet is kept as it is, without a check per name.
     """
 
     sample: BatterySample
@@ -118,11 +121,10 @@ class LogRecord:
     def __post_init__(self):
         if not isinstance(self.sample, BatterySample):
             raise ValueError(f"sample must be a BatterySample, got {self.sample!r}")
-        if type(self.apps) is not tuple:
-            raise ValueError(f"apps must be a tuple of strings, got {self.apps!r}")
-        error = _apps_error(list(self.apps))
-        if error is not None:
-            raise ValueError(error)
+        if not isinstance(self.apps, AppSet):
+            if type(self.apps) is not tuple:
+                raise ValueError(f"apps must be a tuple of strings, got {self.apps!r}")
+            object.__setattr__(self, "apps", AppSet(self.apps))
 
 
 @dataclass(frozen=True)
@@ -165,26 +167,6 @@ def _code(code_by_wire: dict[str, int], word) -> int:
     return code_by_wire.get(word, -1) if type(word) is str else -1
 
 
-def _apps_error(apps) -> str | None:
-    """Why a decoded apps field is not an AppSet, or None when it is one."""
-    if type(apps) is not list:
-        return "field apps must be a list of strings"
-    prev = ""  # below every non-empty name
-    for app in apps:
-        if type(app) is not str or not (name := app.strip()):
-            return "app names must be non-empty strings"
-        if app != name:
-            return f"app name {app!r} has surrounding whitespace"
-        if app <= prev:
-            return "apps must be sorted and unique"
-        prev = app
-    try:
-        "".join(apps).encode()
-    except UnicodeEncodeError:  # a lone surrogate, which JSON escapes can spell but UTF-8 cannot
-        return "app names must be valid UTF-8 text"
-    return None
-
-
 def record_from_json(line: str, lineno: int = 1) -> LogRecord:
     """Strictly parse one log line; raises LogParseError on any defect."""
     try:
@@ -208,12 +190,10 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
     if status < 0 or health < 0:
         raise LogParseError(lineno, f"unknown status/health: {payload['status']!r}/{payload['health']!r}")
 
-    apps = payload["apps"]
-    error = _apps_error(apps)
-    if error is not None:
-        raise LogParseError(lineno, error)
-
+    if type(payload["apps"]) is not list:
+        raise LogParseError(lineno, "field apps must be a list of strings")
     try:
+        apps = AppSet(payload["apps"])
         sample = BatterySample(
             ts_ms=payload["ts_ms"],
             level_pct=payload["level_pct"],
@@ -225,7 +205,7 @@ def record_from_json(line: str, lineno: int = 1) -> LogRecord:
         )
     except ValueError as exc:
         raise LogParseError(lineno, str(exc)) from None
-    return LogRecord(sample=sample, apps=tuple(apps))
+    return LogRecord(sample=sample, apps=apps)
 
 
 def _int_column(values) -> np.ndarray:
@@ -284,7 +264,7 @@ class LogColumns:
         return charge.tolist()
 
     def records(self) -> list[LogRecord]:
-        """The LogRecords of the rows; equal app lists share one tuple."""
+        """The LogRecords of the rows; equal app lists share one AppSet."""
         samples = map(
             BatterySample,
             self.ts.tolist(),
@@ -318,7 +298,7 @@ def _concat(parts: list[LogColumns], apps: _AppTable) -> LogColumns:
 class _AppTable:
     """The distinct app lists of one read, each apps text decoded and checked once.
 
-    Equal lists get one id and share one tuple; equal names decoded from
+    Equal lists get one id and share one AppSet; equal names decoded from
     the log share one string.
     """
 
@@ -345,11 +325,10 @@ class _AppTable:
     def _decode(self, text: bytes) -> int:
         try:
             apps = json.loads(text.decode())
-        except (ValueError, RecursionError):  # invalid UTF-8 or JSON
+            # each name is interned as AppSet checks it; only an unhashable name raises TypeError
+            return self.id_of(AppSet(map(self._names.setdefault, apps, apps))) if type(apps) is list else -1
+        except (ValueError, TypeError, RecursionError):  # invalid UTF-8 or JSON; a list that is no AppSet
             return -1
-        if _apps_error(apps) is not None:
-            return -1
-        return self.id_of(tuple(self._names.setdefault(name, name) for name in apps))
 
 
 def _member_codes(members, all_members: tuple) -> np.ndarray:
@@ -622,9 +601,7 @@ class LogWriter:
 
 def sample_once(source, clock=None) -> LogRecord:
     """Combine a battery reading and the app listing at the same tick."""
-    sample = source.read_battery_sample(clock)
-    apps = source.read_running_apps()
-    return LogRecord(sample=sample, apps=apps)
+    return LogRecord(sample=source.read_battery_sample(clock), apps=source.read_running_apps())
 
 
 def run_loop(config: RecorderConfig, source, clock=None, stop: threading.Event | None = None) -> int:

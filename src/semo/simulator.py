@@ -36,8 +36,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ScenarioInvalid
-from .recorder import LogRecord, _apps_error
-from .sources import BatteryHealth, BatterySample, BatteryStatus, make_app_set
+from .recorder import LogRecord
+from .sources import AppSet, BatteryHealth, BatterySample, BatteryStatus, make_app_set
 
 CHARGE_RATE_MW = 5000.0
 SIM_TEMP_DC = 250  # emitted temperature: fixed nominal 25.0 °C
@@ -75,7 +75,8 @@ class Scenario:
     every Scenario can be simulated.  Types are checked, never coerced.
     Integer fields must be exactly int, as in the log: a float, bool or
     numpy integer there makes samples that BatterySample refuses.  Other
-    numbers must be a finite int or float, never a bool.  apps is kept
+    numbers must be a finite int or float, never a bool.  noise must be
+    a NoiseModel and schedule a tuple of ScheduleEvents.  apps is kept
     as a read-only copy, so the check keeps holding.
     """
 
@@ -102,8 +103,14 @@ class Scenario:
         object.__setattr__(self, "apps", MappingProxyType(dict(self.apps)))
         if not all(type(name) is str for name in self.apps):
             bad(f"app names must be strings: {list(self.apps)!r}")
-        if (reason := _apps_error(sorted(self.apps))) is not None:
-            bad(reason)  # the log's own name rule: a name it would rewrite would merge two apps
+        try:
+            AppSet(sorted(self.apps))  # the log's own name rule: a name it would rewrite would merge two apps
+        except ValueError as exc:
+            raise ScenarioInvalid(str(exc)) from None
+        if type(self.noise) is not NoiseModel:
+            bad(f"noise must be a NoiseModel: {self.noise!r}")
+        if type(self.schedule) is not tuple or not all(type(event) is ScheduleEvent for event in self.schedule):
+            bad(f"schedule must be a tuple of ScheduleEvents: {self.schedule!r}")
         integers = (  # (key, value, least value allowed)
             ("nominal_voltage_mv", self.nominal_voltage_mv, 1),
             ("duration_s", self.duration_s, 1),
@@ -182,7 +189,7 @@ def simulate(scenario: Scenario) -> list[LogRecord]:
     events = scenario.schedule
     running: set[str] = set()
     plugged = False
-    apps: tuple[str, ...] = ()
+    apps = AppSet()
     load_mw = scenario.baseline_mw
     seg_start = idx = 0
     records = []

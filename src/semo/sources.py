@@ -23,6 +23,9 @@ FileTreeSource reads each field file whole with os.open, os.read and
 os.close, opening it anew on every read (a file replaced by rename is
 read from its new inode, which a kept descriptor would miss), and
 decodes the bytes as strict UTF-8.
+
+AppSet owns the app-name rule: it refuses names that break it when
+built, so its holders trust it.  make_app_set normalizes raw names into one.
 """
 
 from __future__ import annotations
@@ -39,8 +42,33 @@ from .errors import MalformedField, MissingField
 SOURCE_ROOT_ENV = "SEMO_SOURCE_ROOT"
 DEFAULT_SOURCE_ROOT = Path("/sys/class/power_supply/BAT0")
 
-# Sorted, deduplicated tuple of non-empty application names.
-AppSet = tuple[str, ...]
+
+class AppSet(tuple):
+    """The apps running at one tick: a tuple of names that checks itself when built.
+
+    Names are strings, non-empty, without surrounding whitespace, sorted,
+    unique and valid UTF-8 text (a JSON escape can spell a lone surrogate
+    that no log line can hold); anything else raises ValueError.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, names: Iterable[str] = ()) -> "AppSet":
+        apps = super().__new__(cls, names)
+        prev = ""  # below every non-empty name
+        for app in apps:
+            if type(app) is not str or not (name := app.strip()):
+                raise ValueError("app names must be non-empty strings")
+            if app != name:
+                raise ValueError(f"app name {app!r} has surrounding whitespace")
+            if app <= prev:
+                raise ValueError("apps must be sorted and unique")
+            prev = app
+        try:
+            "".join(apps).encode()
+        except UnicodeEncodeError:
+            raise ValueError("app names must be valid UTF-8 text") from None
+        return apps
 
 
 class _SourceEnum(Enum):
@@ -132,7 +160,7 @@ class BatterySample:
 
 def make_app_set(names: Iterable[str]) -> AppSet:
     """Normalize names into an AppSet: strip, drop empties, dedupe, sort."""
-    return tuple(sorted({name.strip() for name in names} - {""}))
+    return AppSet(sorted({name.strip() for name in names} - {""}))
 
 
 def resolve_source_root(source_root: str | Path | None = None) -> Path:

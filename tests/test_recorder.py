@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semo import (
+    AppSet,
     BatteryHealth,
     BatterySample,
     BatteryStatus,
@@ -130,6 +131,34 @@ class TestARecordTheReaderRejectsIsNeverBuilt:
     def test_sample_must_be_a_battery_sample(self):
         with pytest.raises(ValueError, match=r"^sample must be a BatterySample, got \{'ts_ms': 2000\}$"):
             LogRecord({"ts_ms": 2000}, ("a",))
+
+
+class TestRecordsHoldAppSets:
+    def test_a_tuple_is_stored_as_its_app_set(self):
+        record = LogRecord(GOOD.sample, ("a",))
+        assert type(record.apps) is AppSet and record.apps == ("a",)
+
+    def test_an_app_set_is_kept_as_it_is(self):
+        apps = AppSet(("a", "b"))
+        assert LogRecord(GOOD.sample, apps).apps is apps
+
+    @pytest.mark.parametrize("canonical", [True, False])  # read as columns, or line by line by record_from_json
+    def test_read_records_share_one_app_set_per_set(self, tmp_path, canonical):
+        sets = [("a",), ("a", "b"), (), ("a",), ("a", "b"), ()]
+        records = [make_record(1000 * (i + 1), 80, apps=apps) for i, apps in enumerate(sets)]
+        path = tmp_path / "log.jsonl"
+        if canonical:
+            write_log(path, records)
+        else:  # json.dumps' default spacing is not the canonical form
+            path.write_text("".join(json.dumps(json.loads(record_to_json(r))) + "\n" for r in records))
+        for read in (load_log(path), load_columns(path).records(), LogColumns.from_records(records).records()):
+            assert read == records
+            assert all(type(record.apps) is AppSet for record in read)
+            assert [read[i].apps is read[i + 3].apps for i in range(3)] == [True] * 3
+
+    def test_sample_once_gives_an_app_set(self, tmp_path):
+        record = sample_once(FileTreeSource(write_source_dir(tmp_path)), SimulatedClock(42))
+        assert type(record.apps) is AppSet
 
 
 class TestWritersShareOneCheckedLine:

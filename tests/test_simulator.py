@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semo import (
+    AppSet,
     BatteryStatus,
     EventKind,
     NoiseModel,
@@ -153,6 +154,13 @@ class TestSimulate:
         assert charge[1] - charge[2] == pytest.approx(60 / 3.7 * 1000, abs=1.0)
         assert charge[2] == charge[3] == charge[4]
 
+    def test_records_between_events_share_one_app_set(self):
+        scenario = table1_scenario()
+        records = simulate(scenario)
+        assert all(type(record.apps) is AppSet for record in records)
+        app_events = sum(event.kind in (EventKind.START, EventKind.STOP) for event in scenario.schedule)
+        assert len({id(record.apps) for record in records}) <= app_events + 1
+
 
 class TestConservationAndQuantization:
     def test_energy_conservation_exact_grid(self):
@@ -257,6 +265,12 @@ INVALID_OVERRIDES = [
     dict(nominal_voltage_mv=10**400),
     dict(capacity_mah=1e308),
     dict(capacity_mah=5e-324, nominal_voltage_mv=1),  # the full energy underflows to 0
+    # noise and schedule are exactly the types the JSON path builds
+    dict(noise=None),
+    dict(noise=(3.0, 1)),
+    dict(schedule=None),
+    dict(schedule=(1,)),
+    dict(schedule=[]),  # a list could change after the check
 ]
 
 # each schedule is invalid for a scenario whose only app is "x"

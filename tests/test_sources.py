@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semo import (
+    AppSet,
     BatteryHealth,
     BatteryStatus,
     FileTreeSource,
@@ -351,3 +352,58 @@ class TestSourceRoot:
 
 def test_make_app_set_normalizes():
     assert make_app_set([" b ", "a", "b", ""]) == ("a", "b")
+
+
+# Names of any text but lone surrogates, and a few that differ only in whitespace.
+app_names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3) | st.sampled_from(
+    ["a", "b", " a", "b\t", "\u3000c", ""]
+)
+stripped_names = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3).filter(
+    lambda name: name == name.strip()
+)
+# Lists of any names, and sorted lists of unique ones, which are normalized about one time in four.
+app_name_lists = st.lists(app_names, max_size=4) | st.lists(
+    stripped_names | app_names, max_size=4, unique=True
+).map(sorted)
+
+
+class TestAppSet:
+    @pytest.mark.parametrize(
+        "names, message",
+        [
+            ([""], "app names must be non-empty strings"),
+            (["a", " "], "app names must be non-empty strings"),
+            (["a", 1], "app names must be non-empty strings"),
+            (["a", " b"], "app name ' b' has surrounding whitespace"),
+            (["b", "a"], "apps must be sorted and unique"),
+            (["a", "a"], "apps must be sorted and unique"),
+            (["a", "\ud800"], "app names must be valid UTF-8 text"),
+        ],
+    )
+    def test_each_rule_gives_its_message(self, names, message):
+        with pytest.raises(ValueError) as refused:
+            AppSet(names)
+        assert str(refused.value) == message
+
+    def test_equal_to_its_tuple(self):
+        apps = AppSet(("a", "b"))
+        assert apps == ("a", "b") and hash(apps) == hash(("a", "b"))
+        assert AppSet() == () and type(AppSet()) is AppSet
+        with pytest.raises(AttributeError):
+            apps.extra = 1  # no instance dict: an AppSet is as small as its tuple
+
+    def test_make_app_set_and_the_source_give_an_app_set(self, source_dir):
+        assert type(make_app_set(["b ", "a", "a"])) is AppSet
+        assert type(FileTreeSource(source_dir).read_running_apps()) is AppSet
+
+    @settings(max_examples=300, deadline=None)
+    @given(names=app_name_lists)
+    def test_builds_exactly_when_normalized(self, names):
+        try:
+            apps = AppSet(names)
+        except ValueError:
+            apps = None
+        normalized = list(names) == sorted({name.strip() for name in names} - {""})
+        assert (apps is not None) == normalized
+        if normalized:
+            assert apps == tuple(names) == make_app_set(names)
