@@ -7,15 +7,28 @@ State of charge integrates piecewise between schedule events:
 
 The running set, the plug state and the summed app power change only
 when an event applies; an event at a sample time applies before that
-sample.  eps is one gaussian(0, sigma_mw) value per sampling step, all
-drawn by one call at the start of the run (the same stream as one draw
-per step), so noise enters as power jitter and zero-noise level series
-stay monotone.  Energy is clamped to [0, full] after every piece, plugged
-or not.  A device whose energy reads 0 at a sample time powers off: that
-sample is the log's last, and later events are not simulated.  Emitted
-samples quantize the state exactly like a real device would:
+sample.  The app powers are summed in sorted name order, never in the
+order of a set, which would hang on the string hash seed.  eps is one
+gaussian(0, sigma_mw) value per sampling step, all drawn by one call at
+the start of the run (the same stream as one draw per step), so noise
+enters as power jitter and zero-noise level series stay monotone.
+Energy is clamped to [0, full] after every piece, plugged or not.  A
+device whose energy reads 0 at a sample time powers off: that sample is
+the log's last, and later events are not simulated.  Emitted samples
+quantize the state exactly like a real device would:
 level_pct = floor(100 * E / E_full) and
 charge_uah = round(E / (nominal_voltage_mv/1000) * 1000).
+
+simulate runs in three passes.  A walk over the schedule, one step per
+event, gives runs of samples whose state does not change, and the
+pieces of each step that holds an event strictly inside it.  One array
+of per-step energy changes, -(load + eps) * dt_h or 5000 * dt_h, is then
+summed by np.add.accumulate, which adds left to right: each partial sum
+is the float that adding one step at a time gives, since the same IEEE
+operations run in the same order.  The sum is clamped where it first
+leaves (0, full] and goes on from the clamped value; a step with pieces
+is integrated piece by piece.  A last pass quantizes the energies as
+arrays and builds the records.
 
 Determinism: the gaussian stream is numpy's PCG64 generator seeded from
 the scenario, which is stable across platforms, so equal scenarios give
@@ -30,6 +43,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -63,7 +77,9 @@ class NoiseModel:
     seed: int = 0
 
 
-MAX_SAMPLES = 10_000_000  # the most samples one run may hold: about 2.4 GB of records in simulate
+# the most samples one run may hold: about 2.4 GB of records in simulate, beside its
+# whole-run arrays of about 33 bytes per sample (noise, load, energy change, energy, plug state)
+MAX_SAMPLES = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -75,7 +91,8 @@ class Scenario:
     every Scenario can be simulated.  Types are checked, never coerced.
     Integer fields must be exactly int, as in the log: a float, bool or
     numpy integer there makes samples that BatterySample refuses.  Other
-    numbers must be a finite int or float, never a bool.  noise must be
+    numbers must be a finite int or float, never a bool, and the int
+    baseline and app powers must sum to a float.  noise must be
     a NoiseModel and schedule a tuple of ScheduleEvents.  apps is kept
     as a read-only copy, so the check keeps holding.
     """
@@ -134,6 +151,9 @@ class Scenario:
             # the bound refuses nan, inf and an int that no float can hold
             if not (type(value) in (int, float) and 0 <= value <= sys.float_info.max):
                 bad(f"{key} must be a non-negative finite number: {value!r}")
+        # integer powers sum exactly, and the load they make must still convert to a float
+        if sum(v for v in (self.baseline_mw, *self.apps.values()) if type(v) is int) > sys.float_info.max:
+            bad("baseline_mw and the app powers given as integers must sum to at most the largest float")
         if not 0 < self.full_energy_mwh * 1e6 / self.nominal_voltage_mv < math.inf:  # the full charge in µAh
             bad(f"full charge must be positive and finite: {self.capacity_mah!r} mAh")
         if not 0 < self.initial_level_pct <= 100:
@@ -176,54 +196,136 @@ def _apply_event(event: ScheduleEvent, running: set[str], plugged: bool) -> bool
     return plugged
 
 
-def simulate(scenario: Scenario) -> list[LogRecord]:
-    """Run a scenario and return its sampled log, first sample at t=0."""
-    e_full = scenario.full_energy_mwh
-    energy = e_full * scenario.initial_level_pct / 100.0
-    voltage_mv = scenario.nominal_voltage_mv
+def _walk(scenario: Scenario, n_steps: int) -> tuple[list[tuple], dict[int, list[tuple]]]:
+    """The schedule as runs of samples whose state does not change, and the
+    states inside every step that holds an event strictly inside it.
+
+    runs covers samples 0..n_steps in order with (samples, load_mw,
+    plugged, apps).  pieces maps step k, from sample k - 1 to sample k,
+    to (t_s, load_mw, plugged) entries: the state from t_s on.  An event
+    at a sample time applies before that sample; events after the last
+    sample never apply.
+    """
     interval = scenario.sample_interval_s
-    n_steps = scenario.duration_s // interval
-    rng = np.random.Generator(np.random.PCG64(scenario.noise.seed))
-    # noise[k] jitters the step that ends at sample k; no step ends at t=0
-    noise = [0.0, *rng.normal(0.0, abs(scenario.noise.sigma_mw), n_steps).tolist()]  # numpy refuses -0.0
-    events = scenario.schedule
     running: set[str] = set()
     plugged = False
     apps = AppSet()
     load_mw = scenario.baseline_mw
-    seg_start = idx = 0
-    records = []
-    for k in range(n_steps + 1):
-        t, eps = k * interval, noise[k]
-        # Integrate the step that ends at t piece by piece, applying each event it holds.
-        while True:
-            due = idx < len(events) and events[idx].t_s <= t
-            seg_end = events[idx].t_s if due else t
-            if seg_end > seg_start:
-                rate_mw = CHARGE_RATE_MW if plugged else -(load_mw + eps)
-                energy = min(e_full, max(0.0, energy + rate_mw * ((seg_end - seg_start) / 3600.0)))
-                seg_start = seg_end
-            if not due:
-                break
-            event = events[idx]
-            idx += 1
-            plugged = _apply_event(event, running, plugged)
-            if event.kind in (EventKind.START, EventKind.STOP):
-                apps = make_app_set(running)
-                load_mw = scenario.baseline_mw + sum(scenario.apps[a] for a in running)
-        sample = BatterySample(
-            ts_ms=t * 1000,
-            level_pct=max(0, min(100, math.floor(energy * 100.0 / e_full))),
-            voltage_mv=voltage_mv,
-            temp_dc=SIM_TEMP_DC,
-            charge_uah=round(energy * 1e6 / voltage_mv),
-            status=BatteryStatus.CHARGING if plugged else BatteryStatus.DISCHARGING,
-            health=BatteryHealth.GOOD,
-        )
-        records.append(LogRecord(sample=sample, apps=apps))
-        if energy == 0.0:  # the device powers off: no sample and no event after this one
+    runs: list[tuple] = []
+    pieces: dict[int, list[tuple]] = {}
+    start = 0  # the first sample not yet in a run
+    for event in scenario.schedule:
+        if event.t_s > n_steps * interval:
             break
-    return records
+        k = -(-event.t_s // interval)  # the first sample at or after the event
+        if k > start:
+            runs.append((k - start, load_mw, plugged, apps))
+            start = k
+        inside = event.t_s % interval != 0
+        if inside and k not in pieces:
+            pieces[k] = [((k - 1) * interval, load_mw, plugged)]
+        plugged = _apply_event(event, running, plugged)
+        if event.kind in (EventKind.START, EventKind.STOP):
+            apps = make_app_set(running)
+            # summed in sorted order: a set's order hangs on the string hash seed
+            load_mw = scenario.baseline_mw + sum(scenario.apps[a] for a in apps)
+        if inside:
+            pieces[k].append((event.t_s, load_mw, plugged))
+    runs.append((n_steps + 1 - start, load_mw, plugged, apps))
+    return runs, pieces
+
+
+_FIRST_CHUNK = 64  # steps in the first chunk of a running sum; each clean chunk doubles the next
+
+
+def _first(mask: np.ndarray) -> int:
+    """Index of the first True in a non-empty mask, or its length if none."""
+    i = int(mask.argmax())
+    return i if mask[i] else len(mask)
+
+
+def _integrate(
+    energy0: float, steps: np.ndarray, noise: np.ndarray, pieces: dict, e_full: float, interval: int
+) -> np.ndarray:
+    """Energy at each sample, up to the first that reads 0.
+
+    steps[k - 1] is the change over step k when no event falls inside it;
+    chunks of them are summed by np.add.accumulate, and the first sum
+    above full or at most 0 (or nan) is clamped and summed on from.  At
+    full, steps that add charge are filled in one slice, not summed one
+    restart at a time.  A step in pieces is integrated one piece at a
+    time, with noise[k - 1] as its eps.
+    """
+    energy = np.empty(len(steps) + 1)
+    energy[0] = energy0
+    stops = iter((*pieces, len(steps) + 1))
+    stop = next(stops)
+    k, chunk = 1, _FIRST_CHUNK
+    while k < len(energy) and energy[k - 1] != 0.0:
+        if k == stop:
+            e, eps = float(energy[k - 1]), float(noise[k - 1])
+            states = pieces[k]
+            for (t0, load_mw, plugged), t1 in zip(states, [t for t, _, _ in states[1:]] + [k * interval]):
+                if t1 > t0:
+                    rate_mw = CHARGE_RATE_MW if plugged else -(load_mw + eps)
+                    e = min(e_full, max(0.0, e + rate_mw * ((t1 - t0) / 3600.0)))
+            energy[k] = e
+            k, chunk, stop = k + 1, _FIRST_CHUNK, next(stops)
+            continue
+        end = min(k + chunk, stop)
+        if energy[k - 1] == e_full:
+            held = _first(~(steps[k - 1 : end - 1] >= 0))
+            energy[k : k + held] = e_full
+            k += held
+            if k == end:
+                chunk *= 2
+                continue
+        run = energy[k - 1 : end]
+        run[1:] = steps[k - 1 : end - 1]
+        np.add.accumulate(run, out=run)
+        i = _first(~((run[1:] > 0) & (run[1:] <= e_full)))
+        if i == end - k:
+            k, chunk = end, chunk * 2
+            continue
+        k += i
+        energy[k] = e_full if energy[k] > e_full else 0.0
+        k, chunk = k + 1, _FIRST_CHUNK
+    return energy[:k]
+
+
+def simulate(scenario: Scenario) -> list[LogRecord]:
+    """Run a scenario and return its sampled log, first sample at t=0."""
+    e_full = scenario.full_energy_mwh
+    voltage_mv = scenario.nominal_voltage_mv
+    interval = scenario.sample_interval_s
+    n_steps = scenario.duration_s // interval
+    runs, pieces = _walk(scenario, n_steps)
+    counts, loads, plugs, app_sets = zip(*runs)
+    rng = np.random.Generator(np.random.PCG64(scenario.noise.seed))
+    noise = rng.normal(0.0, abs(scenario.noise.sigma_mw), n_steps)  # numpy refuses -0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
+        # step k, from sample k - 1 to sample k, runs in the state of sample k - 1 and draws noise[k - 1]
+        load_mw = np.repeat(np.array(loads, dtype=float), counts)[:-1]
+        plugged = np.repeat(plugs, counts)[:-1]
+        dt_h = interval / 3600.0
+        steps = np.where(plugged, CHARGE_RATE_MW * dt_h, -(load_mw + noise) * dt_h)
+        energy = _integrate(e_full * scenario.initial_level_pct / 100.0, steps, noise, pieces, e_full, interval)
+        level = np.clip(np.floor(energy * 100.0 / e_full), 0, 100).astype(np.int64).tolist()
+        charge = np.rint(energy * 1e6 / float(voltage_mv))  # rint rounds half to even, as round does
+    charges = list(map(int, charge.tolist()))  # Python ints, so a counter past int64 stays exact
+    statuses = [BatteryStatus.CHARGING if plug else BatteryStatus.DISCHARGING for plug in plugs]
+    step_ms = interval * 1000
+    samples = map(  # map stops at the shortest input: level and charges end at the power-off sample
+        BatterySample,
+        range(0, len(level) * step_ms, step_ms),
+        level,
+        repeat(voltage_mv),
+        repeat(SIM_TEMP_DC),
+        charges,
+        chain.from_iterable(map(repeat, statuses, counts)),
+        repeat(BatteryHealth.GOOD),
+    )
+    return list(map(LogRecord, samples, chain.from_iterable(map(repeat, app_sets, counts))))
 
 
 _TABLE1_POWERS_MW = {

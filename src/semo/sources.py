@@ -159,8 +159,18 @@ class BatterySample:
 
 
 def make_app_set(names: Iterable[str]) -> AppSet:
-    """Normalize names into an AppSet: strip, drop empties, dedupe, sort."""
-    return AppSet(sorted({name.strip() for name in names} - {""}))
+    """Normalize names into an AppSet: strip, drop empties, dedupe, sort.
+
+    A bare string, which would iterate as its letters, and a name that is
+    not a string raise ValueError.
+    """
+    if isinstance(names, str):
+        raise ValueError(f"app names must be an iterable of strings, got {names!r}")
+    try:
+        stripped = {str.strip(name) for name in names}
+    except TypeError:  # a name that is not a string, or names that do not iterate
+        raise ValueError(f"app names must be an iterable of strings, got {names!r}") from None
+    return AppSet(sorted(stripped - {""}))
 
 
 def resolve_source_root(source_root: str | Path | None = None) -> Path:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from semo import (
+    AppSet,
     BatteryHealth,
     BatterySample,
     BatteryStatus,
@@ -20,6 +21,7 @@ from semo import (
     ScheduleEvent,
     make_app_set,
 )
+from semo.simulator import CHARGE_RATE_MW, SIM_TEMP_DC
 
 
 def make_sample(
@@ -238,3 +240,60 @@ def churn_scenario(n_records: int, n_apps: int, seed: int, capacity_share: float
     truth = {name: power / e_full * 100.0 for name, power in powers.items()}
     truth["baseline"] = baseline / e_full * 100.0
     return scenario, truth
+
+
+def reference_simulate(scenario: Scenario) -> list[LogRecord]:
+    """simulate, one step at a time: the scalar loop that simulate's array
+    passes must match float for float.
+
+    Each step from one sample to the next is integrated piece by piece,
+    applying each event it holds; the app powers are summed in sorted
+    order, as simulate sums them.
+    """
+    e_full = scenario.full_energy_mwh
+    energy = e_full * scenario.initial_level_pct / 100.0
+    voltage_mv = scenario.nominal_voltage_mv
+    interval = scenario.sample_interval_s
+    n_steps = scenario.duration_s // interval
+    rng = np.random.Generator(np.random.PCG64(scenario.noise.seed))
+    # noise[k] jitters the step that ends at sample k; no step ends at t=0
+    noise = [0.0, *rng.normal(0.0, abs(scenario.noise.sigma_mw), n_steps).tolist()]
+    events = scenario.schedule
+    running: set[str] = set()
+    plugged = False
+    apps = AppSet()
+    load_mw = scenario.baseline_mw
+    seg_start = idx = 0
+    records = []
+    for k in range(n_steps + 1):
+        t, eps = k * interval, noise[k]
+        while True:
+            due = idx < len(events) and events[idx].t_s <= t
+            seg_end = events[idx].t_s if due else t
+            if seg_end > seg_start:
+                rate_mw = CHARGE_RATE_MW if plugged else -(load_mw + eps)
+                energy = min(e_full, max(0.0, energy + rate_mw * ((seg_end - seg_start) / 3600.0)))
+                seg_start = seg_end
+            if not due:
+                break
+            event = events[idx]
+            idx += 1
+            if event.kind in (EventKind.START, EventKind.STOP):  # a Scenario's schedule is valid
+                running ^= {event.app}
+                apps = make_app_set(running)
+                load_mw = scenario.baseline_mw + sum(scenario.apps[a] for a in apps)
+            else:
+                plugged = event.kind is EventKind.PLUG_IN
+        sample = BatterySample(
+            ts_ms=t * 1000,
+            level_pct=max(0, min(100, math.floor(energy * 100.0 / e_full))),
+            voltage_mv=voltage_mv,
+            temp_dc=SIM_TEMP_DC,
+            charge_uah=round(energy * 1e6 / voltage_mv),
+            status=BatteryStatus.CHARGING if plugged else BatteryStatus.DISCHARGING,
+            health=BatteryHealth.GOOD,
+        )
+        records.append(LogRecord(sample=sample, apps=apps))
+        if energy == 0.0:  # the device powers off: no sample and no event after this one
+            break
+    return records

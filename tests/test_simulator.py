@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -27,7 +30,7 @@ from semo import (
 from semo.recorder import load_log, record_to_json, write_log
 from semo.simulator import MAX_SAMPLES, scenario_from_dict, scenario_to_dict
 
-from _helpers import churn_scenario, random_exact_scenario, segments_to_schedule
+from _helpers import churn_scenario, random_exact_scenario, reference_simulate, segments_to_schedule
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -271,6 +274,7 @@ INVALID_OVERRIDES = [
     dict(schedule=None),
     dict(schedule=(1,)),
     dict(schedule=[]),  # a list could change after the check
+    dict(baseline_mw=0, apps={"a": 10**308, "b": 10**308}),  # an exact int load that no float can hold
 ]
 
 # each schedule is invalid for a scenario whose only app is "x"
@@ -585,9 +589,42 @@ def _mixed_scenario() -> Scenario:
     )
 
 
+def _noisy_scenario() -> Scenario:
+    """Noise, a start below 100 %, events inside steps, hours held at full
+    while charging, and a drain to power-off before the schedule ends.
+
+    At most two apps run at once, so the summed power does not depend on
+    the order of the sum.
+    """
+    ev = ScheduleEvent
+    schedule = (
+        ev(0, EventKind.START, "c"),
+        ev(130, EventKind.START, "a"),
+        ev(1000, EventKind.PLUG_IN),
+        ev(1000, EventKind.STOP, "c"),
+        ev(14417, EventKind.PLUG_OUT),
+        ev(14417, EventKind.START, "b"),
+        ev(15000, EventKind.STOP, "a"),
+        ev(15001, EventKind.START, "c"),
+        ev(20000, EventKind.STOP, "b"),
+    )
+    return Scenario(
+        capacity_mah=300.0,
+        nominal_voltage_mv=3800,
+        baseline_mw=90.5,
+        apps={"a": 412.3, "b": 1250.7, "c": 77.7},
+        schedule=schedule,
+        duration_s=28800,
+        sample_interval_s=60,
+        noise=NoiseModel(sigma_mw=35.0, seed=7),
+        initial_level_pct=64.2,
+    )
+
+
 class TestPinnedLogs:
-    """sha256 of the written log of noise-free scenarios: any change to the
-    integration, the event order or the quantization changes these bytes."""
+    """sha256 of the written log of fixed scenarios: any change to the
+    integration, the noise stream, the event order or the quantization
+    changes these bytes."""
 
     @pytest.mark.parametrize(
         "make, digest",
@@ -598,10 +635,130 @@ class TestPinnedLogs:
                 "d7354801a548316a8fc26a70c714fc31ee4ce7a67b8e5673aa91b0f5a01aff54",
             ),
             (_mixed_scenario, "b7cfd33a441f6b57972b4c43861cfeca37d7d29643696526627d2cd4d5be57ee"),
+            (_noisy_scenario, "1fc2b4533848789ea03af2faa52af38123873eba20608904c75a00f78fc426c0"),
         ],
-        ids=["table1", "churn-70pct", "mixed"],
+        ids=["table1", "churn-70pct", "mixed", "noisy"],
     )
     def test_log_bytes_pinned(self, tmp_path, make, digest):
         path = tmp_path / "log.jsonl"
         write_log(path, simulate(make()))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_noisy_log_holds_at_full_and_powers_off(self):
+        records = simulate(scenario := _noisy_scenario())
+        full_uah = round(scenario.full_energy_mwh * 1e6 / scenario.nominal_voltage_mv)
+        held = [r for r in records if r.sample.status is BatteryStatus.CHARGING and r.sample.charge_uah == full_uah]
+        assert len(held) >= 3 * 60  # three hours of samples at full while charging
+        assert records[-1].sample.charge_uah == 0 < records[-1].sample.ts_ms < scenario.duration_s * 1000
+
+
+def _random_noisy_scenario(rng: np.random.Generator) -> Scenario:
+    """A short random run: noise up to far above the baseline, events inside
+    steps, plug cycles, a start below full and a capacity that may run empty.
+
+    Half the runs scale every power and the capacity by 1e15, so the µAh
+    counter passes 2**53 and prints every bit of the energy: one ulp of
+    difference shows in the log.
+    """
+    scale = float(rng.choice([1.0, 1e15]))
+    names = [f"app{i}" for i in range(int(rng.integers(1, 5)))]
+    powers = {name: scale * float(rng.uniform(1.0, 900.0)) for name in names}
+    baseline = scale * float(rng.uniform(0.0, 200.0))
+    interval = int(rng.choice([1, 7, 60, 61]))
+    duration_s = int(rng.integers(1, 150)) * interval + int(rng.integers(0, interval))
+    events = []
+    running: set[str] = set()
+    plugged = False
+    t = 0
+    for _ in range(int(rng.integers(0, 16))):
+        t += int(rng.choice([0, 1, interval, int(rng.integers(1, 4 * interval + 1))]))
+        if rng.random() < 0.3:
+            events.append(ScheduleEvent(t, EventKind.PLUG_OUT if plugged else EventKind.PLUG_IN))
+            plugged = not plugged
+        else:
+            app = names[int(rng.integers(len(names)))]
+            events.append(ScheduleEvent(t, EventKind.STOP if app in running else EventKind.START, app))
+            running ^= {app}
+    need_mwh = (baseline + sum(powers.values())) * duration_s / 3600.0
+    sigma_mw = float(rng.choice([0.0, 10.0 * scale, 50.0 * baseline + 100.0]))
+    return Scenario(
+        capacity_mah=need_mwh * float(rng.choice([0.1, 1.0, 5.0])) / 3.7 + 0.01 * scale,
+        nominal_voltage_mv=3700,
+        baseline_mw=baseline,
+        apps=powers,
+        schedule=tuple(events),
+        duration_s=duration_s,
+        sample_interval_s=interval,
+        noise=NoiseModel(sigma_mw=sigma_mw, seed=int(rng.integers(1000))),
+        initial_level_pct=float(rng.choice([100.0, rng.uniform(1.0, 100.0)])),
+    )
+
+
+class TestAgreesWithReference:
+    """simulate's array passes give the bytes of the scalar step loop."""
+
+    def test_random_noisy_scenarios(self, tmp_path):
+        rng = np.random.default_rng(2011)
+        ran_empty = split_steps = clamped_at_full = 0
+        for i in range(300):
+            scenario = _random_noisy_scenario(rng)
+            expected = reference_simulate(scenario)
+            write_log(tmp_path / "fast.jsonl", simulate(scenario))
+            write_log(tmp_path / "reference.jsonl", expected)
+            assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes(), i
+            interval, last_t = scenario.sample_interval_s, expected[-1].sample.ts_ms // 1000
+            ran_empty += expected[-1].sample.charge_uah == 0
+            split_steps += any(e.t_s % interval and e.t_s < last_t for e in scenario.schedule)
+            full_uah = round(scenario.full_energy_mwh * 1e6 / scenario.nominal_voltage_mv)
+            unplugged = [r.sample for r in expected[1:] if r.sample.status is BatteryStatus.DISCHARGING]
+            at_full = sum(sample.charge_uah == full_uah for sample in unplugged)
+            clamped_at_full += at_full >= 2 and scenario.noise.sigma_mw > 10 * scenario.baseline_mw
+        # the cases the array passes treat apart all occur
+        assert min(ran_empty, split_steps, clamped_at_full) >= 20, (ran_empty, split_steps, clamped_at_full)
+
+    @pytest.mark.parametrize("off_at", [1, 63, 64, 65, 200])
+    def test_powers_off_where_the_sum_lands_on_zero(self, off_at):
+        # 1 mW for 1 h is exactly 1 mWh, so the energy reaches 0.0 at sample off_at with no clamp
+        scenario = baseline_scenario(
+            capacity_mah=float(off_at),
+            nominal_voltage_mv=1000,
+            baseline_mw=1.0,
+            schedule=(ScheduleEvent((off_at + 5) * 3600 + 1800, EventKind.PLUG_IN),),
+            duration_s=300 * 3600,
+            sample_interval_s=3600,
+        )
+        records = simulate(scenario)
+        assert records == reference_simulate(scenario)
+        assert len(records) == off_at + 1 and records[-1].sample.charge_uah == 0 < records[-2].sample.charge_uah
+
+
+def _hash_seed_scenario() -> Scenario:
+    """Three app powers whose float sum depends on the order of the sum: summed
+    in one order they empty the battery in exactly 3 h, in another not."""
+    return Scenario(
+        capacity_mah=0.6000000000000001,
+        nominal_voltage_mv=1000,
+        baseline_mw=0.0,
+        apps={"a": 0.1, "b": 0.2, "c": 0.3},
+        schedule=tuple(ScheduleEvent(0, EventKind.START, app) for app in "abc"),
+        duration_s=10800,
+        sample_interval_s=3600,
+    )
+
+
+def test_log_does_not_depend_on_the_string_hash_seed(tmp_path):
+    scenario_path = tmp_path / "scenario.json"
+    save_scenario(_hash_seed_scenario(), scenario_path)
+    logs = set()
+    for hash_seed in ("0", "2", "5"):  # hash seeds under which a set of these names iterates in different orders
+        out = tmp_path / f"log{hash_seed}.jsonl"
+        proc = subprocess.run(
+            [sys.executable, "-m", "semo", "simulate", str(scenario_path), "--out", str(out)],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            capture_output=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        logs.add(out.read_bytes())
+    write_log(tmp_path / "here.jsonl", simulate(_hash_seed_scenario()))
+    assert logs == {(tmp_path / "here.jsonl").read_bytes()}

@@ -354,6 +354,24 @@ def test_make_app_set_normalizes():
     assert make_app_set([" b ", "a", "b", ""]) == ("a", "b")
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        ("browser", "app names must be an iterable of strings, got 'browser'"),
+        ("", "app names must be an iterable of strings, got ''"),
+        ([1], "app names must be an iterable of strings, got [1]"),
+        (("a", None), "app names must be an iterable of strings, got ('a', None)"),
+        ([b"a"], "app names must be an iterable of strings, got [b'a']"),
+        (5, "app names must be an iterable of strings, got 5"),
+    ],
+    ids=["string", "empty-string", "int", "none", "bytes", "no-iterable"],
+)
+def test_make_app_set_refuses_what_is_not_names(names, message):
+    with pytest.raises(ValueError) as refused:
+        make_app_set(names)
+    assert str(refused.value) == message
+
+
 # Names of any text but lone surrogates, and a few that differ only in whitespace.
 app_names = st.text(st.characters(blacklist_categories=("Cs",)), max_size=3) | st.sampled_from(
     ["a", "b", " a", "b\t", "\u3000c", ""]
