@@ -14,6 +14,10 @@ The intervals are computed on the log's columns (recorder.LogColumns):
 pair masks, counter and level drops, censoring and run boundaries are
 array operations, and only each run's drops are summed one by one, in
 pair order, so every interval is bit-identical to a pair-by-pair loop.
+App sets stay the reader's arrays of name ids up to the solver: the
+grouping fills its incidence with one index assignment, and the app
+universe is the ids of the discharging rows' sets, so no name of a set
+is walked one by one in Python on the way from log to result.
 attribute and build_intervals build those columns from records with
 recorder.LogColumns.from_records, which refuses records out of order;
 `semo analyze` reads them from the log with recorder.load_columns.  The
@@ -251,8 +255,10 @@ class Grouping:
 
     design column 0 is the always-on baseline; column j+1 marks the rows,
     one per interval (merge_identifiability_groups) or per distinct active
-    set (_grouping), where groups[j] was active.  inseparable holds apps
-    active in every interval; unobserved holds apps never active in any.
+    set (_grouping, which takes each set as its name ids), where groups[j]
+    was active.  groups are in the order of their first names.
+    inseparable holds apps active in every interval; unobserved holds
+    apps never active in any.
     """
 
     design: np.ndarray
@@ -269,40 +275,45 @@ def merge_identifiability_groups(intervals, all_apps=None) -> Grouping:
     intervals = list(intervals)
     if not intervals:
         raise TooFewSamples("no intervals to group")
-    ids: dict[AppSet, int] = {}
-    rows = np.fromiter((ids.setdefault(iv.active, len(ids)) for iv in intervals), np.intp, len(intervals))
-    grouping = _grouping(list(ids), all_apps)
+    sets: dict[AppSet, int] = {}
+    rows = np.fromiter((sets.setdefault(iv.active, len(sets)) for iv in intervals), np.intp, len(intervals))
+    names = sorted({name for apps in sets for name in apps})
+    index = {name: j for j, name in enumerate(names)}
+    ids = [np.fromiter(map(index.__getitem__, apps), np.int32, len(apps)) for apps in sets]
+    grouping = _grouping(names, ids, all_apps)
     return replace(grouping, design=grouping.design[rows])
 
 
-def _grouping(app_sets: list[AppSet], all_apps=None) -> Grouping:
-    """Grouping with one design row per set of app_sets, the intervals' distinct active sets.
+def _grouping(names: list[str], sets: list[np.ndarray], all_apps=None) -> Grouping:
+    """Grouping with one design row per array of sets, the intervals' distinct active sets.
 
-    Apps with equal columns in the sets x apps incidence, so over the intervals, form one group.
+    Each array holds the set's name ids, indices into names.  Apps with
+    equal columns in the sets x names incidence, so over the intervals,
+    form one group.
     """
-    seen = sorted({name for apps in app_sets for name in apps})
-    index = {name: j for j, name in enumerate(seen)}
-    incidence = np.zeros((len(app_sets), len(seen)), dtype=bool)
-    set_rows = np.repeat(np.arange(len(app_sets)), [len(apps) for apps in app_sets])
-    cols = np.fromiter((index[name] for apps in app_sets for name in apps), dtype=np.intp, count=set_rows.size)
-    incidence[set_rows, cols] = True
+    incidence = np.zeros((len(sets), len(names)), dtype=bool)
+    incidence[np.repeat(np.arange(len(sets)), [len(ids) for ids in sets]), np.concatenate(sets)] = True
+    seen = sorted(np.flatnonzero(incidence.any(axis=0)).tolist(), key=names.__getitem__)
 
-    patterns: dict[bytes, list[str]] = {}
+    patterns: dict[bytes, list[int]] = {}
     always_on: list[str] = []
-    for name, column in zip(seen, incidence.T):
+    for j in seen:
+        column = incidence[:, j]
         if column.all():
-            always_on.append(name)
+            always_on.append(names[j])
         else:
-            patterns.setdefault(column.tobytes(), []).append(name)
-    ranked = sorted((make_app_set(apps), index[apps[0]]) for apps in patterns.values())
-    groups = tuple(group for group, _ in ranked)
+            patterns.setdefault(column.tobytes(), []).append(j)
+    # Groups are disjoint, so their order is that of their first names.
+    ranked = sorted(patterns.values(), key=lambda group: names[group[0]])
+    groups = tuple(AppSet(map(names.__getitem__, group)) for group in ranked)
 
-    design = np.ones((len(app_sets), len(groups) + 1))
-    design[:, 1:] = incidence[:, np.array([j for _, j in ranked], dtype=np.intp)]
+    design = np.ones((len(sets), len(groups) + 1))
+    design[:, 1:] = incidence[:, np.array([group[0] for group in ranked], dtype=np.intp)]
 
-    universe = set(all_apps) if all_apps is not None else set(seen)
-    unobserved = make_app_set(universe - set(seen))
-    return Grouping(design=design, groups=groups, inseparable=make_app_set(always_on), unobserved=unobserved)
+    seen_names = set(map(names.__getitem__, seen))
+    universe = set(all_apps) if all_apps is not None else seen_names
+    unobserved = make_app_set(universe - seen_names)
+    return Grouping(design=design, groups=groups, inseparable=AppSet(always_on), unobserved=unobserved)
 
 
 def attribute(records, use_charge_counter: str = "auto") -> AttributionResult:
@@ -321,10 +332,13 @@ def attribute(records, use_charge_counter: str = "auto") -> AttributionResult:
 def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> AttributionResult:
     """attribute on a log's columns, as load_columns gives them; ts must increase strictly."""
     found = _discharge_intervals(columns, check_charge_counter_mode(use_charge_counter))
+    names, sets = columns.app_names, columns.app_ids
+    discharging = np.zeros(len(names), dtype=bool)
     discharging_sets = np.unique(columns.apps[columns.status == _DISCHARGING]).tolist()
-    universe = {name for i in discharging_sets for name in columns.app_sets[i]}
+    discharging[np.concatenate([sets[i] for i in discharging_sets])] = True
+    universe = set(map(names.__getitem__, np.flatnonzero(discharging).tolist()))
     used, rows = np.unique(found.apps, return_inverse=True)
-    grouping = _grouping([columns.app_sets[i] for i in used.tolist()], all_apps=universe)
+    grouping = _grouping(names, [sets[i] for i in used.tolist()], all_apps=universe)
 
     # A set's intervals, of summed duration W and drop D, add W (D/W - x beta)^2 + const.
     w = np.asarray((found.end - found.start) / MS_PER_HOUR, dtype=float)

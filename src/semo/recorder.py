@@ -15,14 +15,18 @@ whitespace, integers in JSON's own grammar spelled with ASCII digits and
 at most 18 of them, so that every value fits in int64 and so does the
 difference of any two.  Whole columns are then checked with numpy
 against the rules record_from_json applies (the BatterySample ranges,
-known status and health), each distinct apps text is decoded and checked
-once, and the timestamps must increase strictly, across blocks too.  A
-block holding a line the pattern leaves out (other spacing or key order,
-escapes, longer integers) or a line that fails a check is read again
-line by line by record_from_json, so each line yields the record, or
-raises the error, that record_from_json gives it: that function stays
-the one validator.  A record counts only once its newline is written, so an unterminated final line, left by a write that
-power loss cut short, is ignored with a warning.  The writer holds an
+known status and health), and the timestamps must increase strictly,
+across blocks too.  App lists are kept as int32 arrays of name ids into
+one name table per read: each distinct apps text is decoded once by
+json.loads, each distinct name is checked once by AppSet, and "sorted
+and unique" is checked for all of a block's new lists at once on the
+names' ranks in sort order.  A block holding a line the pattern leaves
+out (other spacing or key order, escapes, longer integers) or a line
+that fails a check is read again line by line by record_from_json, so
+each line yields the record, or raises the error, that record_from_json
+gives it: that function stays the one validator.  A record counts only
+once its newline is written, so an unterminated final line, left by a
+write that power loss cut short, is ignored with a warning.  The writer holds an
 advisory exclusive lock so at most one recorder owns a log at a time;
 readers are unrestricted.
 
@@ -30,8 +34,10 @@ A record is valid once built: BatterySample refuses an integer field
 that is not exactly an int, a status or health that is not a member, or
 a value out of range, and LogRecord refuses apps that are neither an
 AppSet nor a tuple that makes one, each with ValueError.  AppSet owns
-the app-name rule, so a record holding one checks no name again, and
-the reader builds one AppSet per distinct apps text.  So every LogRecord
+the app-name rule, so a record holding one checks no name again.
+LogColumns builds one AppSet per distinct list, from its name ids, only
+when records, the export or the intervals ask for them; `semo analyze`
+and `semo curve` build none.  So every LogRecord
 has a line the reader accepts, and record_to_json, the one serializer,
 only formats it.
 _checked_line, the one step of both LogWriter.append and write_log,
@@ -50,7 +56,9 @@ from __future__ import annotations
 
 import collections
 import csv
+import functools
 import io
+import itertools
 import json
 import logging
 import os
@@ -226,8 +234,11 @@ class LogColumns:
     ts, level, voltage, temp and charge are int64, or object columns of
     Python ints when a value does not fit in int64; charge holds 0 where
     charge_null is set.  status and health hold codes, indices into
-    STATUSES and HEALTHS.  apps holds ids, indices into app_sets, which
-    lists each distinct app list once, so equal lists have equal ids.
+    STATUSES and HEALTHS.  apps holds set ids, indices into app_ids,
+    which lists each distinct app list once as an int32 array of name
+    ids, indices into app_names, in the list's order; so equal lists have
+    equal set ids, and equal names equal name ids.  app_sets, the lists
+    as AppSets, is built when first asked for.
     """
 
     ts: np.ndarray
@@ -239,10 +250,16 @@ class LogColumns:
     status: np.ndarray
     health: np.ndarray
     apps: np.ndarray
-    app_sets: list[AppSet]
+    app_names: list[str]
+    app_ids: list[np.ndarray]
 
     def __len__(self) -> int:
         return len(self.ts)
+
+    @functools.cached_property
+    def app_sets(self) -> list[AppSet]:
+        """Each list of app_ids as an AppSet of its names."""
+        return [AppSet(map(self.app_names.__getitem__, ids.tolist())) for ids in self.app_ids]
 
     @classmethod
     def from_records(cls, records) -> "LogColumns":
@@ -292,43 +309,89 @@ def _concat(parts: list[LogColumns], apps: _AppTable) -> LogColumns:
     if not parts:
         return _columns_of_records([], apps)
     columns = {name: np.concatenate([getattr(part, name) for part in parts]) for name in _COLUMNS}
-    return LogColumns(**columns, app_sets=apps.sets)
+    return LogColumns(**columns, app_names=apps.names, app_ids=apps.sets)
+
+
+def _json_list(text: bytes) -> list | None:
+    """The list an apps text spells in JSON, or None where it spells none."""
+    try:
+        apps = json.loads(text.decode())
+    except (ValueError, RecursionError):  # invalid UTF-8 or JSON; nesting too deep
+        return None
+    return apps if type(apps) is list else None
 
 
 class _AppTable:
-    """The distinct app lists of one read, each apps text decoded and checked once.
+    """The distinct app lists of one read, as int32 arrays of name ids.
 
-    Equal lists get one id and share one AppSet; equal names decoded from
-    the log share one string.
+    names is the one name table: equal names share one id and one
+    string.  sets holds each distinct list once, so equal lists share one
+    set id.  Each distinct apps text is decoded once, and each distinct
+    name checked once against the app-name rule, by AppSet itself.
     """
 
     def __init__(self):
-        self.sets: list[AppSet] = []
-        self._ids: dict[AppSet, int] = {}
-        self._names: dict[str, str] = {}
+        self.names: list[str] = []
+        self.sets: list[np.ndarray] = []
+        self._name_ids: dict = {}  # each decoded name, or other JSON value, to its id; -1 where it is no app name
+        self._set_ids: dict[bytes, int] = {}
         self._text_ids: dict[bytes, int] = {}
 
-    def id_of(self, apps: AppSet) -> int:
-        found = self._ids.get(apps)
-        if found is None:
-            found = self._ids[apps] = len(self.sets)
-            self.sets.append(apps)
-        return found
-
     def text_ids(self, texts) -> np.ndarray:
-        """The id of each apps text, or -1 where it is not a valid apps list."""
-        for text in dict.fromkeys(texts):
-            if text not in self._text_ids:
-                self._text_ids[text] = self._decode(text)
+        """The set id of each apps text, or -1 where it is not a valid apps list."""
+        new = [text for text in dict.fromkeys(texts) if text not in self._text_ids]
+        self._text_ids.update(zip(new, self.list_ids(list(map(_json_list, new)))))
         return np.fromiter(map(self._text_ids.__getitem__, texts), np.intp, len(texts))
 
-    def _decode(self, text: bytes) -> int:
+    def list_ids(self, lists: list) -> list[int]:
+        """The set id of each list or tuple of names (None for none), or -1 where it is no AppSet.
+
+        A list is one when each of its names is one and the names are
+        sorted and unique: checked for all lists at once on the names'
+        ranks in sort order.
+        """
         try:
-            apps = json.loads(text.decode())
-            # each name is interned as AppSet checks it; only an unhashable name raises TypeError
-            return self.id_of(AppSet(map(self._names.setdefault, apps, apps))) if type(apps) is list else -1
-        except (ValueError, TypeError, RecursionError):  # invalid UTF-8 or JSON; a list that is no AppSet
-            return -1
+            values = set(itertools.chain.from_iterable(filter(None, lists)))
+        except TypeError:  # a JSON array or object among the names: its list is no AppSet
+            nested = [apps is not None and any(type(name) in (list, dict) for name in apps) for apps in lists]
+            return self.list_ids([None if drop else apps for apps, drop in zip(lists, nested)])
+        self._add_names(values.difference(self._name_ids))
+        lengths = [0 if apps is None else len(apps) for apps in lists]
+        flat = itertools.chain.from_iterable(filter(None, lists))
+        ids = np.fromiter(map(self._name_ids.__getitem__, flat), np.int32, sum(lengths))
+        owner = np.repeat(np.arange(len(lists)), lengths)
+        # Rank the names met here in sort order; a -1 id reads the spare last slot.
+        met = np.zeros(len(self.names) + 1, dtype=bool)
+        met[ids] = True
+        by_name = sorted(np.flatnonzero(met[:-1]).tolist(), key=self.names.__getitem__)
+        rank = np.zeros(len(met), np.int32)
+        rank[by_name] = np.arange(len(by_name))
+        ranks = rank[ids]
+        bad = np.array([apps is None for apps in lists], dtype=bool)
+        bad[owner[ids < 0]] = True
+        bad[owner[1:][(ranks[1:] <= ranks[:-1]) & (owner[1:] == owner[:-1])]] = True
+        ends = np.cumsum(lengths).tolist()
+        return [
+            -1 if is_bad else self._set_id(ids[end - length : end])
+            for is_bad, end, length in zip(bad.tolist(), ends, lengths)
+        ]
+
+    def _add_names(self, fresh) -> None:
+        """Give each value of fresh, not yet in the table, its name id, or -1 where AppSet refuses it."""
+        for name in fresh:
+            try:
+                AppSet((name,))
+            except ValueError:
+                self._name_ids[name] = -1
+            else:
+                self._name_ids[name] = len(self.names)
+                self.names.append(name)
+
+    def _set_id(self, ids: np.ndarray) -> int:
+        found = self._set_ids.setdefault(ids.tobytes(), len(self.sets))
+        if found == len(self.sets):
+            self.sets.append(ids)
+        return found
 
 
 def _member_codes(members, all_members: tuple) -> np.ndarray:
@@ -354,7 +417,8 @@ def _columns_of_records(records: list, apps: _AppTable) -> LogColumns:
     status = _member_codes([s.status for s in samples], STATUSES)
     health = _member_codes([s.health for s in samples], HEALTHS)
     app_lists = [record.apps for record in records]
-    ids = {app_list: apps.id_of(app_list) for app_list in dict.fromkeys(app_lists)}
+    distinct = list(dict.fromkeys(app_lists))
+    ids = dict(zip(distinct, apps.list_ids(distinct)))
     return LogColumns(
         ts=_int_column(ts),
         level=_int_column(level),
@@ -365,7 +429,8 @@ def _columns_of_records(records: list, apps: _AppTable) -> LogColumns:
         status=status,
         health=health,
         apps=np.array(list(map(ids.__getitem__, app_lists)), dtype=np.intp),
-        app_sets=apps.sets,
+        app_names=apps.names,
+        app_ids=apps.sets,
     )
 
 
@@ -399,7 +464,8 @@ def _columns_of_lines(rows: list[tuple], apps: _AppTable) -> LogColumns:
         status=_codes(status, _STATUS_CODE_BY_WIRE),
         health=_codes(health, _HEALTH_CODE_BY_WIRE),
         apps=apps.text_ids(app_texts),
-        app_sets=apps.sets,
+        app_names=apps.names,
+        app_ids=apps.sets,
     )
 
 

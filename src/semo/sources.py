@@ -12,7 +12,10 @@ Source directory layout (single line each, trailing newline optional):
     charge_now    integer microampere-hours (optional file)
     status        "Charging" | "Discharging" | "Full" | "Not charging" | other
     health        "Good" | "Overheat" | "Dead" | "Over voltage" | "Cold" |
-                  "Unspecified failure" | other
+                  "Unspecified failure" | "Hot" | "Warm" | "Cool" |
+                  "Over current" | "Watchdog timer expire" |
+                  "Safety timer expire" | "Calibration required" |
+                  "No battery" | other
     running_apps  one application name per line
 
 Status and health match a member's label ("not charging"), ignoring case;
@@ -110,11 +113,18 @@ class BatteryHealth(_SourceEnum):
 
 
 BatteryStatus._by_label = {status.label: status for status in BatteryStatus}
-# The JEITA temperature states, mapped as Android's healthd maps them (BatteryMonitor getBatteryHealth)
+# The JEITA temperature states, mapped as Android's healthd maps them (BatteryMonitor
+# getBatteryHealth), and the other Linux power-supply faults, which BatteryHealth has no
+# word for: each one is a failure that `semo inspect` warns on.
 BatteryHealth._by_label = {health.label: health for health in BatteryHealth} | {
     "hot": BatteryHealth.OVERHEAT,
     "warm": BatteryHealth.GOOD,
     "cool": BatteryHealth.GOOD,
+    "over current": BatteryHealth.UNSPECIFIED_FAILURE,
+    "watchdog timer expire": BatteryHealth.UNSPECIFIED_FAILURE,
+    "safety timer expire": BatteryHealth.UNSPECIFIED_FAILURE,
+    "calibration required": BatteryHealth.UNSPECIFIED_FAILURE,
+    "no battery": BatteryHealth.UNSPECIFIED_FAILURE,
 }
 
 

@@ -48,6 +48,10 @@ def make_record(ts_ms: int, level: int, apps=(), **kwargs) -> LogRecord:
     return LogRecord(sample=make_sample(ts_ms, level, **kwargs), apps=make_app_set(apps))
 
 
+# Linux power-supply health strings beyond Android's BatteryManager values: faults that warn
+LINUX_FAULTS = ("Over current", "Watchdog timer expire", "Safety timer expire", "Calibration required", "No battery")
+
+
 def write_source_dir(
     root: Path,
     capacity="80",

@@ -26,7 +26,7 @@ from semo import (
 import semo.analyzer as analyzer_module
 import semo.recorder as recorder_module
 from semo.analyzer import attribute_columns, write_result_csv
-from semo.recorder import load_columns
+from semo.recorder import load_columns, load_log
 
 from _helpers import churn_scenario, make_record, make_sample, random_exact_scenario, weighted_sse
 
@@ -272,6 +272,39 @@ class TestColumnsOfTheLog:
         assert columns.ts.dtype == object and columns.charge.dtype == object
         assert attribute_columns(columns) == attribute(records)
         assert attribute_columns(columns, "off") == attribute(records, "off")
+
+
+    @pytest.mark.parametrize("block_bytes", [1, 200, 1 << 20])
+    def test_name_ids_give_the_records_result(self, tmp_path, monkeypatch, block_bytes):
+        """Names met out of order, an app seen only while charging, an unobserved and an always-on app.
+
+        y and on get their name ids, alone on the charger, before b and
+        base do, although each sorts after its twin.
+        """
+        C = BatteryStatus.CHARGING
+        rows = [
+            (80, ("y",), {"status": C}),
+            (85, ("on",), {"status": C}),
+            (100, ("base", "m", "on"), {}),
+            (98, ("a", "b", "base", "m", "on", "y"), {}),
+            (95, ("base", "on", "z"), {}),
+            (93, ("a", "base", "on"), {}),
+            (90, ("base", "idle", "on"), {}),  # its only pair ends on the charger: idle is unobserved
+            (89, ("charger",), {"status": C}),  # seen only while charging: in no result
+            (95, ("charger", "on"), {"status": C}),
+            (94, ("base", "on"), {}),
+            (92, ("b", "base", "m", "on", "y"), {}),
+            (90, ("base", "on"), {}),
+        ]
+        path = tmp_path / "log.jsonl"
+        write_log(path, [make_record(k * HOUR, level, apps=apps, **kw) for k, (level, apps, kw) in enumerate(rows)])
+        monkeypatch.setattr(recorder_module, "BLOCK_BYTES", block_bytes)
+        result = attribute_columns(load_columns(path))
+        assert result == attribute(load_log(path))
+        assert [(g.apps, g.flags) for g in result.groups] == [
+            (("a",), ()), (("b", "y"), ()), (("m",), ()), (("z",), ()), (("base", "on"), (INSEPARABLE_FLAG,))
+        ]
+        assert result.unobserved == ("idle",)
 
 
 class TestChargeCounter:

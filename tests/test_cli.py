@@ -26,7 +26,7 @@ from semo.cli import main
 from semo.recorder import record_to_json
 from semo.simulator import MAX_SAMPLES
 
-from _helpers import make_record, write_source_dir
+from _helpers import LINUX_FAULTS, make_record, write_source_dir
 
 MIN = 60_000
 
@@ -105,6 +105,15 @@ class TestInspect:
         assert [(w["kind"], w["message"]) for w in payload["warnings"]] == [
             ("UnhealthyBattery", "battery health is unspecified failure")
         ]
+
+    @pytest.mark.parametrize("health", LINUX_FAULTS)
+    def test_linux_fault_exits_two(self, capsys, tmp_path, health):
+        source = write_source_dir(tmp_path / "bat", health=health)
+        code, out, _ = run_cli(capsys, "inspect", "--json", "--source-root", str(source))
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["sample"]["health"] == "UnspecifiedFailure"
+        assert [w["kind"] for w in payload["warnings"]] == ["UnhealthyBattery"]
 
     def test_hot_battery_is_unhealthy(self, capsys, tmp_path):
         # the JEITA state Hot reads as Overheat even when the temperature reading is mild

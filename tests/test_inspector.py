@@ -4,13 +4,15 @@ from hypothesis import given, strategies as st
 from semo import (
     BatteryHealth,
     BatteryStatus,
+    FileTreeSource,
+    SimulatedClock,
     WarningKind,
     describe,
     evaluate,
 )
 from semo.inspector import LOW_BATTERY_PCT, OVERHEAT_DC, VOLTAGE_MAX_MV, VOLTAGE_MIN_MV
 
-from _helpers import make_sample
+from _helpers import LINUX_FAULTS, make_sample, write_source_dir
 
 
 class TestLowBattery:
@@ -53,6 +55,14 @@ class TestOtherKinds:
         warnings = evaluate(make_sample(0, 50, health=health))
         assert [w.kind for w in warnings] == [WarningKind.UNHEALTHY_BATTERY]
         assert warnings[0].threshold is None
+
+    @pytest.mark.parametrize("health", LINUX_FAULTS)
+    def test_linux_fault_read_from_source_is_unhealthy(self, tmp_path, health):
+        sample = FileTreeSource(write_source_dir(tmp_path, health=health)).read_battery_sample(SimulatedClock())
+        warnings = evaluate(sample)
+        assert [(w.kind, w.message) for w in warnings] == [
+            (WarningKind.UNHEALTHY_BATTERY, "battery health is unspecified failure")
+        ]
 
     def test_unknown_health_is_not_a_warning(self):
         assert evaluate(make_sample(0, 50, health=BatteryHealth.UNKNOWN)) == []

@@ -518,6 +518,18 @@ APPS_SPELLINGS = [
     '"a"', "null",
 ]
 
+# App lists drawn from a few names, so that names repeat across sets and
+# blocks, and apps texts over those names: duplicates, wrong order,
+# whitespace, names that are no strings, escapes, spacing, a lone surrogate.
+NAME_POOL = ("a", "b", "game", "m", "z", "\u00e9")
+pool_bodies = st.tuples(record_bodies, st.lists(st.sampled_from(NAME_POOL), max_size=4)).map(
+    lambda pair: (*pair[0][:-1], pair[1])
+)
+POOL_APPS_SPELLINGS = [
+    '["a","a"]', '["m","a"]', '["z","b","a"]', '[" a"]', '["game "]', '["b","\\tm"]', "[1]", '["a",1]',
+    '[["a"]]', '["a",["b"]]', '["a",{"b":1}]', '["\\ud800"]', '["a","\\ud800"]', '["\\u0061","m"]',
+    '["a", "b"]', '["a","b","game","m","z"]', "[]", '["m"],"x":["a"]',
+]
 
 SPELLINGS = {
     "ts_ms": NUMBER_SPELLINGS, "level_pct": NUMBER_SPELLINGS, "voltage_mv": NUMBER_SPELLINGS,
@@ -686,6 +698,54 @@ class TestBlockBoundaries:
         path.write_bytes(text)
         with mock.patch.object(recorder_module, "BLOCK_BYTES", block_bytes):
             assert read_every_way(path) == want_every_way(text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        bodies=st.lists(pool_bodies, min_size=1, max_size=16),
+        block_bytes=st.integers(1, 1200),
+        changed=st.lists(st.integers(0, 15), max_size=4),
+        data=st.data(),
+    )
+    def test_shared_names_same_outcome_as_line_by_line(self, tmp_path_factory, bodies, block_bytes, changed, data):
+        """Names repeat across sets and blocks, so a changed apps text meets names the reader already holds."""
+        lines = []
+        for k, (level, voltage, temp, charge, status, health, apps) in enumerate(bodies):
+            sample = make_sample(
+                1000 * (k + 1), level, status=status, charge_uah=charge, voltage_mv=voltage,
+                temp_dc=temp, health=health,
+            )
+            fields = fields_of(LogRecord(sample=sample, apps=make_app_set(apps)))
+            if k in changed:
+                fields[-1] = ("apps", data.draw(st.sampled_from(POOL_APPS_SPELLINGS)))
+            lines.append(join_fields(fields).encode())
+        text = b"".join(lines)
+        path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+        path.write_bytes(text)
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", block_bytes):
+            assert read_every_way(path) == want_every_way(text)
+
+    @pytest.mark.parametrize("refused", [False, True])
+    def test_names_met_out_of_order_across_blocks(self, tmp_path, refused):
+        """"m" gets its name id before "a" does, yet "a" sorts first."""
+        sets = [("m",), ("a", "m")] + ([("m", "a")] if refused else [])
+        lines = []
+        for k, apps in enumerate(sets):
+            fields = fields_of(make_record(1000 * (k + 1), 80))
+            fields[-1] = ("apps", json.dumps(apps, separators=(",", ":")))
+            lines.append(join_fields(fields))
+        text = "".join(lines).encode()
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(text)
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", len(lines[0])), mock.patch.object(
+            recorder_module, "_record_of_line", wraps=recorder_module._record_of_line
+        ) as line_by_line:
+            got = read_every_way(path)
+        assert got == want_every_way(text)
+        if refused:
+            assert got["load_log"] == (LogParseError, 3, "log line 3: apps must be sorted and unique")
+        else:
+            assert [record.apps for record in got["load_log"]] == sets
+            line_by_line.assert_not_called()  # both blocks were read as columns
 
 
 class TestHugeIntegers:

@@ -16,7 +16,7 @@ from semo import (
 )
 from semo.sources import FIELD_NAMES, BatterySample, resolve_source_root
 
-from _helpers import write_source_dir
+from _helpers import LINUX_FAULTS, write_source_dir
 
 
 @pytest.fixture
@@ -64,22 +64,20 @@ class TestReadBatterySample:
         with pytest.raises(MalformedField):
             FileTreeSource(root).read_battery_sample(SimulatedClock())
 
-    # Linux power-supply health strings that Android's BatteryManager has no value for
-    @pytest.mark.parametrize(
-        "health",
-        [
-            "Over current",
-            "Watchdog timer expire",
-            "Safety timer expire",
-            "Calibration required",
-            "No battery",
-        ],
-    )
+    # vendor strings that no kernel spelling matches
+    @pytest.mark.parametrize("health", ["Trickle", "Over heat", "Battery missing"])
     def test_unknown_enum_strings_map_to_unknown(self, tmp_path, health):
         root = write_source_dir(tmp_path, status="Trickle", health=health)
         sample = FileTreeSource(root).read_battery_sample(SimulatedClock())
         assert sample.status is BatteryStatus.UNKNOWN
         assert sample.health is BatteryHealth.UNKNOWN
+
+    # Linux power-supply faults that Android's BatteryManager has no value for
+    @pytest.mark.parametrize("health", LINUX_FAULTS)
+    def test_linux_faults_read_as_unspecified_failure(self, tmp_path, health):
+        root = write_source_dir(tmp_path, health=health)
+        sample = FileTreeSource(root).read_battery_sample(SimulatedClock())
+        assert sample.health is BatteryHealth.UNSPECIFIED_FAILURE
 
     def test_multiword_enum_strings(self, tmp_path):
         root = write_source_dir(tmp_path, status="Not charging", health="Over voltage")
@@ -106,6 +104,7 @@ class TestReadBatterySample:
             ("Hot", BatteryHealth.OVERHEAT),
             ("Warm", BatteryHealth.GOOD),
             ("Cool", BatteryHealth.GOOD),
+            *((fault, BatteryHealth.UNSPECIFIED_FAILURE) for fault in LINUX_FAULTS),
         ],
     )
     def test_every_kernel_spelling_maps_to_its_member(self, text, member):
