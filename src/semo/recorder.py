@@ -43,9 +43,14 @@ only formats it.
 _checked_line, the one step of both LogWriter.append and write_log,
 raises NonMonotonicTimestamp for a timestamp not above the last one
 written, so neither writer leaves a log that load_log or the next
-LogWriter refuses; run_loop skips such a tick.  LogColumns.from_records,
-the way in for records held in memory, refuses records out of order
-with the reader's own test.  An app name must be valid UTF-8 text: a
+LogWriter refuses; run_loop skips such a tick.  It formats the line
+with record_to_json's own formatter from the sample and the apps' JSON
+text.  write_log formats that text once per run of records sharing one
+AppSet object, as simulate gives them, and encodes and writes its lines
+in batches; the lines before a refused record are still written.
+LogColumns.from_records, the way in for records held in memory, keeps
+the records' own AppSets and refuses records out of order with the
+reader's own test.  An app name must be valid UTF-8 text: a
 JSON escape can spell a lone surrogate ("\\ud800") that no writer can
 encode, so AppSet refuses it, for LogRecord and the reader alike.
 export_columns_csv writes a log's columns as the CSV of `semo export`,
@@ -160,13 +165,25 @@ def sample_dict(sample: BatterySample) -> dict:
 
 def record_to_json(record: LogRecord) -> str:
     """The log line of a record, without its newline."""
-    s = record.sample
-    ts, level, voltage, temp, charge = s.ts_ms, s.level_pct, s.voltage_mv, s.temp_dc, s.charge_uah
-    apps = ",".join(map(_json_string, record.apps))
+    return _line(record.sample, _apps_text(record.apps))
+
+
+def _apps_text(apps: AppSet) -> str:
+    """The JSON text of an app set's names, comma-separated, without the brackets."""
+    return ",".join(map(_json_string, apps))
+
+
+def _line(s: BatterySample, apps_text: str) -> str:
+    """The log line of a sample whose apps are spelled apps_text, without its newline.
+
+    Status and health are spelled from the members' stored _value_,
+    which skips the call that the value property makes on every line.
+    """
+    charge = s.charge_uah
     return (
-        f'{{"ts_ms":{ts},"level_pct":{level},"voltage_mv":{voltage},"temp_dc":{temp},'
-        f'"charge_uah":{"null" if charge is None else charge},"status":"{s.status.value}",'
-        f'"health":"{s.health.value}","apps":[{apps}]}}'
+        f'{{"ts_ms":{s.ts_ms},"level_pct":{s.level_pct},"voltage_mv":{s.voltage_mv},"temp_dc":{s.temp_dc},'
+        f'"charge_uah":{"null" if charge is None else charge},"status":"{s.status._value_}",'
+        f'"health":"{s.health._value_}","apps":[{apps_text}]}}'
     )
 
 
@@ -265,13 +282,18 @@ class LogColumns:
     def from_records(cls, records) -> "LogColumns":
         """The columns of LogRecords, in their order.
 
-        Raises ValueError unless ts increase strictly.
+        app_sets holds the records' own AppSets, the first of each equal
+        set, and builds none.  Raises ValueError unless ts increase
+        strictly.
         """
-        columns = _columns_of_records(list(records), _AppTable())
+        records = list(records)
+        columns = _columns_of_records(records, _AppTable())
         row = _first_not_increasing(columns.ts, None)
         if row is not None:
             ts, prev = int(columns.ts[row]), int(columns.ts[row - 1])
             raise ValueError(f"records must be sorted with strictly increasing ts_ms ({ts} after {prev})")
+        # A fresh table numbers the distinct sets in the order they are first met.
+        object.__setattr__(columns, "app_sets", list(dict.fromkeys(record.apps for record in records)))
         return columns
 
     def charges(self) -> list[int | None]:
@@ -594,21 +616,39 @@ def export_columns_csv(columns: LogColumns, path) -> None:
         writer.writerows(rows)
 
 
-def _checked_line(record: LogRecord, last_ts: int | None) -> bytes:
-    """A record's line and newline as bytes; NonMonotonicTimestamp unless ts > last_ts."""
-    ts = record.sample.ts_ms
+def _checked_line(sample: BatterySample, apps_text: str, last_ts: int | None) -> str:
+    """The line of a sample and its apps' text, and newline; NonMonotonicTimestamp unless ts > last_ts."""
+    ts = sample.ts_ms
     if last_ts is not None and ts <= last_ts:
         raise NonMonotonicTimestamp(f"ts {ts} not above last written {last_ts}")
-    return (record_to_json(record) + "\n").encode()
+    return _line(sample, apps_text) + "\n"
+
+
+# Lines that write_log encodes and writes at a time.
+WRITE_BATCH = 1024
 
 
 def write_log(path: str | Path, records) -> None:
-    """Write records as a fresh log file, up to the first one append would refuse (no locking)."""
-    last_ts = None
+    """Write records as a fresh log file, up to the first one append would refuse (no locking).
+
+    The apps text is formatted once per run of records that share one
+    AppSet object.  Lines are encoded and written WRITE_BATCH at a time,
+    and every line before a refused record is written before it raises.
+    """
+    last_ts = last_apps = apps_text = None
+    batch: list[str] = []
     with open(path, "wb") as fh:
-        for record in records:
-            fh.write(_checked_line(record, last_ts))
-            last_ts = record.sample.ts_ms
+        try:
+            for record in records:
+                if record.apps is not last_apps:
+                    last_apps, apps_text = record.apps, _apps_text(record.apps)
+                batch.append(_checked_line(record.sample, apps_text, last_ts))
+                last_ts = record.sample.ts_ms
+                if len(batch) == WRITE_BATCH:
+                    lines, batch = batch, []
+                    fh.write("".join(lines).encode())
+        finally:
+            fh.write("".join(batch).encode())
 
 
 class LogWriter:
@@ -647,7 +687,7 @@ class LogWriter:
 
     def append(self, record: LogRecord) -> None:
         """Write one record's line; a record out of order leaves the file untouched."""
-        line = _checked_line(record, self._last_ts)
+        line = _checked_line(record.sample, _apps_text(record.apps), self._last_ts).encode()
         if self._torn_at is not None:
             self._fh.truncate(self._torn_at)
             self._torn_at = None

@@ -21,14 +21,17 @@ charge_uah = round(E / (nominal_voltage_mv/1000) * 1000).
 
 simulate runs in three passes.  A walk over the schedule, one step per
 event, gives runs of samples whose state does not change, and the
-pieces of each step that holds an event strictly inside it.  One array
-of per-step energy changes, -(load + eps) * dt_h or 5000 * dt_h, is then
-summed by np.add.accumulate, which adds left to right: each partial sum
-is the float that adding one step at a time gives, since the same IEEE
-operations run in the same order.  The sum is clamped where it first
-leaves (0, full] and goes on from the clamped value; a step with pieces
-is integrated piece by piece.  A last pass quantizes the energies as
-arrays and builds the records.
+pieces of each step that holds an event strictly inside it.  It keeps
+the running apps as flags over the scenario's sorted names, checked
+once as an AppSet, so a start or stop takes the run's AppSet and load
+from those names and their powers without sorting or checking a name
+again.  One array of per-step energy changes, -(load + eps) * dt_h or
+5000 * dt_h, is then summed by np.add.accumulate, which adds left to
+right: each partial sum is the float that adding one step at a time
+gives, since the same IEEE operations run in the same order.  The sum
+is clamped where it first leaves (0, full] and goes on from the clamped
+value; a step with pieces is integrated piece by piece.  A last pass
+quantizes the energies as arrays and builds the records.
 
 Determinism: the gaussian stream is numpy's PCG64 generator seeded from
 the scenario, which is stable across platforms, so equal scenarios give
@@ -43,7 +46,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from types import MappingProxyType
 
@@ -51,7 +54,7 @@ import numpy as np
 
 from .errors import ScenarioInvalid
 from .recorder import LogRecord
-from .sources import AppSet, BatteryHealth, BatterySample, BatteryStatus, make_app_set
+from .sources import AppSet, BatteryHealth, BatterySample, BatteryStatus
 
 CHARGE_RATE_MW = 5000.0
 SIM_TEMP_DC = 250  # emitted temperature: fixed nominal 25.0 °C
@@ -209,6 +212,10 @@ def _walk(scenario: Scenario, n_steps: int) -> tuple[list[tuple], dict[int, list
     interval = scenario.sample_interval_s
     running: set[str] = set()
     plugged = False
+    universe = AppSet(sorted(scenario.apps))
+    slot = {name: i for i, name in enumerate(universe)}
+    powers = [scenario.apps[name] for name in universe]
+    on = [False] * len(universe)  # on[i]: universe[i] is running
     apps = AppSet()
     load_mw = scenario.baseline_mw
     runs: list[tuple] = []
@@ -226,9 +233,10 @@ def _walk(scenario: Scenario, n_steps: int) -> tuple[list[tuple], dict[int, list
             pieces[k] = [((k - 1) * interval, load_mw, plugged)]
         plugged = _apply_event(event, running, plugged)
         if event.kind in (EventKind.START, EventKind.STOP):
-            apps = make_app_set(running)
+            on[slot[event.app]] = event.kind is EventKind.START
+            apps = universe.subset(on)
             # summed in sorted order: a set's order hangs on the string hash seed
-            load_mw = scenario.baseline_mw + sum(scenario.apps[a] for a in apps)
+            load_mw = scenario.baseline_mw + sum(compress(powers, on))
         if inside:
             pieces[k].append((event.t_s, load_mw, plugged))
     runs.append((n_steps + 1 - start, load_mw, plugged, apps))

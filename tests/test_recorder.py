@@ -156,6 +156,15 @@ class TestRecordsHoldAppSets:
             assert all(type(record.apps) is AppSet for record in read)
             assert [read[i].apps is read[i + 3].apps for i in range(3)] == [True] * 3
 
+    def test_columns_of_records_hand_back_the_records_own_sets(self):
+        a, ab = AppSet(("a",)), AppSet(("a", "b"))
+        records = [LogRecord(make_sample(1000 * (i + 1), 80), apps) for i, apps in enumerate([ab, a, AppSet(), ab, a])]
+        columns = LogColumns.from_records(records)
+        assert all(read.apps is record.apps for read, record in zip(columns.records(), records))
+        # an equal but distinct set reads back as the first of its kind
+        copy = LogRecord(make_sample(9000, 80), AppSet(("a", "b")))
+        assert LogColumns.from_records([*records, copy]).records()[-1].apps is ab
+
     def test_sample_once_gives_an_app_set(self, tmp_path):
         record = sample_once(FileTreeSource(write_source_dir(tmp_path)), SimulatedClock(42))
         assert type(record.apps) is AppSet
@@ -228,8 +237,21 @@ def valid_records(draw):
     return LogRecord(sample=sample, apps=make_app_set(draw(st.lists(tricky_names, max_size=5))))
 
 
+@st.composite
+def records_sharing_sets(draw):
+    """Records whose apps come from a few AppSets, each record holding one of
+    them or an equal copy: runs that share one object, equal but distinct
+    sets, and sets that come back after another."""
+    pool = draw(st.lists(st.lists(tricky_names, max_size=5).map(make_app_set), min_size=1, max_size=3))
+    records = draw(st.lists(valid_records(), max_size=8))
+    picks = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()), min_size=len(records), max_size=len(records)))
+    shared = [LogRecord(record.sample, AppSet(apps) if copy else apps) for record, (apps, copy) in zip(records, picks)]
+    assert all((record.apps is apps) != copy for record, (apps, copy) in zip(shared, picks))
+    return shared
+
+
 @settings(max_examples=100, deadline=None)
-@given(records=st.lists(valid_records(), max_size=6), ordered=st.booleans())
+@given(records=st.lists(valid_records(), max_size=6) | records_sharing_sets(), ordered=st.booleans())
 def test_write_log_and_log_writer_write_the_same_bytes(tmp_path_factory, records, ordered):
     if ordered:
         records = [replace_ts(record, 1000 * i) for i, record in enumerate(records)]
@@ -237,6 +259,33 @@ def test_write_log_and_log_writer_write_the_same_bytes(tmp_path_factory, records
     kept = written.count(b"\n")
     assert (error is None) == (kept == len(records))
     assert written == b"".join(record_to_json(record).encode() + b"\n" for record in records[:kept])
+
+
+def test_write_log_memo_follows_each_record_s_own_set(tmp_path):
+    """One AppSet object over a run, an equal copy, a set that comes back, and names that need escapes."""
+    quoted, other = make_app_set(['a"b\\c', "\x00", "\u2028"]), make_app_set(["plain"])
+    apps = [quoted, quoted, AppSet(quoted), other, quoted, AppSet(), other, other]
+    records = [LogRecord(make_sample(1000 * i, 80), app_set) for i, app_set in enumerate(apps)]
+    written, error = written_both_ways(tmp_path, records)
+    assert error is None
+    assert written == b"".join(reference_line(record).encode() + b"\n" for record in records)
+    assert load_log(tmp_path / "a.jsonl") == records
+
+
+@pytest.mark.parametrize(
+    "refused_at",
+    [1, recorder_module.WRITE_BATCH, recorder_module.WRITE_BATCH + 3, 2 * recorder_module.WRITE_BATCH + 1],
+)
+def test_write_log_keeps_every_line_before_a_refused_record(tmp_path, refused_at):
+    """A record out of order past the first batch: the lines of the batches
+    written and of the one still pending are all on disk, and the message is
+    the one LogWriter gives."""
+    records = [make_record(1000 * i, 80, apps=("a",)) for i in range(2 * recorder_module.WRITE_BATCH + 5)]
+    last_ts = records[refused_at - 1].sample.ts_ms
+    records[refused_at] = replace_ts(records[refused_at], last_ts)
+    _, error = written_both_ways(tmp_path, records)
+    assert error == f"ts {last_ts} not above last written {last_ts}"
+    assert load_log(tmp_path / "a.jsonl") == records[:refused_at]
 
 
 @settings(max_examples=300, deadline=None)

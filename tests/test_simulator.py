@@ -716,6 +716,52 @@ class TestAgreesWithReference:
         # the cases the array passes treat apart all occur
         assert min(ran_empty, split_steps, clamped_at_full) >= 20, (ran_empty, split_steps, clamped_at_full)
 
+    def test_churn_of_many_apps_named_out_of_sort_order(self, tmp_path):
+        """36 apps whose insertion order is not their sort order, non-ASCII
+        names among them, toggled hundreds of times with up to dozens at once.
+
+        Powers are scaled by 1e15, as in _random_noisy_scenario, and the
+        battery holds 90 % of what the schedule draws, so the last steps
+        before power-off move an energy near their own size: a load summed
+        in another order than sorted shows in the µAh counter.
+        """
+        scale = 1e15
+        baseline = scale * 95.3
+        rng = np.random.default_rng(2026)
+        stems = ["zoë", "Ångström", "app", "Émile", "日本", "b"]
+        names = [f"{stem} {i}" for i in range(6) for stem in stems]
+        assert names != sorted(names)
+        powers = {name: scale * float(rng.uniform(1.0, 900.0)) for name in names}
+        events = []
+        running: set[str] = set()
+        t = 0
+        need_mwh = 0.0
+        for _ in range(600):
+            dt = int(rng.choice([0, 1, 59, 60, 61]))
+            need_mwh += (baseline + sum(powers[app] for app in running)) * dt / 3600.0
+            t += dt
+            app = names[int(rng.integers(len(names)))]
+            events.append(ScheduleEvent(t, EventKind.STOP if app in running else EventKind.START, app))
+            running ^= {app}
+        scenario = Scenario(
+            capacity_mah=0.9 * need_mwh / 3.7,
+            nominal_voltage_mv=3700,
+            baseline_mw=baseline,
+            apps=powers,
+            schedule=tuple(events),
+            duration_s=t,
+            sample_interval_s=60,
+            noise=NoiseModel(sigma_mw=scale * 20.0, seed=5),
+            initial_level_pct=100.0,
+        )
+        expected = reference_simulate(scenario)
+        assert expected[-1].sample.charge_uah == 0
+        assert max(len(record.apps) for record in expected) >= 20
+        assert len({record.apps for record in expected}) >= 100
+        write_log(tmp_path / "fast.jsonl", simulate(scenario))
+        write_log(tmp_path / "reference.jsonl", expected)
+        assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
     @pytest.mark.parametrize("off_at", [1, 63, 64, 65, 200])
     def test_powers_off_where_the_sum_lands_on_zero(self, off_at):
         # 1 mW for 1 h is exactly 1 mWh, so the energy reaches 0.0 at sample off_at with no clamp
