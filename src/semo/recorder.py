@@ -37,7 +37,11 @@ AppSet nor a tuple that makes one, each with ValueError.  AppSet owns
 the app-name rule, so a record holding one checks no name again.
 LogColumns builds one AppSet per distinct list, from its name ids, only
 when records, the export or the intervals ask for them; `semo analyze`
-and `semo curve` build none.  So every LogRecord
+and `semo curve` build none.  LogColumns.records, the one builder of the
+records of load_log and simulate, checks whole columns against the rules
+of BatterySample and LogRecord, builds any row the check does not clear
+with those checked constructors, so that it raises their error, and
+fills all the records a field at a time.  So every LogRecord
 has a line the reader accepts, and record_to_json, the one serializer,
 only formats it.
 _checked_line, the one step of both LogWriter.append and write_log,
@@ -66,6 +70,7 @@ import io
 import itertools
 import json
 import logging
+import operator
 import os
 import re
 import threading
@@ -134,10 +139,16 @@ class LogRecord:
     def __post_init__(self):
         if not isinstance(self.sample, BatterySample):
             raise ValueError(f"sample must be a BatterySample, got {self.sample!r}")
-        if not isinstance(self.apps, AppSet):
-            if type(self.apps) is not tuple:
-                raise ValueError(f"apps must be a tuple of strings, got {self.apps!r}")
-            object.__setattr__(self, "apps", AppSet(self.apps))
+        object.__setattr__(self, "apps", _kept_apps(self.apps))
+
+
+def _kept_apps(apps) -> AppSet:
+    """apps as a LogRecord keeps them: an AppSet as it is, a plain tuple as its AppSet; ValueError otherwise."""
+    if isinstance(apps, AppSet):
+        return apps
+    if type(apps) is not tuple:
+        raise ValueError(f"apps must be a tuple of strings, got {apps!r}")
+    return AppSet(apps)
 
 
 @dataclass(frozen=True)
@@ -255,7 +266,8 @@ class LogColumns:
     which lists each distinct app list once as an int32 array of name
     ids, indices into app_names, in the list's order; so equal lists have
     equal set ids, and equal names equal name ids.  app_sets, the lists
-    as AppSets, is built when first asked for.
+    as AppSets, is built when first asked for.  Raises ValueError unless
+    the columns from ts to apps are one-dimensional and of one length.
     """
 
     ts: np.ndarray
@@ -269,6 +281,11 @@ class LogColumns:
     apps: np.ndarray
     app_names: list[str]
     app_ids: list[np.ndarray]
+
+    def __post_init__(self):
+        shapes = [np.shape(getattr(self, name)) for name in _COLUMNS]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
+            raise ValueError(f"columns must be one-dimensional and of one length, got shapes {shapes}")
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -303,18 +320,62 @@ class LogColumns:
         return charge.tolist()
 
     def records(self) -> list[LogRecord]:
-        """The LogRecords of the rows; equal app lists share one AppSet."""
-        samples = map(
+        """The LogRecords of the rows; equal app lists share one AppSet.
+
+        Whole columns are checked first, against exactly the rules of
+        BatterySample and LogRecord: the integer fields are int64, or
+        object columns of exact ints; status, health and set ids are
+        integer codes that index STATUSES, HEALTHS and app_sets; level is
+        in 0..100, voltage positive unless the status is Unknown, and
+        charge non-negative where it is not null; and each set is an
+        AppSet, or a plain tuple, made into its AppSet once, as LogRecord
+        makes it.  Each row the check does not clear is then built, in
+        row order, by the checked constructors, so the first that fails
+        raises the error it always raised.  Then every row holds values
+        that the constructors accept and store unchanged, so the records
+        are built without them: the objects are made bare and each field
+        is set for all rows at once by the field's slot, with no Python
+        frame per row.
+        """
+        ts, level, voltage, temp = self.ts.tolist(), self.level.tolist(), self.voltage.tolist(), self.temp.tolist()
+        charge, status, health = self.charges(), self.status.tolist(), self.health.tolist()
+        app_sets, apps = self.app_sets, self.apps.tolist()
+        kept = []  # each set as LogRecord keeps it, None where LogRecord refuses it
+        for app_set in app_sets:
+            try:
+                kept.append(_kept_apps(app_set))
+            except ValueError:
+                kept.append(None)
+        for row in np.flatnonzero(self._uncleared(kept)).tolist():
+            sample = BatterySample(
+                ts[row], level[row], voltage[row], temp[row], charge[row], STATUSES[status[row]], HEALTHS[health[row]]
+            )
+            LogRecord(sample, app_sets[apps[row]])
+        samples = _filled(
             BatterySample,
-            self.ts.tolist(),
-            self.level.tolist(),
-            self.voltage.tolist(),
-            self.temp.tolist(),
-            self.charges(),
-            map(STATUSES.__getitem__, self.status.tolist()),
-            map(HEALTHS.__getitem__, self.health.tolist()),
+            len(ts),
+            ts_ms=ts,
+            level_pct=level,
+            voltage_mv=voltage,
+            temp_dc=temp,
+            charge_uah=charge,
+            status=map(STATUSES.__getitem__, status),
+            health=map(HEALTHS.__getitem__, health),
         )
-        return list(map(LogRecord, samples, map(self.app_sets.__getitem__, self.apps.tolist())))
+        return _filled(LogRecord, len(ts), sample=samples, apps=map(kept.__getitem__, apps))
+
+    def _uncleared(self, kept: list) -> np.ndarray:
+        """Rows that the whole-column check of records does not clear."""
+        ints = (self.ts, self.level, self.voltage, self.temp, self.charge)
+        codes = (self.status, self.health, self.apps)
+        if not (
+            all(map(_exact_ints, ints)) and all(c.dtype.kind in "iu" for c in codes) and self.charge_null.dtype == bool
+        ):
+            return np.ones(len(self), dtype=bool)
+        # a set id that indexes no kept set reads the spare last entry
+        unkept = np.array([app_set is None for app_set in kept] + [True])
+        ids = np.where((self.apps >= 0) & (self.apps < len(kept)), self.apps, len(kept))
+        return _faulty(self) | unkept[ids]
 
     def curve(self, tail: int | None = None) -> list[tuple[int, int]]:
         """(ts_ms, level_pct) pairs: every row for tail None, else the last tail rows (the real-time view)."""
@@ -492,16 +553,38 @@ def _columns_of_lines(rows: list[tuple], apps: _AppTable) -> LogColumns:
 
 
 def _faulty(c: LogColumns) -> np.ndarray:
-    """Rows that break a rule record_from_json enforces, which then judges them."""
+    """Rows whose values break a rule of BatterySample, or whose status or
+    health is no index into STATUSES or HEALTHS, or whose set id is negative."""
     return (
         (c.level < 0)
         | (c.level > 100)
         | ((c.voltage <= 0) & (c.status != _UNKNOWN_STATUS))
-        | (c.charge < 0)
+        | ((c.charge < 0) & ~c.charge_null)
         | (c.status < 0)
+        | (c.status >= len(STATUSES))
         | (c.health < 0)
+        | (c.health >= len(HEALTHS))
         | (c.apps < 0)
     )
+
+
+def _exact_ints(column: np.ndarray) -> bool:
+    """Whether each value of column lists as exactly an int: an int64 column, or an object column of ints."""
+    if column.dtype == object:
+        return all(map(operator.is_, map(type, column), itertools.repeat(int)))
+    return column.dtype == np.int64
+
+
+def _filled(cls, n: int, **columns) -> list:
+    """n objects of a slots dataclass, made without __init__ and so without its check.
+
+    Each field is set from its column for all n objects at once: map
+    calls the slot's setter in C, and a zero-length deque drains it.
+    """
+    objs = list(map(object.__new__, itertools.repeat(cls, n)))
+    for name, values in columns.items():
+        collections.deque(map(getattr(cls, name).__set__, objs, values), maxlen=0)
+    return objs
 
 
 def _record_of_line(raw: bytes, lineno: int) -> LogRecord:

@@ -23,15 +23,19 @@ simulate runs in three passes.  A walk over the schedule, one step per
 event, gives runs of samples whose state does not change, and the
 pieces of each step that holds an event strictly inside it.  It keeps
 the running apps as flags over the scenario's sorted names, checked
-once as an AppSet, so a start or stop takes the run's AppSet and load
-from those names and their powers without sorting or checking a name
-again.  One array of per-step energy changes, -(load + eps) * dt_h or
-5000 * dt_h, is then summed by np.add.accumulate, which adds left to
-right: each partial sum is the float that adding one step at a time
-gives, since the same IEEE operations run in the same order.  The sum
-is clamped where it first leaves (0, full] and goes on from the clamped
-value; a step with pieces is integrated piece by piece.  A last pass
-quantizes the energies as arrays and builds the records.
+once as an AppSet, so a start or stop takes the run's load from the
+flagged powers.  One array of per-step energy changes,
+-(load + eps) * dt_h or 5000 * dt_h, is then summed by
+np.add.accumulate, which adds left to right: each partial sum is the
+float that adding one step at a time gives, since the same IEEE
+operations run in the same order.  The sum is clamped where it first
+leaves (0, full] and goes on from the clamped value; a step with pieces
+is integrated piece by piece.  A last pass, simulate_columns, quantizes
+the energies as arrays and builds the log's columns, a LogColumns in
+which each distinct set of flags gets one set id and becomes one AppSet
+of the flagged names, with no name sorted or checked again.  simulate
+is their records(), which checks the columns whole and then fills the
+records one field at a time.
 
 Determinism: the gaussian stream is numpy's PCG64 generator seeded from
 the scenario, which is stable across platforms, so equal scenarios give
@@ -46,18 +50,21 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, compress, repeat
+from itertools import accumulate, compress
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ScenarioInvalid
-from .recorder import LogRecord
-from .sources import AppSet, BatteryHealth, BatterySample, BatteryStatus
+from .recorder import HEALTHS, STATUSES, LogColumns, LogRecord
+from .sources import AppSet, BatteryHealth, BatteryStatus
 
 CHARGE_RATE_MW = 5000.0
 SIM_TEMP_DC = 250  # emitted temperature: fixed nominal 25.0 °C
+# status and health codes of the emitted samples
+_CHARGING, _DISCHARGING = STATUSES.index(BatteryStatus.CHARGING), STATUSES.index(BatteryStatus.DISCHARGING)
+_GOOD = HEALTHS.index(BatteryHealth.GOOD)
 
 
 class EventKind(Enum):
@@ -80,8 +87,9 @@ class NoiseModel:
     seed: int = 0
 
 
-# the most samples one run may hold: about 2.4 GB of records in simulate, beside its
-# whole-run arrays of about 33 bytes per sample (noise, load, energy change, energy, plug state)
+# the most samples one run may hold.  Per sample, simulate_columns peaks at about 125 bytes,
+# its whole-run arrays (noise, load, energy change, energy, plug state) and columns, and
+# returns about 61; simulate's records keep about 240 (2.4 GB at the cap) and peak at about 370
 MAX_SAMPLES = 10_000_000
 
 
@@ -199,12 +207,13 @@ def _apply_event(event: ScheduleEvent, running: set[str], plugged: bool) -> bool
     return plugged
 
 
-def _walk(scenario: Scenario, n_steps: int) -> tuple[list[tuple], dict[int, list[tuple]]]:
+def _walk(scenario: Scenario, universe: AppSet, n_steps: int) -> tuple[list[tuple], dict[int, list[tuple]]]:
     """The schedule as runs of samples whose state does not change, and the
     states inside every step that holds an event strictly inside it.
 
     runs covers samples 0..n_steps in order with (samples, load_mw,
-    plugged, apps).  pieces maps step k, from sample k - 1 to sample k,
+    plugged, on): on holds one byte per name of universe, 1 where that
+    app runs.  pieces maps step k, from sample k - 1 to sample k,
     to (t_s, load_mw, plugged) entries: the state from t_s on.  An event
     at a sample time applies before that sample; events after the last
     sample never apply.
@@ -212,11 +221,9 @@ def _walk(scenario: Scenario, n_steps: int) -> tuple[list[tuple], dict[int, list
     interval = scenario.sample_interval_s
     running: set[str] = set()
     plugged = False
-    universe = AppSet(sorted(scenario.apps))
     slot = {name: i for i, name in enumerate(universe)}
     powers = [scenario.apps[name] for name in universe]
-    on = [False] * len(universe)  # on[i]: universe[i] is running
-    apps = AppSet()
+    on = bytearray(len(universe))  # on[i]: universe[i] is running
     load_mw = scenario.baseline_mw
     runs: list[tuple] = []
     pieces: dict[int, list[tuple]] = {}
@@ -226,7 +233,7 @@ def _walk(scenario: Scenario, n_steps: int) -> tuple[list[tuple], dict[int, list
             break
         k = -(-event.t_s // interval)  # the first sample at or after the event
         if k > start:
-            runs.append((k - start, load_mw, plugged, apps))
+            runs.append((k - start, load_mw, plugged, bytes(on)))
             start = k
         inside = event.t_s % interval != 0
         if inside and k not in pieces:
@@ -234,12 +241,11 @@ def _walk(scenario: Scenario, n_steps: int) -> tuple[list[tuple], dict[int, list
         plugged = _apply_event(event, running, plugged)
         if event.kind in (EventKind.START, EventKind.STOP):
             on[slot[event.app]] = event.kind is EventKind.START
-            apps = universe.subset(on)
             # summed in sorted order: a set's order hangs on the string hash seed
             load_mw = scenario.baseline_mw + sum(compress(powers, on))
         if inside:
             pieces[k].append((event.t_s, load_mw, plugged))
-    runs.append((n_steps + 1 - start, load_mw, plugged, apps))
+    runs.append((n_steps + 1 - start, load_mw, plugged, bytes(on)))
     return runs, pieces
 
 
@@ -301,14 +307,21 @@ def _integrate(
     return energy[:k]
 
 
-def simulate(scenario: Scenario) -> list[LogRecord]:
-    """Run a scenario and return its sampled log, first sample at t=0."""
+def simulate_columns(scenario: Scenario) -> LogColumns:
+    """Run a scenario and return its sampled log as columns, first sample at t=0.
+
+    app_names is the scenario's sorted names, and each distinct set of
+    running apps gets one set id, in the order the rows first hold it;
+    app_sets holds those sets as the AppSets that the records share.
+    charge is int64, or exact Python ints once a counter reaches 2**63.
+    """
     e_full = scenario.full_energy_mwh
     voltage_mv = scenario.nominal_voltage_mv
     interval = scenario.sample_interval_s
     n_steps = scenario.duration_s // interval
-    runs, pieces = _walk(scenario, n_steps)
-    counts, loads, plugs, app_sets = zip(*runs)
+    universe = AppSet(sorted(scenario.apps))
+    runs, pieces = _walk(scenario, universe, n_steps)
+    counts, loads, plugs, masks = zip(*runs)
     rng = np.random.Generator(np.random.PCG64(scenario.noise.seed))
     noise = rng.normal(0.0, abs(scenario.noise.sigma_mw), n_steps)  # numpy refuses -0.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
@@ -318,22 +331,46 @@ def simulate(scenario: Scenario) -> list[LogRecord]:
         dt_h = interval / 3600.0
         steps = np.where(plugged, CHARGE_RATE_MW * dt_h, -(load_mw + noise) * dt_h)
         energy = _integrate(e_full * scenario.initial_level_pct / 100.0, steps, noise, pieces, e_full, interval)
-        level = np.clip(np.floor(energy * 100.0 / e_full), 0, 100).astype(np.int64).tolist()
+        level = np.clip(np.floor(energy * 100.0 / e_full), 0, 100).astype(np.int64)
         charge = np.rint(energy * 1e6 / float(voltage_mv))  # rint rounds half to even, as round does
-    charges = list(map(int, charge.tolist()))  # Python ints, so a counter past int64 stays exact
-    statuses = [BatteryStatus.CHARGING if plug else BatteryStatus.DISCHARGING for plug in plugs]
+    n = len(energy)  # the rows end at the power-off sample
+    if charge.max() < 2.0**63:  # every float below 2**63 is an exact int64
+        charge = charge.astype(np.int64)
+    else:  # Python ints, so a counter past int64 stays exact
+        charge = np.array(list(map(int, charge.tolist())), dtype=object)
     step_ms = interval * 1000
-    samples = map(  # map stops at the shortest input: level and charges end at the power-off sample
-        BatterySample,
-        range(0, len(level) * step_ms, step_ms),
-        level,
-        repeat(voltage_mv),
-        repeat(SIM_TEMP_DC),
-        charges,
-        chain.from_iterable(map(repeat, statuses, counts)),
-        repeat(BatteryHealth.GOOD),
+    ids: dict[bytes, int] = {}  # each distinct mask of running apps to its set id, in the order first met
+    set_ids = np.repeat([ids.setdefault(mask, len(ids)) for mask in masks], counts)[:n]
+    held = list(ids)[: int(set_ids.max()) + 1]  # the rows are a prefix of the runs
+    on = np.frombuffer(b"".join(held), dtype=bool).reshape(len(held), len(universe))
+    names = np.nonzero(on)[1].astype(np.int32)  # the name ids of each held set, set after set
+    app_sets = [universe.subset(mask) for mask in held]
+    columns = LogColumns(
+        ts=np.arange(n, dtype=_int_dtype(n * step_ms)) * step_ms,  # n * step_ms is above every ts
+        level=level,
+        voltage=np.full(n, voltage_mv, dtype=_int_dtype(voltage_mv)),
+        temp=np.full(n, SIM_TEMP_DC, dtype=np.int64),
+        charge=charge,
+        charge_null=np.zeros(n, dtype=bool),
+        status=np.repeat(np.where(plugs, _CHARGING, _DISCHARGING).astype(np.int8), counts)[:n],
+        health=np.full(n, _GOOD, dtype=np.int8),
+        apps=set_ids,
+        app_names=list(universe),
+        app_ids=[names[end - len(apps) : end] for apps, end in zip(app_sets, accumulate(map(len, app_sets)))],
     )
-    return list(map(LogRecord, samples, chain.from_iterable(map(repeat, app_sets, counts))))
+    object.__setattr__(columns, "app_sets", app_sets)  # as from_records sets them: no AppSet built again
+    return columns
+
+
+def _int_dtype(most: int):
+    """The dtype of a column of non-negative ints up to most: int64 if it
+    holds most, else object, so that Python ints past int64 stay exact."""
+    return np.int64 if most < 2**63 else object
+
+
+def simulate(scenario: Scenario) -> list[LogRecord]:
+    """Run a scenario and return its sampled log, first sample at t=0."""
+    return simulate_columns(scenario).records()
 
 
 _TABLE1_POWERS_MW = {

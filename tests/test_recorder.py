@@ -36,7 +36,9 @@ from semo import (
 )
 import semo.recorder as recorder_module
 from semo.recorder import (
+    HEALTHS,
     LOG_FIELDS,
+    STATUSES,
     LogColumns,
     export_columns_csv,
     load_columns,
@@ -168,6 +170,217 @@ class TestRecordsHoldAppSets:
     def test_sample_once_gives_an_app_set(self, tmp_path):
         record = sample_once(FileTreeSource(write_source_dir(tmp_path)), SimulatedClock(42))
         assert type(record.apps) is AppSet
+
+
+DISCHARGING = STATUSES.index(BatteryStatus.DISCHARGING)
+UNKNOWN = STATUSES.index(BatteryStatus.UNKNOWN)
+
+
+def hand_built(app_sets=None, **columns) -> LogColumns:
+    """Three valid rows as hand-built columns, with the given columns put in.
+
+    app_sets, when given, stands in for the AppSets that app_ids make.
+    """
+    base = dict(
+        ts=np.array([1000, 2000, 3000]),
+        level=np.array([80, 79, 78]),
+        voltage=np.array([3800, 3790, 3780]),
+        temp=np.array([250, 250, 251]),
+        charge=np.array([5, 4, 3]),
+        charge_null=np.zeros(3, dtype=bool),
+        status=np.full(3, DISCHARGING, dtype=np.int8),
+        health=np.zeros(3, dtype=np.int8),
+        apps=np.array([0, 1, 0]),
+        app_names=["a", "b"],
+        app_ids=[np.array([0], dtype=np.int32), np.array([0, 1], dtype=np.int32)],
+    )
+    built = LogColumns(**{**base, **columns})
+    if app_sets is not None:
+        object.__setattr__(built, "app_sets", app_sets)
+    return built
+
+
+def reference_records(columns: LogColumns) -> list[LogRecord]:
+    """Every row built by the checked constructors, one row after another."""
+    samples = map(
+        BatterySample,
+        columns.ts.tolist(),
+        columns.level.tolist(),
+        columns.voltage.tolist(),
+        columns.temp.tolist(),
+        columns.charges(),
+        map(STATUSES.__getitem__, columns.status.tolist()),
+        map(HEALTHS.__getitem__, columns.health.tolist()),
+    )
+    return list(map(LogRecord, samples, map(columns.app_sets.__getitem__, columns.apps.tolist())))
+
+
+def records_or_error(build):
+    """What build gives: its records, or the type and message of the error it raises."""
+    try:
+        return build()
+    except (IndexError, TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def as_column(values: list, dtype=None) -> np.ndarray:
+    """values as a column of dtype; by default int64 where each is an int that fits, else object."""
+    if dtype is None:
+        dtype = np.int64 if all(type(v) is int and -(2**63) <= v < 2**63 for v in values) else object
+    return np.array(values, dtype=dtype)
+
+
+def assert_exact_types(records):
+    """Each integer field is exactly an int (charge may be None) and each apps exactly an AppSet."""
+    for record in records:
+        s = record.sample
+        assert all(type(v) is int for v in (s.ts_ms, s.level_pct, s.voltage_mv, s.temp_dc)), s
+        assert s.charge_uah is None or type(s.charge_uah) is int, s
+        assert type(record.apps) is AppSet, record
+
+
+# Hand-built columns that each break one rule of records' column check, with
+# what records gives: the error of the first failing row, or None for records.
+BROKEN_COLUMNS = {
+    "float64 ts": (
+        dict(ts=np.array([1000.0, 2000.0, 3000.0])),
+        (ValueError, "field ts_ms must be an integer, got 1000.0"),
+    ),
+    "float in object charge": (
+        dict(charge=np.array([5, 4.0, 3], dtype=object)),
+        (ValueError, "field charge_uah must be an integer, got 4.0"),
+    ),
+    "bool in object charge": (
+        dict(charge=np.array([5, True, 3], dtype=object)),
+        (ValueError, "field charge_uah must be an integer, got True"),
+    ),
+    "int past int64 in object ts": (dict(ts=np.array([1000, 2000, 2**70], dtype=object)), None),
+    "level 101": (dict(level=np.array([80, 101, 78])), (ValueError, "level_pct out of range 0..100: 101")),
+    "level -1": (dict(level=np.array([80, 79, -1])), (ValueError, "level_pct out of range 0..100: -1")),
+    "voltage 0 discharging": (dict(voltage=np.array([3800, 0, 3780])), (ValueError, "voltage_mv must be positive: 0")),
+    "voltage 0 unknown": (
+        dict(voltage=np.array([3800, 0, 3780]), status=np.array([DISCHARGING, UNKNOWN, DISCHARGING], dtype=np.int8)),
+        None,
+    ),
+    "charge -1": (dict(charge=np.array([5, -1, 3])), (ValueError, "charge_uah must be non-negative: -1")),
+    "charge -1 null": (dict(charge=np.array([5, -1, 3]), charge_null=np.array([False, True, False])), None),
+    # an int64 charge_null indexes rows 0 and 1 where a bool one would mask row 2
+    "charge -1 int64 null": (
+        dict(charge=np.array([5, 4, -1]), charge_null=np.array([0, 0, 1])),
+        (ValueError, "charge_uah must be non-negative: -1"),
+    ),
+    "status 5": (
+        dict(status=np.array([DISCHARGING, len(STATUSES), DISCHARGING], dtype=np.int8)),
+        (IndexError, "tuple index out of range"),
+    ),
+    "status -1": (dict(status=np.array([DISCHARGING, -1, DISCHARGING], dtype=np.int8)), None),  # the last status
+    "health 7": (dict(health=np.array([0, 0, len(HEALTHS)], dtype=np.int8)), (IndexError, "tuple index out of range")),
+    "apps id past app_sets": (dict(apps=np.array([0, 2, 0])), (IndexError, "list index out of range")),
+    "apps id -1": (dict(apps=np.array([0, -1, 0])), None),  # the last set
+    "plain tuple set": (dict(app_sets=[("a",), AppSet(("a", "b"))]), None),
+    "unsorted tuple set": (
+        dict(app_sets=[AppSet(("a",)), ("b", "a")]),
+        (ValueError, "apps must be sorted and unique"),
+    ),
+    "list set": (
+        dict(app_sets=[["a"], AppSet(("a", "b"))]),
+        (ValueError, "apps must be a tuple of strings, got ['a']"),
+    ),
+    "first failing row wins": (
+        dict(level=np.array([80, 79, 101]), voltage=np.array([3800, 0, 3780])),
+        (ValueError, "voltage_mv must be positive: 0"),
+    ),
+    "status past STATUSES before a bad level": (
+        dict(level=np.array([80, 79, 101]), status=np.array([DISCHARGING, len(STATUSES), DISCHARGING], dtype=np.int8)),
+        (IndexError, "tuple index out of range"),
+    ),
+    "health past HEALTHS before a bad level": (
+        dict(level=np.array([80, 79, 101]), health=np.array([0, len(HEALTHS), 0], dtype=np.int8)),
+        (IndexError, "tuple index out of range"),
+    ),
+}
+
+
+class TestRecordsOfColumns:
+    """records() checks whole columns, then fills the rows it cleared, and
+    gives what building every row by the checked constructors gives."""
+
+    @pytest.mark.parametrize("columns, expected", BROKEN_COLUMNS.values(), ids=BROKEN_COLUMNS.keys())
+    def test_each_rule_gives_what_the_constructors_give(self, columns, expected):
+        built = hand_built(**columns)
+        got = records_or_error(built.records)
+        assert got == records_or_error(lambda: reference_records(built))
+        if expected is None:
+            assert len(got) == 3
+            assert_exact_types(got)
+        else:
+            assert got == expected
+
+    def test_a_plain_tuple_set_is_made_into_one_app_set(self):
+        records = hand_built(app_sets=[("a",), AppSet(("a", "b"))]).records()
+        assert records[0].apps is records[2].apps
+
+    @pytest.mark.parametrize(
+        "columns",
+        [dict(level=np.array([80, 79])), dict(apps=np.array([0])), dict(ts=np.array([[1000, 2000, 3000]]))],
+        ids=["short level", "one set id", "two-dimensional ts"],
+    )
+    def test_columns_of_other_lengths_are_refused(self, columns):
+        with pytest.raises(ValueError, match="^columns must be one-dimensional and of one length"):
+            hand_built(**columns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_columns_give_what_the_constructors_give(self, data):
+        n = data.draw(st.integers(1, 5), label="rows")
+
+        def rows(values):
+            return data.draw(st.lists(values, min_size=n, max_size=n))
+
+        pool = [AppSet(("a",)), ("a", "b"), AppSet(), ("b", "a"), ["a"]]
+        app_sets = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3), label="app_sets")
+        values = dict(
+            ts=rows(st.integers(-(2**70), 2**70)),
+            level=rows(st.integers(0, 100)),
+            voltage=rows(st.integers(1, 2**70)),
+            temp=rows(st.integers(-(2**70), 2**70)),
+            charge=rows(st.integers(0, 2**70)),
+            charge_null=rows(st.booleans()),
+            status=rows(st.integers(0, len(STATUSES) - 1)),
+            health=rows(st.integers(0, len(HEALTHS) - 1)),
+            apps=rows(st.integers(0, len(app_sets) - 1)),
+        )
+        faults = [
+            ("ts", 1.5),
+            ("level", 101),
+            ("level", -1),
+            ("voltage", 0),  # valid where the status is Unknown
+            ("charge", -1),  # valid where charge is null
+            ("charge", True),
+            ("charge", 2.0),
+            ("status", -1),
+            ("status", len(STATUSES)),
+            ("health", len(HEALTHS)),
+            ("apps", -1),  # the last set
+            ("apps", -len(app_sets) - 2),
+            ("apps", len(app_sets)),
+        ]
+        placed = st.tuples(st.sampled_from(faults), st.integers(0, n - 1))
+        for (name, value), row in data.draw(st.lists(placed, max_size=2), label="faults"):
+            values[name][row] = value
+        dtypes = {"charge_null": bool}
+        # at times one column recast to float64 or object, or charge_null to int64
+        recast = st.tuples(st.sampled_from(list(values)), st.sampled_from([float, object]))
+        recast |= st.just(("charge_null", np.int64))
+        recast = data.draw(st.none() | recast, label="recast")
+        if recast is not None:
+            dtypes[recast[0]] = recast[1]
+        columns = {name: as_column(v, dtypes.get(name)) for name, v in values.items()}
+        built = hand_built(app_sets=app_sets, **columns)
+        got = records_or_error(built.records)
+        assert got == records_or_error(lambda: reference_records(built))
+        if type(got) is list:
+            assert_exact_types(got)
 
 
 class TestWritersShareOneCheckedLine:
@@ -357,7 +570,9 @@ def test_a_record_that_can_be_built_can_be_written_and_read_back(tmp_path_factor
     path = tmp_path_factory.mktemp("logs") / "log.jsonl"
     write_log(path, [record])
     assert load_log(path) == [record]
-    assert LogColumns.from_records([record]).records() == [record]
+    read = LogColumns.from_records([record]).records()
+    assert read == [record]
+    assert_exact_types(read)
 
 
 # One line per rule of the log, each as line 2 of a log, with the error that load_log and LogWriter give.

@@ -27,8 +27,9 @@ from semo import (
     simulate,
     table1_scenario,
 )
-from semo.recorder import load_log, record_to_json, write_log
-from semo.simulator import MAX_SAMPLES, scenario_from_dict, scenario_to_dict
+from semo.analyzer import attribute_columns
+from semo.recorder import load_columns, load_log, record_to_json, write_log
+from semo.simulator import MAX_SAMPLES, scenario_from_dict, scenario_to_dict, simulate_columns
 
 from _helpers import churn_scenario, random_exact_scenario, reference_simulate, segments_to_schedule
 
@@ -163,6 +164,53 @@ class TestSimulate:
         assert all(type(record.apps) is AppSet for record in records)
         app_events = sum(event.kind in (EventKind.START, EventKind.STOP) for event in scenario.schedule)
         assert len({id(record.apps) for record in records}) <= app_events + 1
+
+
+class TestSimulateColumns:
+    """simulate_columns gives the columns of the log that simulate's records make."""
+
+    @pytest.mark.parametrize(
+        "make", [table1_scenario, lambda: churn_scenario(2000, 30, 3, 1.2)[0]], ids=["table1", "churn"]
+    )
+    def test_attribution_as_from_the_written_log(self, tmp_path, make):
+        scenario = make()
+        columns = simulate_columns(scenario)
+        assert columns.records() == simulate(scenario)
+        write_log(tmp_path / "log.jsonl", simulate(scenario))
+        read = load_columns(tmp_path / "log.jsonl")
+        for name in ("ts", "level", "voltage", "temp", "charge", "charge_null", "status", "health", "apps"):
+            assert np.array_equal(getattr(columns, name), getattr(read, name)), name
+        assert columns.app_sets == read.app_sets
+        assert attribute_columns(columns) == attribute_columns(read)
+
+    def test_equal_sets_share_one_id(self):
+        start, stop = EventKind.START, EventKind.STOP
+        events = [(600, start, "b"), (1200, start, "a"), (1800, stop, "a"), (2400, stop, "b"), (3000, start, "a")]
+        events += [(3600, start, "b"), (4200, stop, "a"), (4800, stop, "b"), (5400, start, "a")]
+        scenario = baseline_scenario(
+            apps={"b": 100.0, "a": 200.0},
+            schedule=tuple(ScheduleEvent(t, kind, app) for t, kind, app in events),
+            duration_s=5940,
+        )
+        columns = simulate_columns(scenario)
+        sets = [(), ("b",), ("a", "b"), ("b",), (), ("a",), ("a", "b"), ("b",), (), ("a",)]
+        assert columns.app_sets == [(), ("b",), ("a", "b"), ("a",)]
+        assert all(type(apps) is AppSet for apps in columns.app_sets)
+        assert columns.app_names == ["a", "b"]
+        assert [ids.tolist() for ids in columns.app_ids] == [[], [1], [0, 1], [0]]
+        assert all(ids.dtype == np.int32 for ids in columns.app_ids)
+        # each run holds ten samples, and a set that comes back keeps its first id
+        assert columns.apps.tolist() == [columns.app_sets.index(run) for run in sets for _ in range(10)]
+        assert [record.apps for record in columns.records()] == [run for run in sets for _ in range(10)]
+
+    def test_sets_after_power_off_are_left_out(self):
+        # the battery empties before the second set starts
+        scenario = baseline_scenario(
+            capacity_mah=1.0, apps={"a": 100.0}, schedule=(ScheduleEvent(3000, EventKind.START, "a"),), duration_s=6000
+        )
+        columns = simulate_columns(scenario)
+        assert len(columns) < 50 and columns.app_sets == [()]
+        assert columns.records() == reference_simulate(scenario)
 
 
 class TestConservationAndQuantization:
@@ -760,6 +808,31 @@ class TestAgreesWithReference:
         assert len({record.apps for record in expected}) >= 100
         write_log(tmp_path / "fast.jsonl", simulate(scenario))
         write_log(tmp_path / "reference.jsonl", expected)
+        assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("capacity_mah", [9.2e15, 9.3e15, 1e16, 1e30])
+    def test_counters_past_int64(self, tmp_path, capacity_mah):
+        # full charge about 9.2e18 uAh, at, just past and far past 2**63; the first step empties it
+        scenario = replace(table1_scenario(), capacity_mah=capacity_mah, baseline_mw=1e20)
+        records = simulate(scenario)
+        assert all(type(record.sample.charge_uah) is int for record in records)
+        write_log(tmp_path / "fast.jsonl", records)
+        write_log(tmp_path / "reference.jsonl", reference_simulate(scenario))
+        assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(nominal_voltage_mv=2**64), dict(sample_interval_s=2**62, duration_s=2**64)],
+        ids=["voltage", "timestamps"],
+    )
+    def test_voltage_and_timestamps_past_int64(self, tmp_path, change):
+        # a 2**62 s step empties the battery, so the second and last sample lies at 2**62 * 1000 ms
+        scenario = replace(table1_scenario(), **change)
+        records = simulate(scenario)
+        assert all(type(r.sample.ts_ms) is type(r.sample.voltage_mv) is int for r in records)
+        assert max(r.sample.ts_ms for r in records) >= 2**63 or records[0].sample.voltage_mv >= 2**63
+        write_log(tmp_path / "fast.jsonl", records)
+        write_log(tmp_path / "reference.jsonl", reference_simulate(scenario))
         assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
 
     @pytest.mark.parametrize("off_at", [1, 63, 64, 65, 200])
