@@ -71,11 +71,14 @@ def cmd_record(args) -> int:
     def _handle(signum, frame):
         stop.set()
 
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, _handle)
-
-    log.info("recording to %s every %d s; stop with SIGINT", args.out, args.interval)
-    written = run_loop(config, source, stop=stop)
+    # signal.signal gives None for a handler not set from Python; SIG_DFL stands in for it.
+    previous = {sig: signal.signal(sig, _handle) for sig in (signal.SIGINT, signal.SIGTERM)}
+    try:
+        log.info("recording to %s every %d s; stop with SIGINT", args.out, args.interval)
+        written = run_loop(config, source, stop=stop)
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, signal.SIG_DFL if handler is None else handler)
     if args.json:  # run_loop itself logs the ticks written and skipped
         print(json.dumps({"records_written": written, "log": str(args.out)}))
     return EXIT_OK

@@ -44,14 +44,18 @@ with those checked constructors, so that it raises their error, and
 fills all the records a field at a time.  So every LogRecord
 has a line the reader accepts, and record_to_json, the one serializer,
 only formats it.
-_checked_line, the one step of both LogWriter.append and write_log,
-raises NonMonotonicTimestamp for a timestamp not above the last one
-written, so neither writer leaves a log that load_log or the next
-LogWriter refuses; run_loop skips such a tick.  It formats the line
+_LineSpeller.checked_line, the one step of both LogWriter.append and
+write_log, raises NonMonotonicTimestamp for a timestamp not above the
+last one written, so neither writer leaves a log that load_log or the
+next LogWriter refuses; run_loop skips such a tick.  It formats the line
 with record_to_json's own formatter from the sample and the apps' JSON
-text.  write_log formats that text once per run of records sharing one
-AppSet object, as simulate gives them, and encodes and writes its lines
-in batches; the lines before a refused record are still written.
+text, which it spells once per run of records holding one AppSet
+object: simulate gives such runs, and so does a FileTreeSource while its
+app listing stays the same.  write_log encodes and writes its lines in
+batches; the lines before a refused record are still written.
+LogWriter flushes each append, and syncs the file to disk once, on
+close, when it appended (and the directory too, when it created the
+file): an fsync per tick would cost more than the rest of the tick.
 LogColumns.from_records, the way in for records held in memory, keeps
 the records' own AppSets and refuses records out of order with the
 reader's own test.  An app name must be valid UTF-8 text: a
@@ -65,6 +69,7 @@ from __future__ import annotations
 
 import collections
 import csv
+import errno
 import functools
 import io
 import itertools
@@ -699,12 +704,28 @@ def export_columns_csv(columns: LogColumns, path) -> None:
         writer.writerows(rows)
 
 
-def _checked_line(sample: BatterySample, apps_text: str, last_ts: int | None) -> str:
-    """The line of a sample and its apps' text, and newline; NonMonotonicTimestamp unless ts > last_ts."""
-    ts = sample.ts_ms
-    if last_ts is not None and ts <= last_ts:
-        raise NonMonotonicTimestamp(f"ts {ts} not above last written {last_ts}")
-    return _line(sample, apps_text) + "\n"
+class _LineSpeller:
+    """The one step of both writers: a record's line, and newline, checked against the last timestamp written.
+
+    It keeps the last AppSet object it spelled and that set's JSON text,
+    so a run of records that hold one AppSet object has its text spelled
+    once; an equal but distinct set is spelled anew.
+    """
+
+    __slots__ = ("_apps", "_apps_text")
+
+    def __init__(self):
+        self._apps = self._apps_text = None
+
+    def checked_line(self, record: LogRecord, last_ts: int | None) -> str:
+        """record's line and newline; NonMonotonicTimestamp unless its ts > last_ts."""
+        sample, apps = record.sample, record.apps
+        ts = sample.ts_ms
+        if last_ts is not None and ts <= last_ts:
+            raise NonMonotonicTimestamp(f"ts {ts} not above last written {last_ts}")
+        if apps is not self._apps:
+            self._apps, self._apps_text = apps, _apps_text(apps)
+        return _line(sample, self._apps_text) + "\n"
 
 
 # Lines that write_log encodes and writes at a time.
@@ -714,18 +735,16 @@ WRITE_BATCH = 1024
 def write_log(path: str | Path, records) -> None:
     """Write records as a fresh log file, up to the first one append would refuse (no locking).
 
-    The apps text is formatted once per run of records that share one
-    AppSet object.  Lines are encoded and written WRITE_BATCH at a time,
-    and every line before a refused record is written before it raises.
+    Lines are encoded and written WRITE_BATCH at a time, and every line
+    before a refused record is written before it raises.
     """
-    last_ts = last_apps = apps_text = None
+    checked_line = _LineSpeller().checked_line
+    last_ts = None
     batch: list[str] = []
     with open(path, "wb") as fh:
         try:
             for record in records:
-                if record.apps is not last_apps:
-                    last_apps, apps_text = record.apps, _apps_text(record.apps)
-                batch.append(_checked_line(record.sample, apps_text, last_ts))
+                batch.append(checked_line(record, last_ts))
                 last_ts = record.sample.ts_ms
                 if len(batch) == WRITE_BATCH:
                     lines, batch = batch, []
@@ -734,18 +753,54 @@ def write_log(path: str | Path, records) -> None:
             fh.write("".join(batch).encode())
 
 
+def _create_new(path, flags: int) -> int:
+    """An opener for open() that creates the file, or raises FileExistsError."""
+    return os.open(path, flags | os.O_CREAT | os.O_EXCL, 0o666)
+
+
+def _fsync(fd: int) -> None:
+    """os.fsync, where EINVAL (a file that cannot be synced) means nothing to sync."""
+    try:
+        os.fsync(fd)
+    except OSError as exc:
+        if exc.errno != errno.EINVAL:
+            raise
+
+
+def _sync_directory(path: Path) -> None:
+    """fsync a directory, so the names made in it are on disk; nothing on a platform without O_DIRECTORY."""
+    o_directory = getattr(os, "O_DIRECTORY", None)
+    if o_directory is None:
+        return
+    fd = os.open(path, os.O_RDONLY | o_directory)
+    try:
+        _fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class LogWriter:
     """Append-only writer owning the log through an advisory exclusive lock.
 
     Opening validates any existing content (strict parse, one block at a
     time) and resumes after its last timestamp.  An unterminated final
     line is cut off before the first append.  Memory stays bounded by the
-    block size regardless of log length.
+    block size regardless of log length.  Each append is flushed to the
+    operating system; close syncs the file to disk once, when this writer
+    appended to it, and the directory holding it too when this writer
+    created it.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._fh = open(self.path, "a+b")
+        self._lines = _LineSpeller()
+        self._appended = False
+        try:
+            self._fh = open(self.path, "a+b", opener=_create_new)
+            self._created = True
+        except FileExistsError:
+            self._fh = open(self.path, "a+b")
+            self._created = False
         if fcntl is not None:
             try:
                 fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -770,16 +825,31 @@ class LogWriter:
 
     def append(self, record: LogRecord) -> None:
         """Write one record's line; a record out of order leaves the file untouched."""
-        line = _checked_line(record.sample, _apps_text(record.apps), self._last_ts).encode()
+        line = self._lines.checked_line(record, self._last_ts).encode()
         if self._torn_at is not None:
             self._fh.truncate(self._torn_at)
             self._torn_at = None
         self._fh.write(line)
         self._fh.flush()
+        self._appended = True
         self._last_ts = record.sample.ts_ms
 
     def close(self) -> None:
-        self._fh.close()
+        """Close the log, after one fsync when this writer appended to it.
+
+        A log this writer created also has its directory synced, so that
+        its name survives a power loss as well as its lines.  A writer
+        that only resumed syncs nothing, and nor does a file that cannot
+        be synced (EINVAL, such as /dev/null).
+        """
+        try:
+            if self._appended:
+                self._appended = False
+                _fsync(self._fh.fileno())
+                if self._created:
+                    _sync_directory(self.path.parent)
+        finally:
+            self._fh.close()
 
     def __enter__(self) -> "LogWriter":
         return self

@@ -25,7 +25,8 @@ so unlisted vendor strings stay readable.
 FileTreeSource reads each field file whole with os.open, os.read and
 os.close, opening it anew on every read (a file replaced by rename is
 read from its new inode, which a kept descriptor would miss), and
-decodes the bytes as strict UTF-8.
+decodes the bytes as strict UTF-8.  It keeps the last app listing's text
+and its AppSet, and parses the listing again only when its text changed.
 
 AppSet owns the app-name rule: it refuses names that break it when
 built, so its holders trust it.  make_app_set normalizes raw names into
@@ -218,11 +219,17 @@ class FileTreeSource:
     "\n"; nothing downstream tells them apart: strip() removes either at
     the ends of a value, int() and the enum lookups reject either inside
     one, and str.splitlines() splits the app listing at each.
+
+    Every read opens its file anew, but the app listing is parsed only
+    when its text differs from the last listing read: while the text
+    stays the same, read_running_apps gives the same AppSet object.
     """
 
     def __init__(self, root: str | Path | None = None):
         self.root = resolve_source_root(root)
         self._paths = {name: str(self.root / name) for name in FIELD_NAMES}
+        # The last app listing read and its AppSet, set as one pair.
+        self._listing: tuple[str | None, AppSet] = (None, AppSet())
 
     def _read_field(self, name: str) -> str:
         """A field file's stripped text.
@@ -290,5 +297,13 @@ class FileTreeSource:
             raise MalformedField("sample", str(exc)) from None
 
     def read_running_apps(self) -> AppSet:
-        """Read the running-application listing (one name per line)."""
-        return make_app_set(self._read_field("running_apps").splitlines())
+        """Read the running-application listing (one name per line).
+
+        The file is read on every call; its AppSet is built again only
+        when the text changed since the last call.
+        """
+        text = self._read_field("running_apps")
+        listing = self._listing
+        if text != listing[0]:
+            self._listing = listing = text, make_app_set(text.splitlines())
+        return listing[1]

@@ -675,6 +675,49 @@ def test_record_stops_promptly_on_sigint(tmp_path):
     assert json.loads(out)["records_written"] == 1
 
 
+class TestRecordSignalHandlers:
+    """`semo record` stops on SIGINT and SIGTERM only while it records, and
+    leaves the handlers it found in place when it returns."""
+
+    SIGNALS = (signal.SIGINT, signal.SIGTERM)
+
+    def record(self, capsys, tmp_path, monkeypatch, loop):
+        monkeypatch.setattr("semo.cli.run_loop", loop)
+        source = write_source_dir(tmp_path / "bat")
+        return run_cli(capsys, "record", "--out", str(tmp_path / "rec.jsonl"), "--source-root", str(source), "--json")
+
+    @pytest.mark.parametrize("sig", SIGNALS, ids=["SIGINT", "SIGTERM"])
+    def test_a_signal_while_recording_stops_the_loop(self, capsys, tmp_path, monkeypatch, sig):
+        before = {s: signal.getsignal(s) for s in self.SIGNALS}
+        stopped = []
+
+        def loop(config, source, stop):
+            assert all(signal.getsignal(s) is not before[s] for s in self.SIGNALS)
+            os.kill(os.getpid(), sig)
+            stopped.append(stop.wait(5))
+            return 0
+
+        code, out, _ = self.record(capsys, tmp_path, monkeypatch, loop)
+        assert (code, stopped, json.loads(out)["records_written"]) == (0, [True], 0)
+        assert {s: signal.getsignal(s) for s in self.SIGNALS} == before
+
+    def test_handlers_restored_when_the_loop_fails(self, capsys, tmp_path, monkeypatch):
+        def own(signum, frame):
+            pass
+
+        def loop(config, source, stop):
+            raise OSError(28, "No space left on device")
+
+        before = {s: signal.signal(s, own) for s in self.SIGNALS}
+        try:
+            code, out, err = self.record(capsys, tmp_path, monkeypatch, loop)
+            assert all(signal.getsignal(s) is own for s in self.SIGNALS)
+        finally:
+            for s, handler in before.items():
+                signal.signal(s, handler)
+        assert (code, out) == (1, "") and "No space left on device" in err
+
+
 @pytest.mark.parametrize("given, expected", [(None, "1"), ("3", "3")], ids=["unset", "user-set"])
 def test_import_pins_blas_threads_unless_set(given, expected):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}

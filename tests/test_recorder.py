@@ -1,8 +1,11 @@
 import csv
 import dataclasses
+import errno
 import gc
+import hashlib
 import json
 import logging
+import os
 import threading
 import time
 import tracemalloc
@@ -483,6 +486,31 @@ def test_write_log_memo_follows_each_record_s_own_set(tmp_path):
     assert error is None
     assert written == b"".join(reference_line(record).encode() + b"\n" for record in records)
     assert load_log(tmp_path / "a.jsonl") == records
+
+
+@settings(max_examples=100, deadline=None)
+@given(records=records_sharing_sets())
+def test_each_append_writes_its_record_s_line(tmp_path_factory, records):
+    """Appends of records that share one AppSet object, hold an equal copy or
+    another set: each append adds exactly record_to_json of its record."""
+    path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+    with LogWriter(path) as writer:
+        for i, record in enumerate(records):
+            record = replace_ts(record, 1000 * i)
+            size = path.stat().st_size
+            writer.append(record)
+            assert path.read_bytes()[size:] == record_to_json(record).encode() + b"\n"
+
+
+def test_append_spells_each_new_set_even_at_a_freed_set_s_address(tmp_path):
+    """Each record's AppSet is dropped after its append, so the next may be
+    made at the same address: the writer must still spell the new one."""
+    path = tmp_path / "log.jsonl"
+    names = [("a",), ("b",), ("a",), ("c", "d"), ()]
+    with LogWriter(path) as writer:
+        for i, apps in enumerate(names * 20):
+            writer.append(LogRecord(make_sample(1000 * i, 80), AppSet(apps)))
+    assert [record.apps for record in load_log(path)] == names * 20
 
 
 @pytest.mark.parametrize(
@@ -1062,6 +1090,88 @@ def test_writer_memory_flat_in_log_length(tmp_path):
     assert peaks[1] <= 1.1 * peaks[0], f"peak {peaks[0]} B at 10k lines, {peaks[1]} B at 40k"
 
 
+def _at_rest(st: os.stat_result) -> tuple[int, int, int]:
+    """The device, inode and size of a stat result."""
+    return st.st_dev, st.st_ino, st.st_size
+
+
+class TestSyncOnClose:
+    """LogWriter fsyncs the log once, on close, and only when it appended to it."""
+
+    @pytest.fixture
+    def synced(self, monkeypatch):
+        """Each fsync call's file: its inode and its size at the call."""
+        calls = []
+        monkeypatch.setattr(recorder_module.os, "fsync", lambda fd: calls.append(_at_rest(os.fstat(fd))))
+        return calls
+
+    def test_appends_to_a_new_log_sync_it_and_its_directory_once_on_close(self, tmp_path, synced):
+        path = tmp_path / "log.jsonl"
+        writer = LogWriter(path)
+        for i in range(3):
+            writer.append(make_record(1000 * i, 80))
+        assert synced == []
+        writer.close()
+        assert synced == [_at_rest(path.stat()), _at_rest(tmp_path.stat())] and len(load_log(path)) == 3
+        writer.close()
+        assert len(synced) == 2
+
+    def test_appends_to_an_existing_log_sync_only_the_file(self, tmp_path, synced):
+        path = tmp_path / "log.jsonl"
+        write_log(path, [make_record(1000, 80)])
+        with LogWriter(path) as writer:
+            writer.append(make_record(2000, 79))
+        assert synced == [_at_rest(path.stat())]
+
+    def test_an_existing_empty_file_is_not_a_new_log(self, tmp_path, synced):
+        path = tmp_path / "log.jsonl"
+        path.touch()
+        with LogWriter(path) as writer:
+            writer.append(make_record(1000, 80))
+        assert synced == [_at_rest(path.stat())]
+
+    def test_a_new_log_with_no_append_syncs_nothing(self, tmp_path, synced):
+        LogWriter(tmp_path / "log.jsonl").close()
+        assert synced == [] and (tmp_path / "log.jsonl").exists()
+
+    def test_a_writer_that_only_resumed_syncs_nothing(self, tmp_path, synced):
+        path = tmp_path / "log.jsonl"
+        write_log(path, [make_record(1000, 80)])
+        with LogWriter(path) as writer:
+            assert writer.last_ts_ms == 1000
+            with pytest.raises(NonMonotonicTimestamp):
+                writer.append(make_record(1000, 79))
+        assert synced == []
+
+    def test_run_loop_syncs_once(self, tmp_path, synced):
+        clock = SimulatedClock(0)
+        stop = threading.Event()
+        _stop_after(clock, stop, 300_000)
+        config = RecorderConfig(out_path=tmp_path / "log.jsonl")
+        assert run_loop(config, ReplaySource(_endless_records(10)), clock, stop) == 6
+        assert synced == [_at_rest(config.out_path.stat()), _at_rest(tmp_path.stat())]
+
+    def test_a_file_that_cannot_be_synced_has_nothing_to_sync(self, tmp_path, monkeypatch):
+        def fsync(fd):
+            raise OSError(errno.EINVAL, os.strerror(errno.EINVAL))
+
+        monkeypatch.setattr(recorder_module.os, "fsync", fsync)
+        with LogWriter(tmp_path / "log.jsonl") as writer:
+            writer.append(make_record(1000, 80))
+        assert writer._fh.closed
+
+    def test_a_failed_sync_raises_and_still_closes(self, tmp_path, monkeypatch):
+        def fsync(fd):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(recorder_module.os, "fsync", fsync)
+        writer = LogWriter(tmp_path / "log.jsonl")
+        writer.append(make_record(1000, 80))
+        with pytest.raises(OSError) as failed:
+            writer.close()
+        assert failed.value.errno == errno.EIO and writer._fh.closed
+
+
 class TestTornFinalLine:
     """A record counts once its newline is on disk; power loss can cut the last one short."""
 
@@ -1273,6 +1383,66 @@ class TestRunLoop:
             run_loop(RecorderConfig(out_path=path), ReplaySource(_endless_records(10)), clock, stop)
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+# The listing each tick of the scripted session reads, None where the file is
+# missing, and how it got there: rewritten in place or replaced by rename.
+LISTING_SCRIPT = [
+    ("browser\ngame\n", "in place"),
+    ("browser\ngame\n", "untouched"),
+    ("browser\ngame\n", "in place"),  # the same text written again
+    ("maps\n", "in place"),
+    ("maps\nchat\n", "rename"),
+    ("chat\r\nmaps\n", "in place"),  # the same set, spelled another way
+    ("", "in place"),
+    (None, "unlinked"),  # a skipped tick
+    ("maps\n", "in place"),
+    ("game\nbrowser\n", "rename"),
+]
+
+
+def test_run_loop_over_a_listing_that_changes_between_ticks(tmp_path):
+    """Each tick logs the listing the file held at that tick, byte for byte
+    as each tick's own parse of the listing gives it."""
+    root = write_source_dir(tmp_path / "bat", apps=None)
+    listing = root / "running_apps"
+
+    def set_tick(k):
+        (root / "capacity").write_text(f"{80 - k}\n")
+        text, how = LISTING_SCRIPT[k]
+        if how == "in place":
+            listing.write_text(text)
+        elif how == "rename":
+            (root / "running_apps.new").write_text(text)
+            os.replace(root / "running_apps.new", listing)
+        elif how == "unlinked":
+            listing.unlink()
+
+    clock = SimulatedClock(0)
+    stop = threading.Event()
+    ticks = iter(range(1, len(LISTING_SCRIPT) + 1))
+
+    def on_advance(now_ms):
+        k = next(ticks)
+        if k == len(LISTING_SCRIPT):
+            stop.set()
+        else:
+            set_tick(k)
+
+    set_tick(0)
+    clock.on_advance = on_advance
+    config = RecorderConfig(out_path=tmp_path / "log.jsonl")
+    assert run_loop(config, FileTreeSource(root), clock, stop) == len(LISTING_SCRIPT) - 1
+    expected = b"".join(
+        record_to_json(LogRecord(make_sample(60_000 * k, 80 - k, temp_dc=310), make_app_set(text.splitlines()))).encode()
+        + b"\n"
+        for k, (text, _) in enumerate(LISTING_SCRIPT)
+        if text is not None
+    )
+    written = config.out_path.read_bytes()
+    assert written == expected
+    # the bytes the recorder wrote when it parsed the listing on every tick
+    assert hashlib.sha256(written).hexdigest() == "1c0ec741f74c4d3af2a29073a3358980c21cb2d42820dc1e18fbc623ff655fd7"
 
 
 def test_load_log_10k_lines_under_100ms(tmp_path):

@@ -218,6 +218,73 @@ class TestReadRunningApps:
         assert FileTreeSource(root).read_running_apps() == first == make_app_set(names)
 
 
+class TestListingMemo:
+    """read_running_apps reads the file on every call but parses it only when its text changed."""
+
+    def test_same_text_gives_the_same_app_set(self, tmp_path):
+        root = write_source_dir(tmp_path, apps=("game", "browser"))
+        source = FileTreeSource(root)
+        first = source.read_running_apps()
+        assert source.read_running_apps() is first
+        (root / "running_apps").write_text("game\nbrowser\n")  # rewritten with the same text
+        assert source.read_running_apps() is first == ("browser", "game")
+
+    def test_rewritten_in_place_is_read_anew(self, tmp_path):
+        root = write_source_dir(tmp_path, apps=("browser", "game"))
+        listing = root / "running_apps"
+        source = FileTreeSource(root)
+        first = source.read_running_apps()
+        inode = listing.stat().st_ino
+        with open(listing, "r+", encoding="utf-8") as fh:  # same inode, and the same length
+            fh.write("chatapp\nmaps\n")
+        assert listing.stat().st_ino == inode
+        second = source.read_running_apps()
+        assert second == ("chatapp", "maps") and type(second) is AppSet
+        listing.write_text("maps\nchatapp\n")  # the same set, spelled in another order
+        assert source.read_running_apps() == second
+        listing.write_text("")
+        assert source.read_running_apps() == () and first == ("browser", "game")
+
+    def test_a_failed_read_keeps_the_last_listing(self, tmp_path):
+        root = write_source_dir(tmp_path, apps=("browser",))
+        source = FileTreeSource(root)
+        first = source.read_running_apps()
+        (root / "running_apps").unlink()
+        with pytest.raises(MissingField):
+            source.read_running_apps()
+        (root / "running_apps").write_bytes(b"\xff")
+        with pytest.raises(MalformedField):
+            source.read_running_apps()
+        (root / "running_apps").write_text("browser\r\n")
+        assert source.read_running_apps() is first
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        listings=st.lists(
+            st.none() | st.lists(st.sampled_from(["a", "b", " b", "c\t", "", "\u00e9"]), max_size=4).map(
+                lambda names: "".join(f"{name}\n" for name in names)
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_each_read_gives_the_listing_and_reuses_only_for_the_same_text(self, tmp_path_factory, listings):
+        root = write_source_dir(tmp_path_factory.mktemp("bat"), apps=None)
+        source = FileTreeSource(root)
+        last_text = last_apps = None
+        for listing in listings:
+            if listing is None:
+                (root / "running_apps").unlink(missing_ok=True)
+                with pytest.raises(MissingField):
+                    source.read_running_apps()
+                continue
+            (root / "running_apps").write_text(listing)
+            apps = source.read_running_apps()
+            assert apps == make_app_set(listing.splitlines()) and type(apps) is AppSet
+            assert (apps is last_apps) == (listing.strip() == last_text)
+            last_text, last_apps = listing.strip(), apps
+
+
 def reference_field(root: Path, name: str) -> str:
     """The text-mode read the os-level one replaced: Path.read_text, universal newlines."""
     path = root / name
