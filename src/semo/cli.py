@@ -187,6 +187,6 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_ERROR
     try:
         return args.func(args)
-    except (SemoError, OSError, ValueError) as exc:
+    except (SemoError, OSError, ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -58,8 +58,8 @@ def evaluate(sample: BatterySample) -> list[BatteryWarning]:
             BatteryWarning(
                 kind=WarningKind.OVERHEAT,
                 message=(
-                    f"battery temperature {sample.temp_dc / 10:.1f} °C "
-                    f"exceeds {OVERHEAT_DC / 10:.1f} °C"
+                    f"battery temperature {_tenths(sample.temp_dc)} °C "
+                    f"exceeds {_tenths(OVERHEAT_DC)} °C"
                 ),
                 threshold=OVERHEAT_DC,
             )
@@ -87,6 +87,13 @@ def evaluate(sample: BatterySample) -> list[BatteryWarning]:
     return warnings
 
 
+def _tenths(value: int) -> str:
+    """An integer count of tenths as a decimal with one digit after the
+    point, -5 as -0.5; exact for any int, where a float would overflow."""
+    whole, tenth = divmod(abs(value), 10)
+    return f"{'-' if value < 0 else ''}{whole}.{tenth}"
+
+
 def describe(sample: BatterySample) -> str:
     """Format the full battery report, one line per sample field."""
     when = datetime.fromtimestamp(sample.ts_ms / 1000, tz=timezone.utc)
@@ -95,7 +102,7 @@ def describe(sample: BatterySample) -> str:
         f"time: {when.isoformat(timespec='seconds')}",
         f"level: {sample.level_pct}%",
         f"voltage: {sample.voltage_mv} mV",
-        f"temperature: {sample.temp_dc / 10:.1f} °C",
+        f"temperature: {_tenths(sample.temp_dc)} °C",
         f"charge: {charge}",
         f"status: {sample.status.label}",
         f"health: {sample.health.label}",

@@ -162,8 +162,8 @@ class RecorderConfig:
     interval_s: int = 60
 
     def __post_init__(self):
-        if self.interval_s < 1:
-            raise ValueError(f"interval_s must be >= 1: {self.interval_s}")
+        if not 1 <= self.interval_s <= threading.TIMEOUT_MAX:  # a longer wait overflows Event.wait
+            raise ValueError(f"interval_s must be in [1, {threading.TIMEOUT_MAX:.0f}]: {self.interval_s}")
 
 
 def sample_dict(sample: BatterySample) -> dict:

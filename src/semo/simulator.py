@@ -12,7 +12,7 @@ order of a set, which would hang on the string hash seed.  eps is one
 gaussian(0, sigma_mw) value per sampling step, all drawn by one call at
 the start of the run (the same stream as one draw per step), so noise
 enters as power jitter and zero-noise level series stay monotone.
-Energy is clamped to [0, full] after every piece, plugged or not.  A
+Energy is clamped to [0, full] after every segment, plugged or not.  A
 device whose energy reads 0 at a sample time powers off: that sample is
 the log's last, and later events are not simulated.  Emitted samples
 quantize the state exactly like a real device would:
@@ -20,22 +20,23 @@ level_pct = floor(100 * E / E_full) and
 charge_uah = round(E / (nominal_voltage_mv/1000) * 1000).
 
 simulate runs in three passes.  A walk over the schedule, one step per
-event, gives runs of samples whose state does not change, and the
-pieces of each step that holds an event strictly inside it.  It keeps
-the running apps as flags over the scenario's sorted names, checked
-once as an AppSet, so a start or stop takes the run's load from the
-flagged powers.  One array of per-step energy changes,
--(load + eps) * dt_h or 5000 * dt_h, is then summed by
-np.add.accumulate, which adds left to right: each partial sum is the
-float that adding one step at a time gives, since the same IEEE
-operations run in the same order.  The sum is clamped where it first
-leaves (0, full] and goes on from the clamped value; a step with pieces
-is integrated piece by piece.  A last pass, simulate_columns, quantizes
-the energies as arrays and builds the log's columns, a LogColumns in
-which each distinct set of flags gets one set id and becomes one AppSet
-of the flagged names, with no name sorted or checked again.  simulate
-is their records(), which checks the columns whole and then fills the
-records one field at a time.
+event, gives the event times and the state after each: the plug state,
+and the running apps as flags over the scenario's sorted names, checked
+once as an AppSet, with the load taken from the flagged powers.  Time
+is cut into segments at every sample time and every event time
+strictly inside a step; each runs in the state at its start with the
+noise of its step.  Their energy changes, -(load + eps) * dt_h or
+5000 * dt_h with dt_h = (t1 - t0) / 3600.0, are summed left to right
+by np.add.accumulate: each partial sum is the float that adding one
+segment at a time gives, since the same IEEE operations run in the
+same order.  The sum is clamped where it first leaves (0, full], goes
+on from the clamped value, and stops only at a sample that reads 0.
+A last pass, simulate_columns, quantizes the energies at the samples
+and builds the log's columns, a LogColumns in which each distinct set
+of flags gets one set id and becomes one AppSet of the flagged names,
+with no name sorted or checked again.  simulate is their records(),
+which checks the columns whole and then fills the records one field
+at a time.
 
 Determinism: the gaussian stream is numpy's PCG64 generator seeded from
 the scenario, which is stable across platforms, so equal scenarios give
@@ -87,9 +88,9 @@ class NoiseModel:
     seed: int = 0
 
 
-# the most samples one run may hold.  Per sample, simulate_columns peaks at about 125 bytes,
-# its whole-run arrays (noise, load, energy change, energy, plug state) and columns, and
-# returns about 61; simulate's records keep about 240 (2.4 GB at the cap) and peak at about 370
+# the most samples one run may hold.  Per sample (tracemalloc, phone-100k), simulate_columns peaks
+# at about 96 bytes, its per-segment arrays and columns, and returns about 53; simulate's
+# records keep about 240 (2.4 GB at the cap) and peak at about 363
 MAX_SAMPLES = 10_000_000
 
 
@@ -207,49 +208,32 @@ def _apply_event(event: ScheduleEvent, running: set[str], plugged: bool) -> bool
     return plugged
 
 
-def _walk(scenario: Scenario, universe: AppSet, n_steps: int) -> tuple[list[tuple], dict[int, list[tuple]]]:
-    """The schedule as runs of samples whose state does not change, and the
-    states inside every step that holds an event strictly inside it.
-
-    runs covers samples 0..n_steps in order with (samples, load_mw,
-    plugged, on): on holds one byte per name of universe, 1 where that
-    app runs.  pieces maps step k, from sample k - 1 to sample k,
-    to (t_s, load_mw, plugged) entries: the state from t_s on.  An event
-    at a sample time applies before that sample; events after the last
-    sample never apply.
-    """
-    interval = scenario.sample_interval_s
+def _walk(scenario: Scenario, universe: AppSet, last_t: int) -> tuple[list[int], list[tuple]]:
+    """The times of the events at or before last_t, and the states
+    (load_mw, plugged, on) from t = 0 and from each of those events on:
+    on holds one byte per name of universe, 1 where that app runs."""
     running: set[str] = set()
     plugged = False
     slot = {name: i for i, name in enumerate(universe)}
     powers = [scenario.apps[name] for name in universe]
     on = bytearray(len(universe))  # on[i]: universe[i] is running
     load_mw = scenario.baseline_mw
-    runs: list[tuple] = []
-    pieces: dict[int, list[tuple]] = {}
-    start = 0  # the first sample not yet in a run
+    times: list[int] = []
+    states = [(load_mw, plugged, bytes(on))]
     for event in scenario.schedule:
-        if event.t_s > n_steps * interval:
+        if event.t_s > last_t:
             break
-        k = -(-event.t_s // interval)  # the first sample at or after the event
-        if k > start:
-            runs.append((k - start, load_mw, plugged, bytes(on)))
-            start = k
-        inside = event.t_s % interval != 0
-        if inside and k not in pieces:
-            pieces[k] = [((k - 1) * interval, load_mw, plugged)]
         plugged = _apply_event(event, running, plugged)
         if event.kind in (EventKind.START, EventKind.STOP):
             on[slot[event.app]] = event.kind is EventKind.START
             # summed in sorted order: a set's order hangs on the string hash seed
             load_mw = scenario.baseline_mw + sum(compress(powers, on))
-        if inside:
-            pieces[k].append((event.t_s, load_mw, plugged))
-    runs.append((n_steps + 1 - start, load_mw, plugged, bytes(on)))
-    return runs, pieces
+        times.append(event.t_s)
+        states.append((load_mw, plugged, bytes(on)))
+    return times, states
 
 
-_FIRST_CHUNK = 64  # steps in the first chunk of a running sum; each clean chunk doubles the next
+_FIRST_CHUNK = 64  # segments in the first chunk of a running sum; each clean chunk doubles the next
 
 
 def _first(mask: np.ndarray) -> int:
@@ -258,44 +242,28 @@ def _first(mask: np.ndarray) -> int:
     return i if mask[i] else len(mask)
 
 
-def _integrate(
-    energy0: float, steps: np.ndarray, noise: np.ndarray, pieces: dict, e_full: float, interval: int
-) -> np.ndarray:
-    """Energy at each sample, up to the first that reads 0.
+def _integrate(energy0: float, changes: np.ndarray, is_sample: np.ndarray, e_full: float) -> np.ndarray:
+    """Energy at each segment end, up to the first sample that reads 0.
 
-    steps[k - 1] is the change over step k when no event falls inside it;
-    chunks of them are summed by np.add.accumulate, and the first sum
+    Chunks of changes are summed by np.add.accumulate, and the first sum
     above full or at most 0 (or nan) is clamped and summed on from.  At
-    full, steps that add charge are filled in one slice, not summed one
-    restart at a time.  A step in pieces is integrated one piece at a
-    time, with noise[k - 1] as its eps.
+    full, changes that add charge are filled in one slice, not summed one
+    restart at a time.  An entry that reads 0 between samples sums on.
     """
-    energy = np.empty(len(steps) + 1)
+    energy = np.empty(len(changes) + 1)
     energy[0] = energy0
-    stops = iter((*pieces, len(steps) + 1))
-    stop = next(stops)
     k, chunk = 1, _FIRST_CHUNK
-    while k < len(energy) and energy[k - 1] != 0.0:
-        if k == stop:
-            e, eps = float(energy[k - 1]), float(noise[k - 1])
-            states = pieces[k]
-            for (t0, load_mw, plugged), t1 in zip(states, [t for t, _, _ in states[1:]] + [k * interval]):
-                if t1 > t0:
-                    rate_mw = CHARGE_RATE_MW if plugged else -(load_mw + eps)
-                    e = min(e_full, max(0.0, e + rate_mw * ((t1 - t0) / 3600.0)))
-            energy[k] = e
-            k, chunk, stop = k + 1, _FIRST_CHUNK, next(stops)
-            continue
-        end = min(k + chunk, stop)
+    while k < len(energy) and not (energy[k - 1] == 0.0 and is_sample[k - 1]):
+        end = min(k + chunk, len(energy))
         if energy[k - 1] == e_full:
-            held = _first(~(steps[k - 1 : end - 1] >= 0))
+            held = _first(~(changes[k - 1 : end - 1] >= 0))
             energy[k : k + held] = e_full
             k += held
             if k == end:
                 chunk *= 2
                 continue
         run = energy[k - 1 : end]
-        run[1:] = steps[k - 1 : end - 1]
+        run[1:] = changes[k - 1 : end - 1]
         np.add.accumulate(run, out=run)
         i = _first(~((run[1:] > 0) & (run[1:] <= e_full)))
         if i == end - k:
@@ -320,28 +288,44 @@ def simulate_columns(scenario: Scenario) -> LogColumns:
     interval = scenario.sample_interval_s
     n_steps = scenario.duration_s // interval
     universe = AppSet(sorted(scenario.apps))
-    runs, pieces = _walk(scenario, universe, n_steps)
-    counts, loads, plugs, masks = zip(*runs)
+    times, states = _walk(scenario, universe, n_steps * interval)
+    loads, plugs, masks = zip(*states)
+    loads, plugs = np.array(loads, dtype=float), np.array(plugs)
+    # segments end at every sample time and at every event time strictly inside a step
+    inside = sorted({t for t in times if t % interval})
+    steps_in = np.array([t // interval for t in inside], dtype=np.int64)  # the step k - 1 of each, from 0
+    t_dtype = _int_dtype((n_steps + 1) * interval)  # above every bound
+    bounds = np.insert(np.arange(n_steps + 1, dtype=t_dtype) * interval, steps_in + 1, inside)
+    is_sample = np.insert(np.ones(n_steps + 1, dtype=bool), steps_in + 1, False)
+    # the state at each bound: event i applies from the first bound at or after it on
+    first_at = np.searchsorted(bounds, np.array(times, dtype=t_dtype))
+    state = np.repeat(np.arange(len(states)), np.diff(first_at, prepend=0, append=len(bounds)))
     rng = np.random.Generator(np.random.PCG64(scenario.noise.seed))
     noise = rng.normal(0.0, abs(scenario.noise.sigma_mw), n_steps)  # numpy refuses -0.0
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan arise silently, as in float arithmetic
-        # step k, from sample k - 1 to sample k, runs in the state of sample k - 1 and draws noise[k - 1]
-        load_mw = np.repeat(np.array(loads, dtype=float), counts)[:-1]
-        plugged = np.repeat(plugs, counts)[:-1]
-        dt_h = interval / 3600.0
-        steps = np.where(plugged, CHARGE_RATE_MW * dt_h, -(load_mw + noise) * dt_h)
-        energy = _integrate(e_full * scenario.initial_level_pct / 100.0, steps, noise, pieces, e_full, interval)
+        # a segment runs in the state at its start and draws the noise of its step, noise[k - 1] in step k
+        eps = np.insert(noise, steps_in, noise[steps_in])
+        load_mw, plugged = loads[state[:-1]], plugs[state[:-1]]
+        dt_h = np.asarray(np.diff(bounds) / 3600.0, dtype=float)  # interval / 3600.0 on a whole step
+        changes = np.where(plugged, CHARGE_RATE_MW * dt_h, -(load_mw + eps) * dt_h)
+        del bounds, noise, eps, load_mw, plugged, dt_h  # the whole-run arrays that the rest does not need
+        energy = _integrate(e_full * scenario.initial_level_pct / 100.0, changes, is_sample, e_full)
+        rows = is_sample[: len(energy)]  # the rows end at the power-off sample
+        energy = energy[rows]
         level = np.clip(np.floor(energy * 100.0 / e_full), 0, 100).astype(np.int64)
         charge = np.rint(energy * 1e6 / float(voltage_mv))  # rint rounds half to even, as round does
-    n = len(energy)  # the rows end at the power-off sample
+    n = len(energy)
     if charge.max() < 2.0**63:  # every float below 2**63 is an exact int64
         charge = charge.astype(np.int64)
     else:  # Python ints, so a counter past int64 stays exact
         charge = np.array(list(map(int, charge.tolist())), dtype=object)
     step_ms = interval * 1000
+    row_state = state[: len(rows)][rows]  # non-decreasing
+    starts = np.flatnonzero(np.diff(row_state, prepend=-1))  # the rows where the state changes
     ids: dict[bytes, int] = {}  # each distinct mask of running apps to its set id, in the order first met
-    set_ids = np.repeat([ids.setdefault(mask, len(ids)) for mask in masks], counts)[:n]
-    held = list(ids)[: int(set_ids.max()) + 1]  # the rows are a prefix of the runs
+    run_ids = [ids.setdefault(masks[s], len(ids)) for s in row_state[starts].tolist()]
+    set_ids = np.repeat(run_ids, np.diff(starts, append=n))
+    held = list(ids)
     on = np.frombuffer(b"".join(held), dtype=bool).reshape(len(held), len(universe))
     names = np.nonzero(on)[1].astype(np.int32)  # the name ids of each held set, set after set
     app_sets = [universe.subset(mask) for mask in held]
@@ -352,7 +336,7 @@ def simulate_columns(scenario: Scenario) -> LogColumns:
         temp=np.full(n, SIM_TEMP_DC, dtype=np.int64),
         charge=charge,
         charge_null=np.zeros(n, dtype=bool),
-        status=np.repeat(np.where(plugs, _CHARGING, _DISCHARGING).astype(np.int8), counts)[:n],
+        status=np.where(plugs[row_state], _CHARGING, _DISCHARGING).astype(np.int8),
         health=np.full(n, _GOOD, dtype=np.int8),
         apps=set_ids,
         app_names=list(universe),

@@ -124,6 +124,15 @@ class TestInspect:
         assert payload["sample"]["health"] == "Overheat"
         assert [w["kind"] for w in payload["warnings"]] == ["UnhealthyBattery"]
 
+    def test_temperature_past_float_range_warns(self, capsys, tmp_path):
+        source = write_source_dir(tmp_path / "bat", temp="4" * 400)
+        code, out, err = run_cli(capsys, "inspect", "--json", "--source-root", str(source))
+        assert (code, err) == (2, "")
+        assert [w["kind"] for w in json.loads(out)["warnings"]] == ["Overheat"]
+        code, out, err = run_cli(capsys, "inspect", "--source-root", str(source))
+        assert (code, err) == (2, "")
+        assert f"temperature: {'4' * 399}.4 °C" in out.splitlines()
+
     def test_env_var_source_root(self, capsys, healthy_source, monkeypatch):
         monkeypatch.setenv("SEMO_SOURCE_ROOT", str(healthy_source))
         code, out, _ = run_cli(capsys, "inspect")
@@ -191,6 +200,13 @@ class TestAnalyze:
         path.write_bytes(record_to_json(make_record(0, 100)).encode() + b"\n" + bad_line + b"\n")
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert (code, out, err) == (1, "", f"error: log line 2: {message}\n")
+
+    def test_counter_past_float_range_is_clean_diagnostic(self, capsys, tmp_path):
+        # the full charge inferred from a 400-digit counter is no float
+        path = tmp_path / "log.jsonl"
+        write_log(path, [make_record(i * MIN, 90 - i, charge_uah=10**400 - i, apps=("a",) * (i % 2)) for i in range(6)])
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out, err) == (1, "", "error: int too large to convert to float\n")
 
     def test_table_names_unobserved_apps(self, capsys, tmp_path):
         # "fleeting" runs in one discharging sample, the last before a
@@ -557,6 +573,17 @@ class TestUsageErrors:
         assert code == 1
         assert out == ""
         assert "interval" in err
+
+    def test_interval_past_the_longest_wait_is_clean_diagnostic(self, capsys, tmp_path, healthy_source):
+        # Event.wait cannot wait longer than threading.TIMEOUT_MAX: refused before any record
+        out_path = tmp_path / "x.jsonl"
+        code, out, err = run_cli(
+            capsys, "record", "--out", str(out_path),
+            "--interval", "100000000000000000000", "--source-root", str(healthy_source),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: interval_s must be in [1, ") and err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_negative_tail_is_clean_diagnostic(self, capsys, sample_log):
         code, out, err = run_cli(capsys, "curve", str(sample_log), "--tail", "-1")

@@ -150,3 +150,29 @@ class TestDescribe:
             assert report.count(prefix) == 1
         assert len(report.splitlines()) == 7
 
+
+class TestTenthsOfADegree:
+    """Temperatures print from integer tenths, so no reading is too large to print."""
+
+    @given(temp_dc=st.integers(-(2**52) + 1, 2**52 - 1))
+    def test_as_the_float_format_below_2_to_52(self, temp_dc):
+        # below 2**52 the float temp_dc / 10 is within 0.05 of the exact tenth, so it rounds back to it
+        warnings = evaluate(make_sample(0, 50, temp_dc=temp_dc))
+        assert f"temperature: {temp_dc / 10:.1f} °C" in describe(make_sample(0, 50, temp_dc=temp_dc))
+        if temp_dc > OVERHEAT_DC:
+            assert warnings[0].message == f"battery temperature {temp_dc / 10:.1f} °C exceeds 45.0 °C"
+
+    @pytest.mark.parametrize(
+        "temp_dc,text",
+        [(0, "0.0"), (-5, "-0.5"), (-15, "-1.5"), (451, "45.1"), (5629499534213123, "562949953421312.3")],
+    )
+    def test_exact_tenths(self, temp_dc, text):
+        assert f"temperature: {text} °C" in describe(make_sample(0, 50, temp_dc=temp_dc))
+
+    def test_reading_past_float_range_warns(self):
+        temp_dc = int("4" * 400)
+        warnings = evaluate(make_sample(0, 50, temp_dc=temp_dc))
+        assert [w.kind for w in warnings] == [WarningKind.OVERHEAT]
+        assert warnings[0].message == f"battery temperature {'4' * 399}.4 °C exceeds 45.0 °C"
+        assert f"temperature: {'4' * 399}.4 °C" in describe(make_sample(0, 50, temp_dc=temp_dc))
+

@@ -1292,6 +1292,13 @@ class TestRunLoop:
         with pytest.raises(ValueError):
             RecorderConfig(out_path=tmp_path / "x", interval_s=0)
 
+    def test_interval_at_most_the_longest_wait(self, tmp_path):
+        longest = int(threading.TIMEOUT_MAX)
+        assert RecorderConfig(out_path=tmp_path / "x", interval_s=longest).interval_s == longest
+        for interval_s in (longest + 1, 10**20):
+            with pytest.raises(ValueError, match="interval_s"):
+                RecorderConfig(out_path=tmp_path / "x", interval_s=interval_s)
+
     def test_five_minutes_at_default_interval_gives_six_records(self, tmp_path):
         clock = SimulatedClock(0)
         stop = threading.Event()

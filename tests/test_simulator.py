@@ -850,6 +850,54 @@ class TestAgreesWithReference:
         assert records == reference_simulate(scenario)
         assert len(records) == off_at + 1 and records[-1].sample.charge_uah == 0 < records[-2].sample.charge_uah
 
+    def test_empties_inside_a_step_and_charges_before_its_sample(self, tmp_path):
+        # 3.7 mWh at 3,700 mW lasts 3.6 s; a zero between samples sums on, so the plug-in at 45 s
+        # fills the battery by the sample at 60 s and the run goes on to its end
+        scenario = baseline_scenario(
+            capacity_mah=1.0,
+            baseline_mw=3700.0,
+            schedule=(ScheduleEvent(45, EventKind.PLUG_IN),),
+            duration_s=300,
+        )
+        records = _assert_as_reference(tmp_path, scenario)
+        assert len(records) == 6
+        assert records[1].sample.charge_uah == records[0].sample.charge_uah
+        assert records[1].sample.status is BatteryStatus.CHARGING
+
+    @pytest.mark.parametrize("start_s", [1, 30, 59])
+    def test_powers_off_at_the_sample_after_an_inside_event(self, tmp_path, start_s):
+        # the app drains the battery within a second of its start; the plug-in after the sample never applies
+        scenario = baseline_scenario(
+            apps={"burst": 1e9},
+            baseline_mw=0.0,
+            schedule=(ScheduleEvent(start_s, EventKind.START, "burst"), ScheduleEvent(90, EventKind.PLUG_IN)),
+            duration_s=300,
+        )
+        records = _assert_as_reference(tmp_path, scenario)
+        assert len(records) == 2
+        assert records[1].sample.charge_uah == 0 and records[1].apps == ("burst",)
+        assert records[1].sample.status is BatteryStatus.DISCHARGING
+
+    def test_clamps_at_full_inside_a_step_then_discharges(self, tmp_path):
+        # 20 s of charging fill the last 0.1 %, and 40 s at 370 mW follow from full
+        scenario = baseline_scenario(
+            schedule=(ScheduleEvent(0, EventKind.PLUG_IN), ScheduleEvent(20, EventKind.PLUG_OUT)),
+            duration_s=120,
+            initial_level_pct=99.9,
+        )
+        records = _assert_as_reference(tmp_path, scenario)
+        e_full = scenario.full_energy_mwh
+        assert records[1].sample.charge_uah == round((e_full - 370.0 * (40 / 3600.0)) * 1e6 / 3700)
+
+
+def _assert_as_reference(tmp_path, scenario: Scenario) -> list:
+    """simulate's records, after checking that their log bytes are reference_simulate's."""
+    records = simulate(scenario)
+    write_log(tmp_path / "fast.jsonl", records)
+    write_log(tmp_path / "reference.jsonl", reference_simulate(scenario))
+    assert (tmp_path / "fast.jsonl").read_bytes() == (tmp_path / "reference.jsonl").read_bytes()
+    return records
+
 
 def _hash_seed_scenario() -> Scenario:
     """Three app powers whose float sum depends on the order of the sum: summed
