@@ -153,7 +153,8 @@ def _infer_full_scale_uah(columns: LogColumns) -> float | None:
     Uses charge_uah / level_pct at the best-populated discharging sample
     with a positive counter and level (highest level, earliest on ties);
     only discharging samples count so the estimate is unchanged when
-    charging spans are dropped from a log.
+    charging spans are dropped from a log.  Raises ValueError, naming the
+    sample, when its counter is past float range.
     """
     rows = np.flatnonzero(
         (columns.status == _DISCHARGING) & ~columns.charge_null & (columns.charge > 0) & (columns.level > 0)
@@ -161,7 +162,13 @@ def _infer_full_scale_uah(columns: LogColumns) -> float | None:
     if not rows.size:
         return None
     best = rows[np.argmax(columns.level[rows])]  # argmax takes the first of equals: the earliest
-    return int(columns.charge[best]) * 100.0 / int(columns.level[best])
+    try:
+        return int(columns.charge[best]) * 100.0 / int(columns.level[best])
+    except OverflowError:
+        raise ValueError(
+            f"charge_uah of the sample at ts_ms {int(columns.ts[best])} is too large for a float;"
+            " analyze with --use-charge-counter off to use levels alone"
+        ) from None
 
 
 def build_intervals(records, use_charge_counter: str = "auto") -> list[DischargeInterval]:

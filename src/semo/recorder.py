@@ -9,26 +9,31 @@ Loading is strict: any malformed line aborts with its line number, since
 silently dropping rows would corrupt downstream attribution.  The log is
 read in blocks of about BLOCK_BYTES, each cut after its last newline,
 and each block becomes numpy columns (LogColumns) without a record or a
-JSON parse per line.  One regular expression finds the lines in the
-exact form record_to_json writes: fixed keys in fixed order, no
-whitespace, integers in JSON's own grammar spelled with ASCII digits and
-at most 18 of them, so that every value fits in int64 and so does the
-difference of any two.  Whole columns are then checked with numpy
-against the rules record_from_json applies (the BatterySample ranges,
-known status and health), and the timestamps must increase strictly,
-across blocks too.  App lists are kept as int32 arrays of name ids into
-one name table per read: each distinct apps text is decoded once by
-json.loads, each distinct name is checked once by AppSet, and "sorted
-and unique" is checked for all of a block's new lists at once on the
-names' ranks in sort order.  A block holding a line the pattern leaves
-out (other spacing or key order, escapes, longer integers) or a line
-that fails a check is read again line by line by record_from_json, so
-each line yields the record, or raises the error, that record_from_json
-gives it: that function stays the one validator.  A record counts only
-once its newline is written, so an unterminated final line, left by a
-write that power loss cut short, is ignored with a warning.  The writer holds an
-advisory exclusive lock so at most one recorder owns a log at a time;
-readers are unrestricted.
+JSON parse per line.  One regular expression checks that each line is in
+the exact form record_to_json writes: fixed keys in fixed order, no
+whitespace, status and health in ASCII letters, and integers of an
+optional minus and 1 to 18 ASCII digits, so that every value fits in
+int64 and so does the difference of any two; its one group is the apps
+text.  No value before "apps" holds a comma, so numpy finds each line's
+first seven commas, which end its first seven values, with one
+searchsorted over the block's commas, and reads the values of all lines
+at once at those places.  A leading zero, which JSON's grammar refuses,
+is refused there, after the match.  Whole columns are then checked with
+numpy against the rules record_from_json applies (the BatterySample
+ranges, known status and health), and the timestamps must increase
+strictly, across blocks too.  App lists are kept as int32 arrays of name
+ids into one name table per read: each distinct apps text is decoded
+once by json.loads, each distinct name is checked once by AppSet, and
+"sorted and unique" is checked for all of a block's new lists at once on
+the names' ranks in sort order.  A block holding a line the pattern
+leaves out (other spacing or key order, escapes, longer integers), a
+leading zero or a line that fails a check is read again line by line by
+record_from_json, so each line yields the record, or raises the error,
+that record_from_json gives it: that function stays the one validator.
+A record counts only once its newline is written, so an unterminated
+final line, left by a write that power loss cut short, is ignored with a
+warning.  The writer holds an advisory exclusive lock so at most one
+recorder owns a log at a time; readers are unrestricted.
 
 A record is valid once built: BatterySample refuses an integer field
 that is not exactly an int, a status or health that is not a member, or
@@ -116,16 +121,25 @@ _STATUS_CODE_BY_WIRE = {status.value: code for code, status in enumerate(STATUSE
 _HEALTH_CODE_BY_WIRE = {health.value: code for code, health in enumerate(HEALTHS)}
 _UNKNOWN_STATUS = STATUSES.index(BatteryStatus.UNKNOWN)
 
-# Each line in the exact bytes record_to_json writes, newline included.
-# [0-9], never \d: \d would also match non-ASCII digits, which JSON
-# rejects.  At most 18 digits: every such value and every difference of
-# two fit in int64; longer integers go to record_from_json.
-_INT = rb"-?(?:0|[1-9][0-9]{0,17})"
+# Each line in the exact bytes record_to_json writes, newline included;
+# its one group is the apps text.  [0-9], never \d: \d would also match
+# non-ASCII digits, which JSON rejects.  At most 18 digits: every such
+# value and every difference of two fit in int64; longer integers go to
+# record_from_json, and so do leading zeros, which the reader refuses
+# after the match.  No value before "apps" holds a comma, so a matched
+# line's first seven commas end its first seven values.
+_INT = rb"-?[0-9]{1,18}"
 _CANONICAL_LINE = re.compile(
-    rb'^\{"ts_ms":(' + _INT + rb'),"level_pct":(' + _INT + rb'),"voltage_mv":(' + _INT + rb'),'
-    rb'"temp_dc":(' + _INT + rb'),"charge_uah":(null|' + _INT + rb'),"status":"([A-Za-z]*)",'
-    rb'"health":"([A-Za-z]*)","apps":(\[.*\])\}\n',
+    rb'^\{"ts_ms":' + _INT + rb',"level_pct":' + _INT + rb',"voltage_mv":' + _INT + rb','
+    rb'"temp_dc":' + _INT + rb',"charge_uah":(?:null|' + _INT + rb'),"status":"[A-Za-z]*",'
+    rb'"health":"[A-Za-z]*","apps":(\[.*\])\}\n',
     re.M,
+)
+# Bytes from a matched line's start to its first value, and from each of
+# its first six commas to the next value: '{"ts_ms":', ',"level_pct":',
+# ..., ',"charge_uah":', ',"status":"', ',"health":"'.
+_VALUE_SKIPS = tuple(len(f',"{key}":') for key in LOG_FIELDS[:5]) + tuple(
+    len(f',"{key}":"') for key in LOG_FIELDS[5:7]
 )
 
 
@@ -522,39 +536,90 @@ def _columns_of_records(records: list, apps: _AppTable) -> LogColumns:
     )
 
 
-def _ints(text: bytes) -> np.ndarray:
-    """int64 column of comma-separated integers the pattern matched (at most 18 digits each)."""
-    return np.fromstring(text, dtype=np.int64, sep=",")
+def _value_spans(buf: np.ndarray, ends: np.ndarray):
+    """Yield the (start, end) offsets in buf of each line's first seven values, a value at a time.
+
+    buf is a block whose every line the pattern matched, and ends holds
+    the offset of each line's newline.  A value ends at its line's next
+    comma, found with one searchsorted over the block's commas; a status
+    or health span leaves out its quotes.
+    """
+    commas = np.flatnonzero(buf == ord(","))
+    before = np.concatenate(([0], ends[:-1] + 1))  # the "{" before each ts_ms, then the comma before each value
+    at = np.searchsorted(commas, before)
+    for k, skip in enumerate(_VALUE_SKIPS):
+        comma = commas[at + k]
+        yield before + skip, comma if k < 5 else comma - 1  # a word ends before its closing quote
+        before = comma
 
 
-def _codes(words, code_by_wire: dict[str, int]) -> np.ndarray:
-    """Code of each status or health word (ASCII letters), -1 where it is unknown."""
-    codes = {word: _code(code_by_wire, word.decode()) for word in set(words)}
-    return np.fromiter(map(codes.__getitem__, words), np.int8, len(words))
+# 0, 1, 11, ..., 18 ones: the sum of a w-digit number's digit places.
+_REPUNITS = (10 ** np.arange(19, dtype=np.int64) - 1) // 9
 
 
-def _columns_of_lines(rows: list[tuple], apps: _AppTable) -> LogColumns:
-    """The columns of lines the pattern matched, given as their groups."""
-    if not rows:
-        return _columns_of_records([], apps)
-    ts, level, voltage, temp, charge, status, health, app_texts = zip(*rows)
-    charge_text = b",".join(charge)
-    charge_null = np.zeros(len(rows), dtype=bool)
-    if b"null" in charge_text:
-        charge_null = np.array(charge) == b"null"
-    return LogColumns(
-        ts=_ints(b",".join(ts)),
-        level=_ints(b",".join(level)),
-        voltage=_ints(b",".join(voltage)),
-        temp=_ints(b",".join(temp)),
-        charge=_ints(charge_text.replace(b"null", b"0")),
+def _ints_at(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The integer each span buf[start:end] spells, as int64, and where its digits have a leading zero.
+
+    Each span holds what the pattern's integer matched, an optional minus
+    and 1 to 18 ASCII digits, and more than 18 bytes of its line follow
+    it.  Horner's rule runs on the bytes themselves, in int64 so that it
+    cannot wrap, and the digits' ord("0") is taken off once at the end.
+    """
+    minus = buf[start] == ord("-")
+    first = start + minus
+    width = end - first
+    value = np.zeros(len(start), np.int64)
+    narrowest = int(width.min())
+    for j in range(int(width.max())):
+        more = value * 10 + buf[first + j]
+        value = more if j < narrowest else np.where(j < width, more, value)
+    value -= ord("0") * _REPUNITS[width]
+    return np.where(minus, -value, value), (width > 1) & (buf[first] == ord("0"))
+
+
+def _word_codes(buf: np.ndarray, start: np.ndarray, end: np.ndarray, members: tuple) -> np.ndarray:
+    """Each span's index in members of the member whose value it spells, -1 where it spells none."""
+    codes = np.full(len(start), -1, np.int8)
+    width = end - start
+    for code, member in enumerate(members):
+        rows = np.flatnonzero(width == len(member.value))
+        for j, byte in enumerate(member.value.encode()):
+            rows = rows[buf[start[rows] + j] == byte]
+        codes[rows] = code
+    return codes
+
+
+def _matched_columns(buf: np.ndarray, ends: np.ndarray, set_ids: np.ndarray, apps: _AppTable) -> LogColumns | None:
+    """The columns of a block whose every line the pattern matched.
+
+    ends holds the offset of each line's newline and set_ids the set id
+    of its apps text.  None where a value has a leading zero or a row is
+    faulty.
+    """
+    spans = _value_spans(buf, ends)
+    ints = []
+    for start, end in itertools.islice(spans, 5):
+        value, leading_zero = _ints_at(buf, start, end)
+        if leading_zero.any():
+            return None
+        ints.append(value)
+    ts, level, voltage, temp, charge = ints
+    charge_null = buf[start] == ord("n")  # start is the last loop's, the charge's
+    charge[charge_null] = 0
+    cols = LogColumns(
+        ts=ts,
+        level=level,
+        voltage=voltage,
+        temp=temp,
+        charge=charge,
         charge_null=charge_null,
-        status=_codes(status, _STATUS_CODE_BY_WIRE),
-        health=_codes(health, _HEALTH_CODE_BY_WIRE),
-        apps=apps.text_ids(app_texts),
+        status=_word_codes(buf, *next(spans), STATUSES),
+        health=_word_codes(buf, *next(spans), HEALTHS),
+        apps=set_ids,
         app_names=apps.names,
         app_ids=apps.sets,
     )
+    return None if _faulty(cols).any() else cols
 
 
 def _faulty(c: LogColumns) -> np.ndarray:
@@ -611,16 +676,19 @@ def _first_not_increasing(ts: np.ndarray, prev_ts: int | None) -> int | None:
 def _block_columns(block: bytes, first_line: int, apps: _AppTable, prev_ts: int | None) -> LogColumns:
     """The columns of block, whole lines of which the first is line first_line.
 
-    A block holding a line the pattern leaves out or a faulty row is read
-    line by line with record_from_json.  Raises the LogParseError of the
+    A block holding a line the pattern leaves out, a value with a leading
+    zero or a faulty row is read line by line with record_from_json.  Raises the LogParseError of the
     first line that record_from_json rejects or whose timestamp is not
     above the one before it (prev_ts before the block's first line), as
     reading line by line would; otherwise gives one row per line.
     """
-    rows = _CANONICAL_LINE.findall(block)
-    cols = _columns_of_lines(rows, apps)
+    texts = _CANONICAL_LINE.findall(block)
+    set_ids = apps.text_ids(texts)
+    buf = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    cols = _matched_columns(buf, ends, set_ids, apps) if len(texts) == len(ends) else None
     error = None
-    if len(rows) < block.count(b"\n") or _faulty(cols).any():
+    if cols is None:
         records = []
         try:
             for lineno, line in enumerate(io.BytesIO(block), first_line):

@@ -104,7 +104,8 @@ class Scenario:
     Integer fields must be exactly int, as in the log: a float, bool or
     numpy integer there makes samples that BatterySample refuses.  Other
     numbers must be a finite int or float, never a bool, and the int
-    baseline and app powers must sum to a float.  noise must be
+    baseline and app powers must sum to a float.  sample_interval_s is
+    at most the largest float, so that a step's hours are a float.  noise must be
     a NoiseModel and schedule a tuple of ScheduleEvents.  apps is kept
     as a read-only copy, so the check keeps holding.
     """
@@ -151,6 +152,8 @@ class Scenario:
                 bad(f"{key} must be an integer >= {least}: {value!r}")
         if (samples := self.duration_s // self.sample_interval_s + 1) > MAX_SAMPLES:
             bad(f"the run would hold {samples} samples, more than the cap of {MAX_SAMPLES}")
+        if self.sample_interval_s > sys.float_info.max:  # a step's hours, interval / 3600.0, must be a float
+            bad(f"sample_interval_s must be at most the largest float: {self.sample_interval_s}")
         numbers = {
             "capacity_mah": self.capacity_mah,
             "nominal_voltage_mv": self.nominal_voltage_mv,

@@ -201,12 +201,21 @@ class TestAnalyze:
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert (code, out, err) == (1, "", f"error: log line 2: {message}\n")
 
-    def test_counter_past_float_range_is_clean_diagnostic(self, capsys, tmp_path):
-        # the full charge inferred from a 400-digit counter is no float
+    @pytest.mark.parametrize("mode", ["auto", "on"])
+    def test_counter_past_float_range_names_the_sample_and_the_way_round(self, capsys, tmp_path, mode):
+        # the full charge inferred from a 400-digit counter is no float;
+        # the sample it comes from is the one at the highest level
         path = tmp_path / "log.jsonl"
-        write_log(path, [make_record(i * MIN, 90 - i, charge_uah=10**400 - i, apps=("a",) * (i % 2)) for i in range(6)])
-        code, out, err = run_cli(capsys, "analyze", str(path))
-        assert (code, out, err) == (1, "", "error: int too large to convert to float\n")
+        records = [make_record((i + 1) * MIN, 90 - i, charge_uah=10**400 - i, apps=("a",) * (i % 2)) for i in range(6)]
+        write_log(path, records)
+        code, out, err = run_cli(capsys, "analyze", str(path), "--use-charge-counter", mode)
+        want = (
+            f"error: charge_uah of the sample at ts_ms {MIN} is too large for a float;"
+            " analyze with --use-charge-counter off to use levels alone\n"
+        )
+        assert (code, out, err) == (1, "", want)
+        code, out, err = run_cli(capsys, "analyze", str(path), "--use-charge-counter", "off")
+        assert (code, err) == (0, "")
 
     def test_table_names_unobserved_apps(self, capsys, tmp_path):
         # "fleeting" runs in one discharging sample, the last before a

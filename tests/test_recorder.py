@@ -801,13 +801,16 @@ def join_fields(fields, end="\n"):
 
 NUMBER_SPELLINGS = [
     "-0", "007", "00", "1.0", "1e3", "5\u0660", "\u0665", "+5", "- 5", "true", '"5"', "2" * 30,
-    "9" * 18, "-" + "9" * 18, str(2**63), str(-(2**63) - 1), "1" + "0" * 18,
+    "9" * 18, "-" + "9" * 18, str(2**63), str(-(2**63) - 1), "1" + "0" * 18, "-007", "-00", "0" + "9" * 17,
 ]
-WORD_SPELLINGS = ['"Draining"', '"discharging"', '"Good "', '"Dis\\u0063harging"', '"G\\u006fod"', "null", "1"]
+WORD_SPELLINGS = [
+    '"Draining"', '"discharging"', '"Good "', '"Dis\\u0063harging"', '"G\\u006fod"', "null", "1",
+    '""', '"Discharg"', '"Dischargingg"', '"Charginh"',
+]
 APPS_SPELLINGS = [
     "[]", '["a\\"b"]', '["\u00e9"]', '["\\u00e9"]', '[" game"]', '["game "]', '["\\tgame"]', '["b","a"]',
     '["a","a"]', '[""]', "[1]", "[[]]", '[ "a" ]', '["a",]', '["a"]]', '["a"],"x":["b"]', '["\\ud800"]',
-    '"a"', "null",
+    '"a"', "null", '["a,b"]', '["a\\",\\"b"]',
 ]
 
 # App lists drawn from a few names, so that names repeat across sets and
@@ -891,6 +894,15 @@ def want_every_way(data: bytes):
     return {"load_log": records, "load_columns": records, "resume": resumed}
 
 
+# One field of a line spelled otherwise: out of range, or each oracle spelling.
+FIELD_SPELLINGS = (
+    [("level_pct", "101"), ("level_pct", "-1"), ("charge_uah", "-5"), ("voltage_mv", "0"), ("temp_dc", "-0")]
+    + [(key, text) for key in ("ts_ms", "charge_uah") for text in NUMBER_SPELLINGS]
+    + [("status", text) for text in WORD_SPELLINGS]
+    + [("apps", text) for text in APPS_SPELLINGS]
+)
+
+
 class TestDirectReading:
     """The block reader gives exactly what record_from_json gives, line by line."""
 
@@ -914,13 +926,7 @@ class TestDirectReading:
             path.write_bytes(text)
             assert read_every_way(path) == want_every_way(text)
 
-    @pytest.mark.parametrize(
-        "key,text",
-        [("level_pct", "101"), ("level_pct", "-1"), ("charge_uah", "-5"), ("voltage_mv", "0"), ("temp_dc", "-0")]
-        + [(key, text) for key in ("ts_ms", "charge_uah") for text in NUMBER_SPELLINGS]
-        + [("status", text) for text in WORD_SPELLINGS]
-        + [("apps", text) for text in APPS_SPELLINGS],
-    )
+    @pytest.mark.parametrize("key,text", FIELD_SPELLINGS)
     def test_every_spelling_loads_as_record_from_json_reads_it(self, tmp_path, key, text):
         fields = fields_of(make_record(1000, 80, apps=("a", "b"), charge_uah=10))
         fields[[k for k, _ in fields].index(key)] = (key, text)
@@ -929,6 +935,46 @@ class TestDirectReading:
         path = tmp_path / "log.jsonl"
         path.write_text(record_to_json(make_record(-(10**40), 90)) + "\n" + line, encoding="utf-8")
         assert outcome(lambda _: load_log(path)[1:], line) == want
+
+    @pytest.mark.parametrize("key,text", FIELD_SPELLINGS)
+    def test_every_spelling_after_a_canonical_line(self, tmp_path, key, text):
+        """The block's first line is one the pattern matches, so the columns meet the spelling first."""
+        fields = fields_of(make_record(1000, 80, apps=("a", "b"), charge_uah=10))
+        fields[[k for k, _ in fields].index(key)] = (key, text)
+        data = (record_to_json(make_record(-(10**17), 90)) + "\n" + join_fields(fields)).encode()
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(data)
+        assert read_every_way(path) == want_every_way(data)
+
+    def test_canonical_lines_load_without_record_from_json(self, tmp_path):
+        """Canonical lines holding every kind of value are read as columns, never line by line."""
+        big = 10**18 - 1  # 18 digits
+        app_lists = [("a,b",), ('a","b', "z"), (), ("a", "é")]
+        records = []
+        for k, health in enumerate(HEALTHS):
+            status = STATUSES[k % len(STATUSES)]
+            records.append(make_record(
+                [-big, -5, 0, 7, 60_000, 10**17, big][k],
+                [0, 100, 5, 50, 99, 1, 42][k],
+                apps=app_lists[k % len(app_lists)],
+                status=status,
+                health=health,
+                charge_uah=[0, None, big, None, 123, None, 9][k],
+                voltage_mv=-big if status is BatteryStatus.UNKNOWN else big - k,
+                temp_dc=[-big, big, -1, 0, 310, -40, 10**17][k],
+            ))
+        assert {record.sample.status for record in records} == set(STATUSES)
+        path = tmp_path / "log.jsonl"
+        write_log(path, records)
+        with mock.patch.object(recorder_module, "record_from_json", side_effect=AssertionError("read line by line")):
+            columns = load_columns(path)
+            with LogWriter(path) as writer:
+                assert writer.last_ts_ms == big
+        assert columns.ts.dtype == np.int64
+        assert columns.charge_null.tolist() == [record.sample.charge_uah is None for record in records]
+        assert columns.status.tolist() == [STATUSES.index(record.sample.status) for record in records]
+        assert columns.health.tolist() == list(range(len(HEALTHS)))
+        assert columns.records() == records
 
     def test_equal_app_lists_share_one_tuple(self, tmp_path):
         path = tmp_path / "log.jsonl"

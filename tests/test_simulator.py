@@ -420,6 +420,13 @@ class TestValidation:
         with pytest.raises(ScenarioInvalid, match=message):
             baseline_scenario(duration_s=10**100)
         baseline_scenario(duration_s=(MAX_SAMPLES - 1) * 60)  # built only: simulating it would take gigabytes
+
+    def test_interval_whose_hours_are_no_float(self):
+        with pytest.raises(ScenarioInvalid, match="^sample_interval_s must be at most the largest float: 1000"):
+            replace(table1_scenario(), sample_interval_s=10**400, duration_s=10**400)
+        huge = int(sys.float_info.max)
+        records = simulate(replace(table1_scenario(), sample_interval_s=huge, duration_s=3 * huge))
+        assert records[1].sample.ts_ms == huge * 1000  # the battery is empty after one step
         with pytest.raises(ScenarioInvalid, match=f"^the run would hold {MAX_SAMPLES + 1} samples"):
             baseline_scenario(duration_s=MAX_SAMPLES * 60)
 
