@@ -337,7 +337,7 @@ def attribute(records, use_charge_counter: str = "auto") -> AttributionResult:
 
 
 def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> AttributionResult:
-    """attribute on a log's columns, as load_columns gives them; ts must increase strictly."""
+    """attribute on a log's columns, valid as every LogColumns is; that ts increase strictly is the caller's to keep."""
     found = _discharge_intervals(columns, check_charge_counter_mode(use_charge_counter))
     names, sets = columns.app_names, columns.app_ids
     discharging = np.zeros(len(names), dtype=bool)

@@ -10,28 +10,21 @@ silently dropping rows would corrupt downstream attribution.  The log is
 read in blocks of about BLOCK_BYTES, each cut after its last newline,
 and each block becomes numpy columns (LogColumns) without a record or a
 JSON parse per line.  One regular expression checks that each line is in
-the exact form record_to_json writes: fixed keys in fixed order, no
-whitespace, status and health in ASCII letters, and integers of an
-optional minus and 1 to 18 ASCII digits, so that every value fits in
-int64 and so does the difference of any two; its one group is the apps
-text.  No value before "apps" holds a comma, so numpy finds each line's
-first seven commas, which end its first seven values, with one
-searchsorted over the block's commas, and reads the values of all lines
-at once at those places.  A leading zero, which JSON's grammar refuses,
-is refused there, after the match.  Whole columns are then checked with
-numpy against the rules record_from_json applies (the BatterySample
-ranges, known status and health), and the timestamps must increase
+the exact form record_to_json writes, with integers of at most 18 ASCII
+digits, so that every value and every difference of two fits in int64;
+numpy then reads the values of all lines at once, and refuses a leading
+zero, which JSON's grammar refuses.  The timestamps must increase
 strictly, across blocks too.  App lists are kept as int32 arrays of name
 ids into one name table per read: each distinct apps text is decoded
-once by json.loads, each distinct name is checked once by AppSet, and
-"sorted and unique" is checked for all of a block's new lists at once on
-the names' ranks in sort order.  A block holding a line the pattern
-leaves out (other spacing or key order, escapes, longer integers), a
-leading zero or a line that fails a check is read again line by line by
-record_from_json, so each line yields the record, or raises the error,
-that record_from_json gives it: that function stays the one validator.
-A record counts only once its newline is written, so an unterminated
-final line, left by a write that power loss cut short, is ignored with a
+once by json.loads, and each distinct name checked once by AppSet.  A
+block holding a line the pattern leaves out (other spacing or key order,
+escapes, longer integers), a leading zero or a row that LogColumns
+refuses is read again line by line by record_from_json, so each line
+yields the record, or raises the error, that record_from_json gives it:
+that function stays the one validator.  It refuses a key that a line
+repeats, where json.loads would keep the last value without a word.  A
+record counts only once its newline is written, so an unterminated final
+line, left by a write that power loss cut short, is ignored with a
 warning.  The writer holds an advisory exclusive lock so at most one
 recorder owns a log at a time; readers are unrestricted.
 
@@ -39,35 +32,17 @@ A record is valid once built: BatterySample refuses an integer field
 that is not exactly an int, a status or health that is not a member, or
 a value out of range, and LogRecord refuses apps that are neither an
 AppSet nor a tuple that makes one, each with ValueError.  AppSet owns
-the app-name rule, so a record holding one checks no name again.
-LogColumns builds one AppSet per distinct list, from its name ids, only
-when records, the export or the intervals ask for them; `semo analyze`
-and `semo curve` build none.  LogColumns.records, the one builder of the
-records of load_log and simulate, checks whole columns against the rules
-of BatterySample and LogRecord, builds any row the check does not clear
-with those checked constructors, so that it raises their error, and
-fills all the records a field at a time.  So every LogRecord
-has a line the reader accepts, and record_to_json, the one serializer,
-only formats it.
-_LineSpeller.checked_line, the one step of both LogWriter.append and
-write_log, raises NonMonotonicTimestamp for a timestamp not above the
-last one written, so neither writer leaves a log that load_log or the
-next LogWriter refuses; run_loop skips such a tick.  It formats the line
-with record_to_json's own formatter from the sample and the apps' JSON
-text, which it spells once per run of records holding one AppSet
-object: simulate gives such runs, and so does a FileTreeSource while its
-app listing stays the same.  write_log encodes and writes its lines in
-batches; the lines before a refused record are still written.
-LogWriter flushes each append, and syncs the file to disk once, on
-close, when it appended (and the directory too, when it created the
-file): an fsync per tick would cost more than the rest of the tick.
-LogColumns.from_records, the way in for records held in memory, keeps
-the records' own AppSets and refuses records out of order with the
-reader's own test.  An app name must be valid UTF-8 text: a
-JSON escape can spell a lone surrogate ("\\ud800") that no writer can
-encode, so AppSet refuses it, for LogRecord and the reader alike.
-export_columns_csv writes a log's columns as the CSV of `semo export`,
-spelling status as the log does.
+the app-name rule, so a record holding one checks no name again.  Columns
+are too: LogColumns refuses a row that BatterySample would refuse, or
+whose status, health or set id is no index from 0, so its records(), the
+one builder of the records of load_log and simulate, only fills them a
+field at a time.  AppSets are built from the name ids only when records,
+the export or the intervals ask for them; `semo analyze` and `semo
+curve` build none.  So every LogRecord has a line the reader accepts,
+and record_to_json, the one serializer, only formats it.  Both writers
+spell each line through _LineSpeller.checked_line, which refuses a
+timestamp not above the last one written, so neither leaves a log that
+load_log or the next LogWriter refuses; run_loop skips such a tick.
 """
 
 from __future__ import annotations
@@ -222,10 +197,19 @@ def _code(code_by_wire: dict[str, int], word) -> int:
     return code_by_wire.get(word, -1) if type(word) is str else -1
 
 
+def _unique_keys(lineno: int, pairs: list) -> dict:
+    """A JSON object's pairs as a dict; LogParseError for a key that repeats."""
+    fields = dict(pairs)
+    if len(fields) < len(pairs):
+        repeated = next(key for key, count in collections.Counter(key for key, _ in pairs).items() if count > 1)
+        raise LogParseError(lineno, f"duplicate field {repeated}")
+    return fields
+
+
 def record_from_json(line: str, lineno: int = 1) -> LogRecord:
     """Strictly parse one log line; raises LogParseError on any defect."""
     try:
-        payload = json.loads(line)
+        payload = json.loads(line, object_pairs_hook=functools.partial(_unique_keys, lineno))
     except json.JSONDecodeError as exc:
         raise LogParseError(lineno, f"invalid JSON: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:  # an integer over Python's digit limit; nesting too deep
@@ -280,13 +264,15 @@ class LogColumns:
 
     ts, level, voltage, temp and charge are int64, or object columns of
     Python ints when a value does not fit in int64; charge holds 0 where
-    charge_null is set.  status and health hold codes, indices into
-    STATUSES and HEALTHS.  apps holds set ids, indices into app_ids,
-    which lists each distinct app list once as an int32 array of name
-    ids, indices into app_names, in the list's order; so equal lists have
-    equal set ids, and equal names equal name ids.  app_sets, the lists
-    as AppSets, is built when first asked for.  Raises ValueError unless
-    the columns from ts to apps are one-dimensional and of one length.
+    the bool column charge_null is set.  status and health hold integer
+    codes, indices into STATUSES and HEALTHS.  apps holds integer set ids,
+    indices into app_ids, which lists each distinct app list once as an
+    int32 array of name ids, indices into app_names, in the list's order;
+    so equal lists have equal set ids, and equal names equal name ids.
+    app_sets, the lists as AppSets, is built when first asked for.
+    Valid once built: ValueError refuses columns not one-dimensional and of
+    one length, and names the first row of a wrong type, with a code that
+    is no index from 0, or that BatterySample refuses, in its own words.
     """
 
     ts: np.ndarray
@@ -305,6 +291,30 @@ class LogColumns:
         shapes = [np.shape(getattr(self, name)) for name in _COLUMNS]
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != len(shapes):
             raise ValueError(f"columns must be one-dimensional and of one length, got shapes {shapes}")
+        typed = min(_first_not_int(getattr(self, name)) for name in _COLUMNS[:5])  # the rows before hold exact ints
+        if self.charge_null.dtype != bool or any(getattr(self, name).dtype.kind not in "iu" for name in _COLUMNS[6:]):
+            typed = 0
+        row = min(np.flatnonzero(_faulty(self, typed)).tolist(), default=typed) if typed else 0
+        if row < len(self):
+            raise ValueError(f"row {row}: {self._refusal(row)}")
+
+    def _refusal(self, row: int) -> str:
+        """Why row, the first faulty one, is refused: in BatterySample's words where it refuses the row."""
+        if self.charge_null.dtype != bool:
+            return f"charge_null must be a bool column, got {self.charge_null.dtype}"
+        for name, count in zip(_COLUMNS[6:], (len(STATUSES), len(HEALTHS), len(self.app_ids))):
+            codes = getattr(self, name)
+            if codes.dtype.kind not in "iu" or not 0 <= codes.item(row) < count:
+                return f"{name} code must be a non-negative integer below {count}, got {codes.item(row)!r}"
+        ints = [getattr(self, name).item(row) for name in _COLUMNS[:5]]
+        if self.charge_null.item(row) and type(ints[4]) is int:  # a null charge is still an int
+            ints[4] = None
+        try:
+            BatterySample(*ints, STATUSES[self.status.item(row)], HEALTHS[self.health.item(row)])
+        except ValueError as exc:
+            return str(exc)
+        dtypes = ", ".join(str(getattr(self, name).dtype) for name in _COLUMNS[:5])
+        return f"integer fields must be int64 columns or object columns of ints, got {dtypes}"
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -341,60 +351,24 @@ class LogColumns:
     def records(self) -> list[LogRecord]:
         """The LogRecords of the rows; equal app lists share one AppSet.
 
-        Whole columns are checked first, against exactly the rules of
-        BatterySample and LogRecord: the integer fields are int64, or
-        object columns of exact ints; status, health and set ids are
-        integer codes that index STATUSES, HEALTHS and app_sets; level is
-        in 0..100, voltage positive unless the status is Unknown, and
-        charge non-negative where it is not null; and each set is an
-        AppSet, or a plain tuple, made into its AppSet once, as LogRecord
-        makes it.  Each row the check does not clear is then built, in
-        row order, by the checked constructors, so the first that fails
-        raises the error it always raised.  Then every row holds values
-        that the constructors accept and store unchanged, so the records
-        are built without them: the objects are made bare and each field
-        is set for all rows at once by the field's slot, with no Python
-        frame per row.
+        The rows are valid, so the records are made bare and each field is
+        set for all rows at once by its slot, with no Python frame per row.
+        Each set is kept once as LogRecord keeps it: a plain tuple as its
+        AppSet; one that LogRecord refuses raises its ValueError.
         """
-        ts, level, voltage, temp = self.ts.tolist(), self.level.tolist(), self.voltage.tolist(), self.temp.tolist()
-        charge, status, health = self.charges(), self.status.tolist(), self.health.tolist()
-        app_sets, apps = self.app_sets, self.apps.tolist()
-        kept = []  # each set as LogRecord keeps it, None where LogRecord refuses it
-        for app_set in app_sets:
-            try:
-                kept.append(_kept_apps(app_set))
-            except ValueError:
-                kept.append(None)
-        for row in np.flatnonzero(self._uncleared(kept)).tolist():
-            sample = BatterySample(
-                ts[row], level[row], voltage[row], temp[row], charge[row], STATUSES[status[row]], HEALTHS[health[row]]
-            )
-            LogRecord(sample, app_sets[apps[row]])
+        kept = list(map(_kept_apps, self.app_sets))
         samples = _filled(
             BatterySample,
-            len(ts),
-            ts_ms=ts,
-            level_pct=level,
-            voltage_mv=voltage,
-            temp_dc=temp,
-            charge_uah=charge,
-            status=map(STATUSES.__getitem__, status),
-            health=map(HEALTHS.__getitem__, health),
+            len(self),
+            ts_ms=self.ts.tolist(),
+            level_pct=self.level.tolist(),
+            voltage_mv=self.voltage.tolist(),
+            temp_dc=self.temp.tolist(),
+            charge_uah=self.charges(),
+            status=map(STATUSES.__getitem__, self.status.tolist()),
+            health=map(HEALTHS.__getitem__, self.health.tolist()),
         )
-        return _filled(LogRecord, len(ts), sample=samples, apps=map(kept.__getitem__, apps))
-
-    def _uncleared(self, kept: list) -> np.ndarray:
-        """Rows that the whole-column check of records does not clear."""
-        ints = (self.ts, self.level, self.voltage, self.temp, self.charge)
-        codes = (self.status, self.health, self.apps)
-        if not (
-            all(map(_exact_ints, ints)) and all(c.dtype.kind in "iu" for c in codes) and self.charge_null.dtype == bool
-        ):
-            return np.ones(len(self), dtype=bool)
-        # a set id that indexes no kept set reads the spare last entry
-        unkept = np.array([app_set is None for app_set in kept] + [True])
-        ids = np.where((self.apps >= 0) & (self.apps < len(kept)), self.apps, len(kept))
-        return _faulty(self) | unkept[ids]
+        return _filled(LogRecord, len(self), sample=samples, apps=map(kept.__getitem__, self.apps.tolist()))
 
     def curve(self, tail: int | None = None) -> list[tuple[int, int]]:
         """(ts_ms, level_pct) pairs: every row for tail None, else the last tail rows (the real-time view)."""
@@ -407,10 +381,11 @@ class LogColumns:
 
 
 def _concat(parts: list[LogColumns], apps: _AppTable) -> LogColumns:
-    """One LogColumns of parts whose app ids all come from apps."""
+    """One LogColumns of parts, whose app ids all come from apps; it empties parts."""
     if not parts:
         return _columns_of_records([], apps)
     columns = {name: np.concatenate([getattr(part, name) for part in parts]) for name in _COLUMNS}
+    parts.clear()  # free the blocks before the check, so that it adds nothing to the read's peak memory
     return LogColumns(**columns, app_names=apps.names, app_ids=apps.sets)
 
 
@@ -511,25 +486,17 @@ def _member_codes(members, all_members: tuple) -> np.ndarray:
 def _columns_of_records(records: list, apps: _AppTable) -> LogColumns:
     """The columns of records."""
     samples = [record.sample for record in records]
-    ts = [s.ts_ms for s in samples]
-    level = [s.level_pct for s in samples]
-    voltage = [s.voltage_mv for s in samples]
-    temp = [s.temp_dc for s in samples]
+    ints = [_int_column(list(map(operator.attrgetter(field), samples))) for field in LOG_FIELDS[:4]]
     charge = [s.charge_uah for s in samples]
-    status = _member_codes([s.status for s in samples], STATUSES)
-    health = _member_codes([s.health for s in samples], HEALTHS)
     app_lists = [record.apps for record in records]
     distinct = list(dict.fromkeys(app_lists))
     ids = dict(zip(distinct, apps.list_ids(distinct)))
     return LogColumns(
-        ts=_int_column(ts),
-        level=_int_column(level),
-        voltage=_int_column(voltage),
-        temp=_int_column(temp),
+        **dict(zip(_COLUMNS, ints)),
         charge=_int_column([0 if c is None else c for c in charge]),
         charge_null=np.array([c is None for c in charge], dtype=bool),
-        status=status,
-        health=health,
+        status=_member_codes([s.status for s in samples], STATUSES),
+        health=_member_codes([s.health for s in samples], HEALTHS),
         apps=np.array(list(map(ids.__getitem__, app_lists)), dtype=np.intp),
         app_names=apps.names,
         app_ids=apps.sets,
@@ -593,8 +560,8 @@ def _matched_columns(buf: np.ndarray, ends: np.ndarray, set_ids: np.ndarray, app
     """The columns of a block whose every line the pattern matched.
 
     ends holds the offset of each line's newline and set_ids the set id
-    of its apps text.  None where a value has a leading zero or a row is
-    faulty.
+    of its apps text.  None where a value has a leading zero or
+    LogColumns refuses a row.
     """
     spans = _value_spans(buf, ends)
     ints = []
@@ -606,43 +573,51 @@ def _matched_columns(buf: np.ndarray, ends: np.ndarray, set_ids: np.ndarray, app
     ts, level, voltage, temp, charge = ints
     charge_null = buf[start] == ord("n")  # start is the last loop's, the charge's
     charge[charge_null] = 0
-    cols = LogColumns(
-        ts=ts,
-        level=level,
-        voltage=voltage,
-        temp=temp,
-        charge=charge,
-        charge_null=charge_null,
-        status=_word_codes(buf, *next(spans), STATUSES),
-        health=_word_codes(buf, *next(spans), HEALTHS),
-        apps=set_ids,
-        app_names=apps.names,
-        app_ids=apps.sets,
+    status, health = (_word_codes(buf, *span, members) for members, span in zip((STATUSES, HEALTHS), spans))
+    try:
+        return LogColumns(
+            ts=ts,
+            level=level,
+            voltage=voltage,
+            temp=temp,
+            charge=charge,
+            charge_null=charge_null,
+            status=status,
+            health=health,
+            apps=set_ids,
+            app_names=apps.names,
+            app_ids=apps.sets,
+        )
+    except ValueError:  # a faulty row: the block is read line by line
+        return None
+
+
+def _faulty(c: LogColumns, rows: int) -> np.ndarray:
+    """Which of c's first `rows` rows break a rule of BatterySample, or hold
+    a status, health or set id that is no index from 0 into STATUSES,
+    HEALTHS or app_ids."""
+    level, voltage, charge, charge_null, status, health, apps = (
+        getattr(c, name)[:rows] for name in ("level", "voltage", "charge", "charge_null", "status", "health", "apps")
     )
-    return None if _faulty(cols).any() else cols
+    faulty = (level < 0) | (level > 100)
+    faulty |= (voltage <= 0) & (status != _UNKNOWN_STATUS)
+    faulty |= (charge < 0) & ~charge_null
+    faulty |= (status < 0) | (status >= len(STATUSES))
+    faulty |= (health < 0) | (health >= len(HEALTHS))
+    faulty |= (apps < 0) | (apps >= len(c.app_ids))
+    return faulty
 
 
-def _faulty(c: LogColumns) -> np.ndarray:
-    """Rows whose values break a rule of BatterySample, or whose status or
-    health is no index into STATUSES or HEALTHS, or whose set id is negative."""
-    return (
-        (c.level < 0)
-        | (c.level > 100)
-        | ((c.voltage <= 0) & (c.status != _UNKNOWN_STATUS))
-        | ((c.charge < 0) & ~c.charge_null)
-        | (c.status < 0)
-        | (c.status >= len(STATUSES))
-        | (c.health < 0)
-        | (c.health >= len(HEALTHS))
-        | (c.apps < 0)
-    )
+def _first_not_int(column: np.ndarray) -> int:
+    """The first row of column whose value does not list as exactly an int, or len(column).
 
-
-def _exact_ints(column: np.ndarray) -> bool:
-    """Whether each value of column lists as exactly an int: an int64 column, or an object column of ints."""
+    Every value of an int64 column lists as one, and none of a column of
+    another dtype than object.
+    """
     if column.dtype == object:
-        return all(map(operator.is_, map(type, column), itertools.repeat(int)))
-    return column.dtype == np.int64
+        not_int = map(operator.is_not, map(type, column), itertools.repeat(int))
+        return next(itertools.compress(itertools.count(), not_int), len(column))
+    return len(column) if column.dtype == np.int64 else 0
 
 
 def _filled(cls, n: int, **columns) -> list:

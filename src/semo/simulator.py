@@ -34,9 +34,9 @@ on from the clamped value, and stops only at a sample that reads 0.
 A last pass, simulate_columns, quantizes the energies at the samples
 and builds the log's columns, a LogColumns in which each distinct set
 of flags gets one set id and becomes one AppSet of the flagged names,
-with no name sorted or checked again.  simulate is their records(),
-which checks the columns whole and then fills the records one field
-at a time.
+with no name sorted or checked again.  LogColumns checks the rows once,
+when built; simulate is their records(), which only fills the records
+one field at a time.
 
 Determinism: the gaussian stream is numpy's PCG64 generator seeded from
 the scenario, which is stable across platforms, so equal scenarios give
@@ -285,6 +285,7 @@ def simulate_columns(scenario: Scenario) -> LogColumns:
     running apps gets one set id, in the order the rows first hold it;
     app_sets holds those sets as the AppSets that the records share.
     charge is int64, or exact Python ints once a counter reaches 2**63.
+    The columns are checked once, as every LogColumns is when built.
     """
     e_full = scenario.full_energy_mwh
     voltage_mv = scenario.nominal_voltage_mv

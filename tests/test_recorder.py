@@ -179,11 +179,8 @@ DISCHARGING = STATUSES.index(BatteryStatus.DISCHARGING)
 UNKNOWN = STATUSES.index(BatteryStatus.UNKNOWN)
 
 
-def hand_built(app_sets=None, **columns) -> LogColumns:
-    """Three valid rows as hand-built columns, with the given columns put in.
-
-    app_sets, when given, stands in for the AppSets that app_ids make.
-    """
+def hand_columns(**columns) -> dict:
+    """Three valid rows as hand-built columns, ts to apps, with the given columns put in."""
     base = dict(
         ts=np.array([1000, 2000, 3000]),
         level=np.array([80, 79, 78]),
@@ -194,36 +191,78 @@ def hand_built(app_sets=None, **columns) -> LogColumns:
         status=np.full(3, DISCHARGING, dtype=np.int8),
         health=np.zeros(3, dtype=np.int8),
         apps=np.array([0, 1, 0]),
-        app_names=["a", "b"],
-        app_ids=[np.array([0], dtype=np.int32), np.array([0, 1], dtype=np.int32)],
     )
-    built = LogColumns(**{**base, **columns})
+    return {**base, **columns}
+
+
+# The sets that hand_built's name ids make.
+HAND_SETS = [AppSet(("a",)), AppSet(("a", "b"))]
+
+
+def hand_built(app_sets=None, **columns) -> LogColumns:
+    """LogColumns of hand_columns(**columns) over the names a and b, holding HAND_SETS.
+
+    app_sets, when given, stands in for those sets, one stand-in list of
+    name ids each.
+    """
+    app_ids = [np.array([0], dtype=np.int32), np.array([0, 1], dtype=np.int32)]
+    if app_sets is not None:
+        app_ids = [np.zeros(0, dtype=np.int32)] * len(app_sets)
+    built = LogColumns(**hand_columns(**columns), app_names=["a", "b"], app_ids=app_ids)
     if app_sets is not None:
         object.__setattr__(built, "app_sets", app_sets)
     return built
 
 
-def reference_records(columns: LogColumns) -> list[LogRecord]:
-    """Every row built by the checked constructors, one row after another."""
-    samples = map(
-        BatterySample,
-        columns.ts.tolist(),
-        columns.level.tolist(),
-        columns.voltage.tolist(),
-        columns.temp.tolist(),
-        columns.charges(),
-        map(STATUSES.__getitem__, columns.status.tolist()),
-        map(HEALTHS.__getitem__, columns.health.tolist()),
-    )
-    return list(map(LogRecord, samples, map(columns.app_sets.__getitem__, columns.apps.tolist())))
+def code_of(members, column: np.ndarray, row: int):
+    """members[column[row]], the code counted from 0 in an integer column; IndexError otherwise."""
+    code = column.tolist()[row]
+    if column.dtype.kind not in "iu" or not 0 <= code < len(members):
+        raise IndexError(f"code {code!r} of a {column.dtype} column indexes none of {len(members)}")
+    return members[code]
+
+
+def reference_records(columns: dict, app_sets: list) -> list[LogRecord]:
+    """Every row of columns, ts to apps, built by the checked constructors, one row after another.
+
+    charge_null must be a bool column, and a null charge must still be
+    an int.  The first row that breaks a rule raises its error, of its
+    type, with "row <i>: " put before its message.
+    """
+    values = {name: column.tolist() for name, column in columns.items()}
+    records = []
+    for row in range(len(values["ts"])):
+        try:
+            if columns["charge_null"].dtype != bool:
+                raise TypeError(f"charge_null is a {columns['charge_null'].dtype} column")
+            status = code_of(STATUSES, columns["status"], row)
+            health = code_of(HEALTHS, columns["health"], row)
+            apps = code_of(app_sets, columns["apps"], row)
+            ts, level, voltage, temp, charge = (
+                values[name][row] for name in ("ts", "level", "voltage", "temp", "charge")
+            )
+            if values["charge_null"][row] and type(charge) is int:
+                charge = None
+            records.append(LogRecord(BatterySample(ts, level, voltage, temp, charge, status, health), apps))
+        except (IndexError, TypeError, ValueError) as exc:
+            raise type(exc)(f"row {row}: {exc}") from None
+    return records
 
 
 def records_or_error(build):
-    """What build gives: its records, or the type and message of the error it raises."""
+    """What build gives, or the type and message of the error it raises."""
     try:
         return build()
     except (IndexError, TypeError, ValueError) as exc:
         return type(exc), str(exc)
+
+
+def assert_refused_as_reference(message: str, reference) -> None:
+    """message names the row that the reference refused, and is its message where a constructor refused it."""
+    kind, expected = reference
+    assert message.split(": ")[0] == expected.split(": ")[0]
+    if kind is ValueError:
+        assert message == expected
 
 
 def as_column(values: list, dtype=None) -> np.ndarray:
@@ -242,86 +281,123 @@ def assert_exact_types(records):
         assert type(record.apps) is AppSet, record
 
 
-# Hand-built columns that each break one rule of records' column check, with
-# what records gives: the error of the first failing row, or None for records.
+# Hand-built columns that each break one rule of LogColumns, with where
+# the rule refuses them ("built": LogColumns itself; "records": records(),
+# for a set that LogRecord refuses) and the message, or None where the
+# columns are valid.
 BROKEN_COLUMNS = {
     "float64 ts": (
         dict(ts=np.array([1000.0, 2000.0, 3000.0])),
-        (ValueError, "field ts_ms must be an integer, got 1000.0"),
+        ("built", "row 0: field ts_ms must be an integer, got 1000.0"),
     ),
     "float in object charge": (
         dict(charge=np.array([5, 4.0, 3], dtype=object)),
-        (ValueError, "field charge_uah must be an integer, got 4.0"),
+        ("built", "row 1: field charge_uah must be an integer, got 4.0"),
     ),
     "bool in object charge": (
         dict(charge=np.array([5, True, 3], dtype=object)),
-        (ValueError, "field charge_uah must be an integer, got True"),
+        ("built", "row 1: field charge_uah must be an integer, got True"),
     ),
     "int past int64 in object ts": (dict(ts=np.array([1000, 2000, 2**70], dtype=object)), None),
-    "level 101": (dict(level=np.array([80, 101, 78])), (ValueError, "level_pct out of range 0..100: 101")),
-    "level -1": (dict(level=np.array([80, 79, -1])), (ValueError, "level_pct out of range 0..100: -1")),
-    "voltage 0 discharging": (dict(voltage=np.array([3800, 0, 3780])), (ValueError, "voltage_mv must be positive: 0")),
+    "level 101": (dict(level=np.array([80, 101, 78])), ("built", "row 1: level_pct out of range 0..100: 101")),
+    "level -1": (dict(level=np.array([80, 79, -1])), ("built", "row 2: level_pct out of range 0..100: -1")),
+    "voltage 0 discharging": (
+        dict(voltage=np.array([3800, 0, 3780])),
+        ("built", "row 1: voltage_mv must be positive: 0"),
+    ),
     "voltage 0 unknown": (
         dict(voltage=np.array([3800, 0, 3780]), status=np.array([DISCHARGING, UNKNOWN, DISCHARGING], dtype=np.int8)),
         None,
     ),
-    "charge -1": (dict(charge=np.array([5, -1, 3])), (ValueError, "charge_uah must be non-negative: -1")),
+    "charge -1": (dict(charge=np.array([5, -1, 3])), ("built", "row 1: charge_uah must be non-negative: -1")),
     "charge -1 null": (dict(charge=np.array([5, -1, 3]), charge_null=np.array([False, True, False])), None),
-    # an int64 charge_null indexes rows 0 and 1 where a bool one would mask row 2
+    # an int64 charge_null would index rows where a bool one masks them
     "charge -1 int64 null": (
         dict(charge=np.array([5, 4, -1]), charge_null=np.array([0, 0, 1])),
-        (ValueError, "charge_uah must be non-negative: -1"),
+        ("built", "row 0: charge_null must be a bool column, got int64"),
     ),
     "status 5": (
         dict(status=np.array([DISCHARGING, len(STATUSES), DISCHARGING], dtype=np.int8)),
-        (IndexError, "tuple index out of range"),
+        ("built", "row 1: status code must be a non-negative integer below 5, got 5"),
     ),
-    "status -1": (dict(status=np.array([DISCHARGING, -1, DISCHARGING], dtype=np.int8)), None),  # the last status
-    "health 7": (dict(health=np.array([0, 0, len(HEALTHS)], dtype=np.int8)), (IndexError, "tuple index out of range")),
-    "apps id past app_sets": (dict(apps=np.array([0, 2, 0])), (IndexError, "list index out of range")),
-    "apps id -1": (dict(apps=np.array([0, -1, 0])), None),  # the last set
+    "status -1": (
+        dict(status=np.array([DISCHARGING, -1, DISCHARGING], dtype=np.int8)),
+        ("built", "row 1: status code must be a non-negative integer below 5, got -1"),
+    ),
+    "health 7": (
+        dict(health=np.array([0, 0, len(HEALTHS)], dtype=np.int8)),
+        ("built", "row 2: health code must be a non-negative integer below 7, got 7"),
+    ),
+    "apps id past app_sets": (
+        dict(apps=np.array([0, 2, 0])),
+        ("built", "row 1: apps code must be a non-negative integer below 2, got 2"),
+    ),
+    "apps id -1": (
+        dict(apps=np.array([0, -1, 0])),
+        ("built", "row 1: apps code must be a non-negative integer below 2, got -1"),
+    ),
     "plain tuple set": (dict(app_sets=[("a",), AppSet(("a", "b"))]), None),
     "unsorted tuple set": (
         dict(app_sets=[AppSet(("a",)), ("b", "a")]),
-        (ValueError, "apps must be sorted and unique"),
+        ("records", "apps must be sorted and unique"),
     ),
     "list set": (
         dict(app_sets=[["a"], AppSet(("a", "b"))]),
-        (ValueError, "apps must be a tuple of strings, got ['a']"),
+        ("records", "apps must be a tuple of strings, got ['a']"),
     ),
     "first failing row wins": (
         dict(level=np.array([80, 79, 101]), voltage=np.array([3800, 0, 3780])),
-        (ValueError, "voltage_mv must be positive: 0"),
+        ("built", "row 1: voltage_mv must be positive: 0"),
     ),
     "status past STATUSES before a bad level": (
         dict(level=np.array([80, 79, 101]), status=np.array([DISCHARGING, len(STATUSES), DISCHARGING], dtype=np.int8)),
-        (IndexError, "tuple index out of range"),
+        ("built", "row 1: status code must be a non-negative integer below 5, got 5"),
     ),
     "health past HEALTHS before a bad level": (
         dict(level=np.array([80, 79, 101]), health=np.array([0, len(HEALTHS), 0], dtype=np.int8)),
-        (IndexError, "tuple index out of range"),
+        ("built", "row 1: health code must be a non-negative integer below 7, got 7"),
     ),
 }
 
 
 class TestRecordsOfColumns:
-    """records() checks whole columns, then fills the rows it cleared, and
-    gives what building every row by the checked constructors gives."""
+    """LogColumns is valid once built: it refuses what the checked
+    constructors refuse, and records() only fills what they would build."""
 
     @pytest.mark.parametrize("columns, expected", BROKEN_COLUMNS.values(), ids=BROKEN_COLUMNS.keys())
     def test_each_rule_gives_what_the_constructors_give(self, columns, expected):
-        built = hand_built(**columns)
-        got = records_or_error(built.records)
-        assert got == records_or_error(lambda: reference_records(built))
+        arrays = {name: column for name, column in columns.items() if name != "app_sets"}
+        app_sets = columns.get("app_sets", HAND_SETS)
+        reference = records_or_error(lambda: reference_records(hand_columns(**arrays), app_sets))
         if expected is None:
-            assert len(got) == 3
+            got = hand_built(**columns).records()
+            assert got == reference
             assert_exact_types(got)
-        else:
-            assert got == expected
+            return
+        when, message = expected
+        if when == "built":
+            with pytest.raises(ValueError) as refused:
+                hand_built(**columns)
+            assert str(refused.value) == message
+            assert_refused_as_reference(message, reference)
+        else:  # refused when records() keeps the set as LogRecord does, with no row to name
+            built = hand_built(**columns)
+            with pytest.raises(ValueError) as refused:
+                built.records()
+            assert str(refused.value) == message
+            assert reference[0] is ValueError and reference[1].split(": ", 1)[1] == message
 
     def test_a_plain_tuple_set_is_made_into_one_app_set(self):
         records = hand_built(app_sets=[("a",), AppSet(("a", "b"))]).records()
         assert records[0].apps is records[2].apps
+
+    def test_records_build_no_row_by_a_constructor(self):
+        built, want = hand_built(), reference_records(hand_columns(), HAND_SETS)
+        no_row = AssertionError("a row built by its constructor")
+        with mock.patch.object(BatterySample, "__post_init__", side_effect=no_row):
+            with mock.patch.object(LogRecord, "__post_init__", side_effect=no_row):
+                got = built.records()
+        assert got == want
 
     @pytest.mark.parametrize(
         "columns",
@@ -331,6 +407,14 @@ class TestRecordsOfColumns:
     def test_columns_of_other_lengths_are_refused(self, columns):
         with pytest.raises(ValueError, match="^columns must be one-dimensional and of one length"):
             hand_built(**columns)
+
+    def test_an_integer_column_of_another_dtype_is_refused(self):
+        with pytest.raises(ValueError) as refused:
+            hand_built(ts=np.array([1000, 2000, 3000], dtype=np.int32))
+        assert str(refused.value) == (
+            "row 0: integer fields must be int64 columns or object columns of ints,"
+            " got int32, int64, int64, int64, int64"
+        )
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -364,7 +448,7 @@ class TestRecordsOfColumns:
             ("status", -1),
             ("status", len(STATUSES)),
             ("health", len(HEALTHS)),
-            ("apps", -1),  # the last set
+            ("apps", -1),
             ("apps", -len(app_sets) - 2),
             ("apps", len(app_sets)),
         ]
@@ -379,10 +463,21 @@ class TestRecordsOfColumns:
         if recast is not None:
             dtypes[recast[0]] = recast[1]
         columns = {name: as_column(v, dtypes.get(name)) for name, v in values.items()}
-        built = hand_built(app_sets=app_sets, **columns)
+        # building raises exactly where the constructors refuse a row, sets aside
+        reference = records_or_error(lambda: reference_records(columns, [AppSet()] * len(app_sets)))
+        built = records_or_error(lambda: hand_built(app_sets=app_sets, **columns))
+        if type(reference) is tuple:
+            assert type(built) is tuple and built[0] is ValueError, built
+            assert_refused_as_reference(built[1], reference)
+            return
+        assert type(built) is LogColumns, built
+        # each set is kept once, used or not, as LogRecord keeps it
+        kept = records_or_error(lambda: [LogRecord(GOOD.sample, app_set) for app_set in app_sets])
         got = records_or_error(built.records)
-        assert got == records_or_error(lambda: reference_records(built))
-        if type(got) is list:
+        if type(kept) is tuple:
+            assert got == kept
+        else:
+            assert got == reference_records(columns, app_sets)
             assert_exact_types(got)
 
 
@@ -691,8 +786,14 @@ class TestStrictParsing:
                 record_to_json(make_record(2000, 79, apps=("ab",))).encode().replace(b"ab", b"\\ud800"),
                 "app names must be valid UTF-8 text",
             ),
+            (
+                record_to_json(make_record(2000, 79))
+                .encode()
+                .replace(b'"Discharging"', b'"Discharging","status":"Charging"'),
+                "duplicate field status",
+            ),
         ],
-        ids=["utf8-in-apps", "array", "lone-surrogate-in-apps"],
+        ids=["utf8-in-apps", "array", "lone-surrogate-in-apps", "repeated-status"],
     )
     def test_undecodable_or_non_object_line_is_a_parse_error(self, tmp_path, bad_line, message):
         path = tmp_path / "log.jsonl"
@@ -805,12 +906,12 @@ NUMBER_SPELLINGS = [
 ]
 WORD_SPELLINGS = [
     '"Draining"', '"discharging"', '"Good "', '"Dis\\u0063harging"', '"G\\u006fod"', "null", "1",
-    '""', '"Discharg"', '"Dischargingg"', '"Charginh"',
+    '""', '"Discharg"', '"Dischargingg"', '"Charginh"', '"Charging","status":"Discharging"',
 ]
 APPS_SPELLINGS = [
     "[]", '["a\\"b"]', '["\u00e9"]', '["\\u00e9"]', '[" game"]', '["game "]', '["\\tgame"]', '["b","a"]',
     '["a","a"]', '[""]', "[1]", "[[]]", '[ "a" ]', '["a",]', '["a"]]', '["a"],"x":["b"]', '["\\ud800"]',
-    '"a"', "null", '["a,b"]', '["a\\",\\"b"]',
+    '"a"', "null", '["a,b"]', '["a\\",\\"b"]', '["a"],"apps":["b"]',
 ]
 
 # App lists drawn from a few names, so that names repeat across sets and
