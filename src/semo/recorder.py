@@ -16,17 +16,17 @@ numpy then reads the values of all lines at once, and refuses a leading
 zero, which JSON's grammar refuses.  The timestamps must increase
 strictly, across blocks too.  App lists are kept as int32 arrays of name
 ids into one name table per read: each distinct apps text is decoded
-once by json.loads, and each distinct name checked once by AppSet.  A
+once by json.loads, and LogColumns checks the sets that rows use.  A
 block holding a line the pattern leaves out (other spacing or key order,
-escapes, longer integers), a leading zero or a row that LogColumns
-refuses is read again line by line by record_from_json, so each line
-yields the record, or raises the error, that record_from_json gives it:
-that function stays the one validator.  It refuses a key that a line
-repeats, where json.loads would keep the last value without a word.  A
-record counts only once its newline is written, so an unterminated final
-line, left by a write that power loss cut short, is ignored with a
-warning.  The writer holds an advisory exclusive lock so at most one
-recorder owns a log at a time; readers are unrestricted.
+escapes, longer integers), a leading zero or a row or set that
+LogColumns refuses is read again line by line by record_from_json, so
+each line yields the record, or raises the error, that record_from_json
+gives it: that function stays the one validator.  It refuses a key that
+a line repeats, where json.loads would keep the last value without a
+word.  A record counts only once its newline is written, so an
+unterminated final line, left by a write that power loss cut short, is
+ignored with a warning.  The writer holds an advisory exclusive lock so
+at most one recorder owns a log at a time; readers are unrestricted.
 
 A record is valid once built: BatterySample refuses an integer field
 that is not exactly an int, a status or health that is not a member, or
@@ -34,10 +34,11 @@ a value out of range, and LogRecord refuses apps that are neither an
 AppSet nor a tuple that makes one, each with ValueError.  AppSet owns
 the app-name rule, so a record holding one checks no name again.  Columns
 are too: LogColumns refuses a row that BatterySample would refuse, or
-whose status, health or set id is no index from 0, so its records(), the
-one builder of the records of load_log and simulate, only fills them a
-field at a time.  AppSets are built from the name ids only when records,
-the export or the intervals ask for them; `semo analyze` and `semo
+whose status, health or set id is no index from 0, and a used set whose
+names AppSet would refuse or another name id spells, so its records(),
+the one builder of the records of load_log and simulate, only fills
+them a field at a time.  AppSets are cut from the name ids, unchecked,
+when records, the export or the intervals ask; `semo analyze` and `semo
 curve` build none.  So every LogRecord has a line the reader accepts,
 and record_to_json, the one serializer, only formats it.  Both writers
 spell each line through _LineSpeller.checked_line, which refuses a
@@ -133,16 +134,10 @@ class LogRecord:
     def __post_init__(self):
         if not isinstance(self.sample, BatterySample):
             raise ValueError(f"sample must be a BatterySample, got {self.sample!r}")
-        object.__setattr__(self, "apps", _kept_apps(self.apps))
-
-
-def _kept_apps(apps) -> AppSet:
-    """apps as a LogRecord keeps them: an AppSet as it is, a plain tuple as its AppSet; ValueError otherwise."""
-    if isinstance(apps, AppSet):
-        return apps
-    if type(apps) is not tuple:
-        raise ValueError(f"apps must be a tuple of strings, got {apps!r}")
-    return AppSet(apps)
+        if type(self.apps) is tuple:
+            object.__setattr__(self, "apps", AppSet(self.apps))
+        elif not isinstance(self.apps, AppSet):
+            raise ValueError(f"apps must be a tuple of strings, got {self.apps!r}")
 
 
 @dataclass(frozen=True)
@@ -271,8 +266,9 @@ class LogColumns:
     so equal lists have equal set ids, and equal names equal name ids.
     app_sets, the lists as AppSets, is built when first asked for.
     Valid once built: ValueError refuses columns not one-dimensional and of
-    one length, and names the first row of a wrong type, with a code that
-    is no index from 0, or that BatterySample refuses, in its own words.
+    one length, then names the first row of a wrong type, with a code that
+    is no index from 0, or that BatterySample refuses, in its own words, then
+    the first set that rows use that AppSet refuses, or a name two ids spell.
     """
 
     ts: np.ndarray
@@ -297,6 +293,16 @@ class LogColumns:
         row = min(np.flatnonzero(_faulty(self, typed)).tolist(), default=typed) if typed else 0
         if row < len(self):
             raise ValueError(f"row {row}: {self._refusal(row)}")
+        used = self._used_sets()
+        if not _sets_valid(self.app_names, [self.app_ids[k] for k in used]):
+            raise ValueError(self._set_refusal(used))
+
+    def _used_sets(self) -> list[int]:
+        """The set ids that rows use, ascending: those of the last row of each run of one set id."""
+        apps = self.apps.astype(np.intp, copy=False)  # an int column after the row check, or an empty one
+        used = np.zeros(len(self.app_ids), dtype=bool)
+        used[apps[:-1][apps[1:] != apps[:-1]]] = used[apps[-1:]] = True
+        return np.flatnonzero(used).tolist()
 
     def _refusal(self, row: int) -> str:
         """Why row, the first faulty one, is refused: in BatterySample's words where it refuses the row."""
@@ -316,30 +322,42 @@ class LogColumns:
         dtypes = ", ".join(str(getattr(self, name).dtype) for name in _COLUMNS[:5])
         return f"integer fields must be int64 columns or object columns of ints, got {dtypes}"
 
+    def _set_refusal(self, used: list[int]) -> str:
+        """Why used, the sets that rows use, are refused: the first that breaks the set rule, or a repeated name."""
+        names, spelled = self.app_names, {}  # each name id of the sets before k to its name
+        for k in used:
+            ids = np.asarray(self.app_ids[k])
+            if ids.ndim != 1 or ids.dtype.kind not in "biu" or not ((0 <= ids) & (ids < len(names))).all():
+                return f"app set {k}: name ids must be integers from 0 below {len(names)}, got {ids.tolist()!r}"
+            try:
+                spelled.update(zip(ids.tolist(), AppSet(map(names.__getitem__, ids.tolist()))))
+            except ValueError as exc:
+                return f"app set {k}: {exc}"
+        repeated = next(name for name, count in collections.Counter(spelled.values()).items() if count > 1)
+        return f"app name {repeated!r} has more than one name id"
+
     def __len__(self) -> int:
         return len(self.ts)
 
     @functools.cached_property
     def app_sets(self) -> list[AppSet]:
-        """Each list of app_ids as an AppSet of its names."""
-        return [AppSet(map(self.app_names.__getitem__, ids.tolist())) for ids in self.app_ids]
+        """Each list of app_ids as an AppSet of its names: those that rows use, checked when built,
+        are cut from one take of app_names; AppSet builds, and may refuse, one that no row uses."""
+        names, used, sets = self.app_names, self._used_sets(), self.app_ids
+        ids = np.concatenate([np.zeros(0, np.intp), *map(sets.__getitem__, used)], dtype=np.intp)
+        taken = np.fromiter(names, object, len(names))[ids].tolist()
+        ends = itertools.accumulate(len(sets[k]) for k in used)
+        cut = {k: tuple.__new__(AppSet, taken[end - len(sets[k]) : end]) for k, end in zip(used, ends)}
+        return [cut[k] if k in cut else AppSet(map(names.__getitem__, sets[k])) for k in range(len(sets))]
 
     @classmethod
     def from_records(cls, records) -> "LogColumns":
-        """The columns of LogRecords, in their order.
-
-        app_sets holds the records' own AppSets, the first of each equal
-        set, and builds none.  Raises ValueError unless ts increase
-        strictly.
-        """
-        records = list(records)
-        columns = _columns_of_records(records, _AppTable())
+        """The columns of LogRecords, in their order; ValueError unless ts increase strictly."""
+        columns = _columns_of_records(list(records), _AppTable())
         row = _first_not_increasing(columns.ts, None)
         if row is not None:
             ts, prev = int(columns.ts[row]), int(columns.ts[row - 1])
             raise ValueError(f"records must be sorted with strictly increasing ts_ms ({ts} after {prev})")
-        # A fresh table numbers the distinct sets in the order they are first met.
-        object.__setattr__(columns, "app_sets", list(dict.fromkeys(record.apps for record in records)))
         return columns
 
     def charges(self) -> list[int | None]:
@@ -349,14 +367,8 @@ class LogColumns:
         return charge.tolist()
 
     def records(self) -> list[LogRecord]:
-        """The LogRecords of the rows; equal app lists share one AppSet.
-
-        The rows are valid, so the records are made bare and each field is
-        set for all rows at once by its slot, with no Python frame per row.
-        Each set is kept once as LogRecord keeps it: a plain tuple as its
-        AppSet; one that LogRecord refuses raises its ValueError.
-        """
-        kept = list(map(_kept_apps, self.app_sets))
+        """The LogRecords of the rows, equal app lists sharing one AppSet: the rows and
+        sets are valid, so the records are made bare and each field set for all rows at once."""
         samples = _filled(
             BatterySample,
             len(self),
@@ -368,7 +380,7 @@ class LogColumns:
             status=map(STATUSES.__getitem__, self.status.tolist()),
             health=map(HEALTHS.__getitem__, self.health.tolist()),
         )
-        return _filled(LogRecord, len(self), sample=samples, apps=map(kept.__getitem__, self.apps.tolist()))
+        return _filled(LogRecord, len(self), sample=samples, apps=map(self.app_sets.__getitem__, self.apps.tolist()))
 
     def curve(self, tail: int | None = None) -> list[tuple[int, int]]:
         """(ts_ms, level_pct) pairs: every row for tail None, else the last tail rows (the real-time view)."""
@@ -403,66 +415,37 @@ class _AppTable:
 
     names is the one name table: equal names share one id and one
     string.  sets holds each distinct list once, so equal lists share one
-    set id.  Each distinct apps text is decoded once, and each distinct
-    name checked once against the app-name rule, by AppSet itself.
+    set id.  Each distinct apps text is decoded once, and its values are
+    interned unchecked: LogColumns checks the sets that its rows use.
     """
 
     def __init__(self):
         self.names: list[str] = []
         self.sets: list[np.ndarray] = []
-        self._name_ids: dict = {}  # each decoded name, or other JSON value, to its id; -1 where it is no app name
+        self._name_ids: dict = {}  # each decoded name, or other JSON value, to its id
         self._set_ids: dict[bytes, int] = {}
         self._text_ids: dict[bytes, int] = {}
 
     def text_ids(self, texts) -> np.ndarray:
-        """The set id of each apps text, or -1 where it is not a valid apps list."""
+        """The set id of each apps text, or -1 where it spells no list of hashable JSON values."""
         new = [text for text in dict.fromkeys(texts) if text not in self._text_ids]
         self._text_ids.update(zip(new, self.list_ids(list(map(_json_list, new)))))
         return np.fromiter(map(self._text_ids.__getitem__, texts), np.intp, len(texts))
 
     def list_ids(self, lists: list) -> list[int]:
-        """The set id of each list or tuple of names (None for none), or -1 where it is no AppSet.
-
-        A list is one when each of its names is one and the names are
-        sorted and unique: checked for all lists at once on the names'
-        ranks in sort order.
-        """
+        """The set id of each list or tuple of names, or -1 for None or a list holding a JSON array or object."""
         try:
             values = set(itertools.chain.from_iterable(filter(None, lists)))
-        except TypeError:  # a JSON array or object among the names: its list is no AppSet
+        except TypeError:  # a JSON array or object among the names: it cannot be interned
             nested = [apps is not None and any(type(name) in (list, dict) for name in apps) for apps in lists]
             return self.list_ids([None if drop else apps for apps, drop in zip(lists, nested)])
-        self._add_names(values.difference(self._name_ids))
+        for name in values.difference(self._name_ids):
+            self._name_ids[name] = len(self.names)
+            self.names.append(name)
         lengths = [0 if apps is None else len(apps) for apps in lists]
-        flat = itertools.chain.from_iterable(filter(None, lists))
-        ids = np.fromiter(map(self._name_ids.__getitem__, flat), np.int32, sum(lengths))
-        owner = np.repeat(np.arange(len(lists)), lengths)
-        # Rank the names met here in sort order; a -1 id reads the spare last slot.
-        met = np.zeros(len(self.names) + 1, dtype=bool)
-        met[ids] = True
-        by_name = sorted(np.flatnonzero(met[:-1]).tolist(), key=self.names.__getitem__)
-        rank = np.zeros(len(met), np.int32)
-        rank[by_name] = np.arange(len(by_name))
-        ranks = rank[ids]
-        bad = np.array([apps is None for apps in lists], dtype=bool)
-        bad[owner[ids < 0]] = True
-        bad[owner[1:][(ranks[1:] <= ranks[:-1]) & (owner[1:] == owner[:-1])]] = True
-        ends = np.cumsum(lengths).tolist()
-        return [
-            -1 if is_bad else self._set_id(ids[end - length : end])
-            for is_bad, end, length in zip(bad.tolist(), ends, lengths)
-        ]
-
-    def _add_names(self, fresh) -> None:
-        """Give each value of fresh, not yet in the table, its name id, or -1 where AppSet refuses it."""
-        for name in fresh:
-            try:
-                AppSet((name,))
-            except ValueError:
-                self._name_ids[name] = -1
-            else:
-                self._name_ids[name] = len(self.names)
-                self.names.append(name)
+        ids = np.fromiter(map(self._name_ids.__getitem__, itertools.chain.from_iterable(filter(None, lists))), np.int32)
+        ends = itertools.accumulate(lengths)
+        return [-1 if apps is None else self._set_id(ids[end - n : end]) for apps, end, n in zip(lists, ends, lengths)]
 
     def _set_id(self, ids: np.ndarray) -> int:
         found = self._set_ids.setdefault(ids.tobytes(), len(self.sets))
@@ -606,6 +589,24 @@ def _faulty(c: LogColumns, rows: int) -> np.ndarray:
     faulty |= (health < 0) | (health >= len(HEALTHS))
     faulty |= (apps < 0) | (apps >= len(c.app_ids))
     return faulty
+
+
+def _sets_valid(names: list, sets: list) -> bool:
+    """Whether sets, arrays of name ids into names, each make an AppSet, with no name that two ids spell:
+    one AppSet of the names they use, in sort order, checks each once, and each set must rise in that order."""
+    rank = np.zeros(len(names), dtype=np.int32)  # 1 for each name used, then its place in sort order
+    try:
+        ids = np.concatenate([np.zeros(0, np.intp), *sets], dtype=np.intp)
+        rank[ids] = 1
+        by_name = sorted(np.flatnonzero(rank).tolist(), key=names.__getitem__)
+        AppSet(map(names.__getitem__, by_name))
+    except (IndexError, TypeError, ValueError):  # ids of no integer dtype or past names; names that do not sort
+        return False
+    rank[by_name] = np.arange(len(by_name), dtype=np.int32)
+    ranks = rank[ids]
+    rises = np.append(ranks[1:] > ranks[:-1], True)  # whether the name after each ranks above it
+    rises[np.fromiter(itertools.accumulate(map(len, sets)), np.intp, len(sets)) - 1] = True  # but not past its set
+    return bool(ids.min(initial=0) >= 0 and rises.all())  # a negative id would read names from the end
 
 
 def _first_not_int(column: np.ndarray) -> int:

@@ -33,10 +33,9 @@ same order.  The sum is clamped where it first leaves (0, full], goes
 on from the clamped value, and stops only at a sample that reads 0.
 A last pass, simulate_columns, quantizes the energies at the samples
 and builds the log's columns, a LogColumns in which each distinct set
-of flags gets one set id and becomes one AppSet of the flagged names,
-with no name sorted or checked again.  LogColumns checks the rows once,
-when built; simulate is their records(), which only fills the records
-one field at a time.
+of flags gets one set id, the ids of the flagged names.  LogColumns
+checks the rows and the sets once, when built; simulate is their
+records(), which only fills the records one field at a time.
 
 Determinism: the gaussian stream is numpy's PCG64 generator seeded from
 the scenario, which is stable across platforms, so equal scenarios give
@@ -51,7 +50,7 @@ import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, compress
+from itertools import compress
 from pathlib import Path
 from types import MappingProxyType
 
@@ -282,8 +281,7 @@ def simulate_columns(scenario: Scenario) -> LogColumns:
     """Run a scenario and return its sampled log as columns, first sample at t=0.
 
     app_names is the scenario's sorted names, and each distinct set of
-    running apps gets one set id, in the order the rows first hold it;
-    app_sets holds those sets as the AppSets that the records share.
+    running apps gets one set id, in the order the rows first hold it.
     charge is int64, or exact Python ints once a counter reaches 2**63.
     The columns are checked once, as every LogColumns is when built.
     """
@@ -329,11 +327,9 @@ def simulate_columns(scenario: Scenario) -> LogColumns:
     ids: dict[bytes, int] = {}  # each distinct mask of running apps to its set id, in the order first met
     run_ids = [ids.setdefault(masks[s], len(ids)) for s in row_state[starts].tolist()]
     set_ids = np.repeat(run_ids, np.diff(starts, append=n))
-    held = list(ids)
-    on = np.frombuffer(b"".join(held), dtype=bool).reshape(len(held), len(universe))
+    on = np.frombuffer(b"".join(ids), dtype=bool).reshape(len(ids), len(universe))
     names = np.nonzero(on)[1].astype(np.int32)  # the name ids of each held set, set after set
-    app_sets = [universe.subset(mask) for mask in held]
-    columns = LogColumns(
+    return LogColumns(
         ts=np.arange(n, dtype=_int_dtype(n * step_ms)) * step_ms,  # n * step_ms is above every ts
         level=level,
         voltage=np.full(n, voltage_mv, dtype=_int_dtype(voltage_mv)),
@@ -344,10 +340,8 @@ def simulate_columns(scenario: Scenario) -> LogColumns:
         health=np.full(n, _GOOD, dtype=np.int8),
         apps=set_ids,
         app_names=list(universe),
-        app_ids=[names[end - len(apps) : end] for apps, end in zip(app_sets, accumulate(map(len, app_sets)))],
+        app_ids=np.split(names, np.cumsum(on.sum(axis=1))[:-1]),
     )
-    object.__setattr__(columns, "app_sets", app_sets)  # as from_records sets them: no AppSet built again
-    return columns
 
 
 def _int_dtype(most: int):

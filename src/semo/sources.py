@@ -29,8 +29,7 @@ decodes the bytes as strict UTF-8.  It keeps the last app listing's text
 and its AppSet, and parses the listing again only when its text changed.
 
 AppSet owns the app-name rule: it refuses names that break it when
-built, so its holders trust it.  make_app_set normalizes raw names into
-one, and AppSet.subset takes one from another without a check.
+built, so its holders trust it.  make_app_set normalizes raw names into one.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from pathlib import Path
 from typing import Iterable
 
@@ -75,14 +73,6 @@ class AppSet(tuple):
         except UnicodeEncodeError:
             raise ValueError("app names must be valid UTF-8 text") from None
         return apps
-
-    def subset(self, keep: Iterable[bool]) -> "AppSet":
-        """The names whose flag in keep is true, in order, as an AppSet.
-
-        No name is checked again: names taken in order from a checked,
-        sorted and unique AppSet are themselves checked, sorted and unique.
-        """
-        return tuple.__new__(AppSet, compress(self, keep))
 
 
 class _SourceEnum(Enum):

@@ -161,14 +161,15 @@ class TestRecordsHoldAppSets:
             assert all(type(record.apps) is AppSet for record in read)
             assert [read[i].apps is read[i + 3].apps for i in range(3)] == [True] * 3
 
-    def test_columns_of_records_hand_back_the_records_own_sets(self):
+    def test_columns_of_records_share_one_app_set_per_set(self):
         a, ab = AppSet(("a",)), AppSet(("a", "b"))
         records = [LogRecord(make_sample(1000 * (i + 1), 80), apps) for i, apps in enumerate([ab, a, AppSet(), ab, a])]
-        columns = LogColumns.from_records(records)
-        assert all(read.apps is record.apps for read, record in zip(columns.records(), records))
-        # an equal but distinct set reads back as the first of its kind
+        # an equal but distinct set reads back as the one AppSet of its kind
         copy = LogRecord(make_sample(9000, 80), AppSet(("a", "b")))
-        assert LogColumns.from_records([*records, copy]).records()[-1].apps is ab
+        read = LogColumns.from_records([*records, copy]).records()
+        assert read == [*records, copy]
+        assert all(type(record.apps) is AppSet for record in read)
+        assert read[0].apps is read[3].apps is read[5].apps and read[1].apps is read[4].apps
 
     def test_sample_once_gives_an_app_set(self, tmp_path):
         record = sample_once(FileTreeSource(write_source_dir(tmp_path)), SimulatedClock(42))
@@ -195,23 +196,19 @@ def hand_columns(**columns) -> dict:
     return {**base, **columns}
 
 
-# The sets that hand_built's name ids make.
+# The name table and sets of name ids of hand_built, and the sets they make.
+HAND_NAMES = ["a", "b"]
+HAND_IDS = [[0], [0, 1]]
 HAND_SETS = [AppSet(("a",)), AppSet(("a", "b"))]
 
 
-def hand_built(app_sets=None, **columns) -> LogColumns:
-    """LogColumns of hand_columns(**columns) over the names a and b, holding HAND_SETS.
-
-    app_sets, when given, stands in for those sets, one stand-in list of
-    name ids each.
-    """
-    app_ids = [np.array([0], dtype=np.int32), np.array([0, 1], dtype=np.int32)]
-    if app_sets is not None:
-        app_ids = [np.zeros(0, dtype=np.int32)] * len(app_sets)
-    built = LogColumns(**hand_columns(**columns), app_names=["a", "b"], app_ids=app_ids)
-    if app_sets is not None:
-        object.__setattr__(built, "app_sets", app_sets)
-    return built
+def hand_built(app_names=HAND_NAMES, app_ids=HAND_IDS, **columns) -> LogColumns:
+    """LogColumns of hand_columns(**columns) over app_names, with each list of app_ids as an int32 array."""
+    return LogColumns(
+        **hand_columns(**columns),
+        app_names=list(app_names),
+        app_ids=[np.array(ids, dtype=np.int32) for ids in app_ids],
+    )
 
 
 def code_of(members, column: np.ndarray, row: int):
@@ -249,6 +246,28 @@ def reference_records(columns: dict, app_sets: list) -> list[LogRecord]:
     return records
 
 
+def first_refused_set(names: list, app_ids: list, used) -> int | str | None:
+    """The first set of app_ids, in used's order, whose names the checked constructors refuse, by
+    AppSet([names[i] for i in ids]) where each id indexes names from 0; else "repeat" where two of
+    the used ids spell one name, else None."""
+    spelled = {}
+    for k in used:
+        ids = app_ids[k].tolist()
+        if not all(0 <= i < len(names) for i in ids):
+            return k
+        try:
+            AppSet([names[i] for i in ids])
+        except ValueError:
+            return k
+        spelled.update((i, names[i]) for i in ids)
+    return "repeat" if len(set(spelled.values())) < len(spelled) else None
+
+
+def assert_refused_as_reference_set(message: str, refused) -> None:
+    """message names the set, or the repeated name, that first_refused_set gave."""
+    assert message.startswith("app name " if refused == "repeat" else f"app set {refused}: "), (message, refused)
+
+
 def records_or_error(build):
     """What build gives, or the type and message of the error it raises."""
     try:
@@ -281,82 +300,97 @@ def assert_exact_types(records):
         assert type(record.apps) is AppSet, record
 
 
-# Hand-built columns that each break one rule of LogColumns, with where
-# the rule refuses them ("built": LogColumns itself; "records": records(),
-# for a set that LogRecord refuses) and the message, or None where the
-# columns are valid.
+# Hand-built columns that each break one rule of LogColumns for rows,
+# with the message that building them raises, or None where the columns
+# are valid.
 BROKEN_COLUMNS = {
     "float64 ts": (
         dict(ts=np.array([1000.0, 2000.0, 3000.0])),
-        ("built", "row 0: field ts_ms must be an integer, got 1000.0"),
+        "row 0: field ts_ms must be an integer, got 1000.0",
     ),
     "float in object charge": (
         dict(charge=np.array([5, 4.0, 3], dtype=object)),
-        ("built", "row 1: field charge_uah must be an integer, got 4.0"),
+        "row 1: field charge_uah must be an integer, got 4.0",
     ),
     "bool in object charge": (
         dict(charge=np.array([5, True, 3], dtype=object)),
-        ("built", "row 1: field charge_uah must be an integer, got True"),
+        "row 1: field charge_uah must be an integer, got True",
     ),
     "int past int64 in object ts": (dict(ts=np.array([1000, 2000, 2**70], dtype=object)), None),
-    "level 101": (dict(level=np.array([80, 101, 78])), ("built", "row 1: level_pct out of range 0..100: 101")),
-    "level -1": (dict(level=np.array([80, 79, -1])), ("built", "row 2: level_pct out of range 0..100: -1")),
+    "level 101": (dict(level=np.array([80, 101, 78])), "row 1: level_pct out of range 0..100: 101"),
+    "level -1": (dict(level=np.array([80, 79, -1])), "row 2: level_pct out of range 0..100: -1"),
     "voltage 0 discharging": (
         dict(voltage=np.array([3800, 0, 3780])),
-        ("built", "row 1: voltage_mv must be positive: 0"),
+        "row 1: voltage_mv must be positive: 0",
     ),
     "voltage 0 unknown": (
         dict(voltage=np.array([3800, 0, 3780]), status=np.array([DISCHARGING, UNKNOWN, DISCHARGING], dtype=np.int8)),
         None,
     ),
-    "charge -1": (dict(charge=np.array([5, -1, 3])), ("built", "row 1: charge_uah must be non-negative: -1")),
+    "charge -1": (dict(charge=np.array([5, -1, 3])), "row 1: charge_uah must be non-negative: -1"),
     "charge -1 null": (dict(charge=np.array([5, -1, 3]), charge_null=np.array([False, True, False])), None),
     # an int64 charge_null would index rows where a bool one masks them
     "charge -1 int64 null": (
         dict(charge=np.array([5, 4, -1]), charge_null=np.array([0, 0, 1])),
-        ("built", "row 0: charge_null must be a bool column, got int64"),
+        "row 0: charge_null must be a bool column, got int64",
     ),
     "status 5": (
         dict(status=np.array([DISCHARGING, len(STATUSES), DISCHARGING], dtype=np.int8)),
-        ("built", "row 1: status code must be a non-negative integer below 5, got 5"),
+        "row 1: status code must be a non-negative integer below 5, got 5",
     ),
     "status -1": (
         dict(status=np.array([DISCHARGING, -1, DISCHARGING], dtype=np.int8)),
-        ("built", "row 1: status code must be a non-negative integer below 5, got -1"),
+        "row 1: status code must be a non-negative integer below 5, got -1",
     ),
     "health 7": (
         dict(health=np.array([0, 0, len(HEALTHS)], dtype=np.int8)),
-        ("built", "row 2: health code must be a non-negative integer below 7, got 7"),
+        "row 2: health code must be a non-negative integer below 7, got 7",
     ),
     "apps id past app_sets": (
         dict(apps=np.array([0, 2, 0])),
-        ("built", "row 1: apps code must be a non-negative integer below 2, got 2"),
+        "row 1: apps code must be a non-negative integer below 2, got 2",
     ),
     "apps id -1": (
         dict(apps=np.array([0, -1, 0])),
-        ("built", "row 1: apps code must be a non-negative integer below 2, got -1"),
-    ),
-    "plain tuple set": (dict(app_sets=[("a",), AppSet(("a", "b"))]), None),
-    "unsorted tuple set": (
-        dict(app_sets=[AppSet(("a",)), ("b", "a")]),
-        ("records", "apps must be sorted and unique"),
-    ),
-    "list set": (
-        dict(app_sets=[["a"], AppSet(("a", "b"))]),
-        ("records", "apps must be a tuple of strings, got ['a']"),
+        "row 1: apps code must be a non-negative integer below 2, got -1",
     ),
     "first failing row wins": (
         dict(level=np.array([80, 79, 101]), voltage=np.array([3800, 0, 3780])),
-        ("built", "row 1: voltage_mv must be positive: 0"),
+        "row 1: voltage_mv must be positive: 0",
     ),
     "status past STATUSES before a bad level": (
         dict(level=np.array([80, 79, 101]), status=np.array([DISCHARGING, len(STATUSES), DISCHARGING], dtype=np.int8)),
-        ("built", "row 1: status code must be a non-negative integer below 5, got 5"),
+        "row 1: status code must be a non-negative integer below 5, got 5",
     ),
     "health past HEALTHS before a bad level": (
         dict(level=np.array([80, 79, 101]), health=np.array([0, len(HEALTHS), 0], dtype=np.int8)),
-        ("built", "row 1: health code must be a non-negative integer below 7, got 7"),
+        "row 1: health code must be a non-negative integer below 7, got 7",
     ),
+}
+
+# Name tables and sets of name ids for hand_columns' rows, which use sets
+# 0 and 1, with the message that building them raises, or None where
+# they are valid.
+BROKEN_SETS = {
+    # attribute_columns analysed this set as if it were sorted
+    "unsorted set": ((["a", "b"], [[0], [1, 0]]), "app set 1: apps must be sorted and unique"),
+    "repeated id": ((["a", "b"], [[0], [1, 1]]), "app set 1: apps must be sorted and unique"),
+    # analysed as two groups both named a
+    "repeated name": ((["a", "a"], [[0], [1]]), "app name 'a' has more than one name id"),
+    "repeated name in one set": ((["a", "a"], [[0], [0, 1]]), "app set 1: apps must be sorted and unique"),
+    "empty name": ((["", "b"], [[1], [0, 1]]), "app set 1: app names must be non-empty strings"),
+    "name not a string": ((["a", 1], [[0], [0, 1]]), "app set 1: app names must be non-empty strings"),
+    "spaced name": ((["a", " b"], [[0], [1]]), "app set 1: app name ' b' has surrounding whitespace"),
+    "lone surrogate": ((["a", "\ud800"], [[1], [0]]), "app set 0: app names must be valid UTF-8 text"),
+    "name id past app_names": (
+        (["a", "b"], [[0], [0, 2]]),
+        "app set 1: name ids must be integers from 0 below 2, got [0, 2]",
+    ),
+    "name id -1": ((["a", "b"], [[-1], [0, 1]]), "app set 0: name ids must be integers from 0 below 2, got [-1]"),
+    "first failing set wins": ((["a", "b"], [[1, 0], [0, 2]]), "app set 0: apps must be sorted and unique"),
+    "bad sets no row uses": ((["a", "b", ""], [[0], [0, 1], [1, 0], [2], [5]]), None),
+    "a name no row uses repeats": ((["a", "b", "a"], [[0], [0, 1], [2]]), None),
+    "names in another order": ((["b", "a"], [[1], [1, 0]]), None),
 }
 
 
@@ -366,30 +400,24 @@ class TestRecordsOfColumns:
 
     @pytest.mark.parametrize("columns, expected", BROKEN_COLUMNS.values(), ids=BROKEN_COLUMNS.keys())
     def test_each_rule_gives_what_the_constructors_give(self, columns, expected):
-        arrays = {name: column for name, column in columns.items() if name != "app_sets"}
-        app_sets = columns.get("app_sets", HAND_SETS)
-        reference = records_or_error(lambda: reference_records(hand_columns(**arrays), app_sets))
+        reference = records_or_error(lambda: reference_records(hand_columns(**columns), HAND_SETS))
         if expected is None:
             got = hand_built(**columns).records()
             assert got == reference
             assert_exact_types(got)
             return
-        when, message = expected
-        if when == "built":
-            with pytest.raises(ValueError) as refused:
-                hand_built(**columns)
-            assert str(refused.value) == message
-            assert_refused_as_reference(message, reference)
-        else:  # refused when records() keeps the set as LogRecord does, with no row to name
-            built = hand_built(**columns)
-            with pytest.raises(ValueError) as refused:
-                built.records()
-            assert str(refused.value) == message
-            assert reference[0] is ValueError and reference[1].split(": ", 1)[1] == message
+        with pytest.raises(ValueError) as refused:
+            hand_built(**columns)
+        assert str(refused.value) == expected
+        assert_refused_as_reference(expected, reference)
 
-    def test_a_plain_tuple_set_is_made_into_one_app_set(self):
-        records = hand_built(app_sets=[("a",), AppSet(("a", "b"))]).records()
-        assert records[0].apps is records[2].apps
+    @pytest.mark.parametrize("table, expected", BROKEN_SETS.values(), ids=BROKEN_SETS.keys())
+    def test_each_set_rule_is_checked_when_built(self, table, expected):
+        names, app_ids = table
+        built = records_or_error(lambda: hand_built(names, app_ids))
+        if expected is not None:
+            assert built == (ValueError, expected)
+        assert_built_as_reference(built, names, [np.array(ids, dtype=np.int32) for ids in app_ids], hand_columns())
 
     def test_records_build_no_row_by_a_constructor(self):
         built, want = hand_built(), reference_records(hand_columns(), HAND_SETS)
@@ -424,8 +452,7 @@ class TestRecordsOfColumns:
         def rows(values):
             return data.draw(st.lists(values, min_size=n, max_size=n))
 
-        pool = [AppSet(("a",)), ("a", "b"), AppSet(), ("b", "a"), ["a"]]
-        app_sets = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3), label="app_sets")
+        names, app_ids = draw_name_table(data)
         values = dict(
             ts=rows(st.integers(-(2**70), 2**70)),
             level=rows(st.integers(0, 100)),
@@ -435,7 +462,7 @@ class TestRecordsOfColumns:
             charge_null=rows(st.booleans()),
             status=rows(st.integers(0, len(STATUSES) - 1)),
             health=rows(st.integers(0, len(HEALTHS) - 1)),
-            apps=rows(st.integers(0, len(app_sets) - 1)),
+            apps=rows(st.integers(0, len(app_ids) - 1)),
         )
         faults = [
             ("ts", 1.5),
@@ -449,8 +476,8 @@ class TestRecordsOfColumns:
             ("status", len(STATUSES)),
             ("health", len(HEALTHS)),
             ("apps", -1),
-            ("apps", -len(app_sets) - 2),
-            ("apps", len(app_sets)),
+            ("apps", -len(app_ids) - 2),
+            ("apps", len(app_ids)),
         ]
         placed = st.tuples(st.sampled_from(faults), st.integers(0, n - 1))
         for (name, value), row in data.draw(st.lists(placed, max_size=2), label="faults"):
@@ -464,21 +491,58 @@ class TestRecordsOfColumns:
             dtypes[recast[0]] = recast[1]
         columns = {name: as_column(v, dtypes.get(name)) for name, v in values.items()}
         # building raises exactly where the constructors refuse a row, sets aside
-        reference = records_or_error(lambda: reference_records(columns, [AppSet()] * len(app_sets)))
-        built = records_or_error(lambda: hand_built(app_sets=app_sets, **columns))
+        reference = records_or_error(lambda: reference_records(columns, [AppSet()] * len(app_ids)))
+        built = records_or_error(lambda: LogColumns(**columns, app_names=names, app_ids=app_ids))
         if type(reference) is tuple:
             assert type(built) is tuple and built[0] is ValueError, built
             assert_refused_as_reference(built[1], reference)
             return
-        assert type(built) is LogColumns, built
-        # each set is kept once, used or not, as LogRecord keeps it
-        kept = records_or_error(lambda: [LogRecord(GOOD.sample, app_set) for app_set in app_sets])
-        got = records_or_error(built.records)
-        if type(kept) is tuple:
-            assert got == kept
-        else:
-            assert got == reference_records(columns, app_sets)
-            assert_exact_types(got)
+        assert_built_as_reference(built, names, app_ids, columns)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_any_name_table_gives_what_the_constructors_give(self, data):
+        names, app_ids = draw_name_table(data)
+        apps = data.draw(st.lists(st.integers(0, len(app_ids) - 1), min_size=3, max_size=3), label="apps")
+        columns = hand_columns(apps=np.array(apps))
+        built = records_or_error(lambda: LogColumns(**columns, app_names=names, app_ids=app_ids))
+        assert_built_as_reference(built, names, app_ids, columns)
+
+
+# Names that break the app-name rule, or repeat one that keeps it.
+ODD_NAMES = ["a", "", " a", "\ud800", 1, None, ("a",)]
+
+
+def draw_name_table(data) -> tuple[list, list[np.ndarray]]:
+    """A name table, at times sorted and unique, and one to three sets of int32 name ids into it:
+    at times sorted and unique, at times any ids from -1 to one past the table."""
+    good = st.lists(st.sampled_from(["a", "b", "c", "d"]), unique=True, max_size=4).map(sorted)
+    names = data.draw(good | st.lists(st.sampled_from(["a", "b", "c", *ODD_NAMES]), max_size=4), label="app_names")
+    ids = st.lists(st.integers(-1, len(names)), max_size=3)
+    if names:
+        ids |= st.lists(st.integers(0, len(names) - 1), unique=True, max_size=3).map(sorted)
+    app_ids = data.draw(st.lists(ids, min_size=1, max_size=3), label="app_ids")
+    return names, [np.array(ids, dtype=np.int32) for ids in app_ids]
+
+
+def assert_built_as_reference(built, names: list, app_ids: list, columns: dict) -> None:
+    """built, what building columns with valid rows over names and app_ids gave, is
+    what the checked constructors give: refused exactly where they refuse a set that a
+    row uses, and otherwise sets and records equal to theirs, each exactly an AppSet."""
+    refused = first_refused_set(names, app_ids, sorted(set(columns["apps"].tolist())))
+    if refused is not None:
+        assert type(built) is tuple and built[0] is ValueError, built
+        assert_refused_as_reference_set(built[1], refused)
+        return
+    assert type(built) is LogColumns, built
+    # a set that no row uses is built by AppSet itself, which may refuse it
+    every = records_or_error(lambda: [AppSet(names[i] for i in ids.tolist()) for ids in app_ids])
+    assert records_or_error(lambda: built.app_sets) == every
+    if type(every) is list:
+        assert all(type(apps) is AppSet for apps in built.app_sets)
+        got = built.records()
+        assert got == reference_records(columns, every)
+        assert_exact_types(got)
 
 
 class TestWritersShareOneCheckedLine:

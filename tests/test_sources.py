@@ -491,12 +491,3 @@ class TestAppSet:
         assert (apps is not None) == normalized
         if normalized:
             assert apps == tuple(names) == make_app_set(names)
-
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data())
-    def test_subset_is_the_app_set_of_the_kept_names(self, data):
-        apps = make_app_set(data.draw(st.lists(app_names, max_size=6), label="names"))
-        keep = data.draw(st.lists(st.booleans(), min_size=len(apps), max_size=len(apps)), label="keep")
-        kept = apps.subset(keep)
-        assert type(kept) is AppSet
-        assert kept == AppSet([name for name, flag in zip(apps, keep) if flag])
