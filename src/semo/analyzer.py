@@ -10,17 +10,24 @@ share one identifiability group instead of receiving an arbitrary split;
 apps running in every interval are folded into the baseline and flagged,
 and apps never seen in a usable discharge interval are unobserved.
 
-The intervals are computed on the log's columns (recorder.LogColumns):
-pair masks, counter and level drops, censoring and run boundaries are
-array operations, and only each run's drops are summed one by one, in
+The intervals are one fold over a log's blocks (recorder.LogColumns
+that share one name and set table): per block, pair masks, counter and
+level drops, censoring and run boundaries are array operations on the
+pairs inside it and the one that joins it to the row before.  The fold
+carries the full-scale sample, the set ids of discharging rows, the
+runs, and each used pair's integer drop, unscaled until the full scale
+is known at the end, when each run's drops are summed one by one, in
 pair order, so every interval is bit-identical to a pair-by-pair loop.
+Its errors wait for the end, so a bad line anywhere in the log wins.
 App sets stay the reader's arrays of name ids up to the solver: the
 grouping fills its incidence with one index assignment, and the app
 universe is the ids of the discharging rows' sets, so no name of a set
 is walked one by one in Python on the way from log to result.
-attribute and build_intervals build those columns from records with
-recorder.LogColumns.from_records, which refuses records out of order;
-`semo analyze` reads them from the log with recorder.load_columns.  The
+attribute and build_intervals fold one block, the columns of records
+(recorder.LogColumns.from_records, which refuses records out of order),
+and attribute_columns one it is given.  `semo analyze` calls
+attribute_log, which folds recorder.log_blocks: it holds one block, the
+set table and a few bytes per used pair, never the log's columns.  The
 analyzer holds no rule of the log format itself: the CSV of `semo
 export` spells the log's fields, so recorder.export_columns_csv writes
 it.  Battery constants must be finite and positive, and rate_to_power
@@ -36,15 +43,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from functools import reduce
-from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ChargeCounterUnavailable, TooFewSamples
 from .nnls import solve_nnls
-from .recorder import STATUSES, LogColumns
+from .recorder import STATUSES, LogColumns, log_blocks
 from .sources import AppSet, BatteryStatus, make_app_set
 
 MS_PER_HOUR = 3_600_000.0
@@ -147,30 +152,6 @@ def rate_to_power(rate_pct_per_h: float, capacity_mah: float, nominal_voltage_mv
     return power
 
 
-def _infer_full_scale_uah(columns: LogColumns) -> float | None:
-    """Estimate the full battery charge in µAh from the log itself.
-
-    Uses charge_uah / level_pct at the best-populated discharging sample
-    with a positive counter and level (highest level, earliest on ties);
-    only discharging samples count so the estimate is unchanged when
-    charging spans are dropped from a log.  Raises ValueError, naming the
-    sample, when its counter is past float range.
-    """
-    rows = np.flatnonzero(
-        (columns.status == _DISCHARGING) & ~columns.charge_null & (columns.charge > 0) & (columns.level > 0)
-    )
-    if not rows.size:
-        return None
-    best = rows[np.argmax(columns.level[rows])]  # argmax takes the first of equals: the earliest
-    try:
-        return int(columns.charge[best]) * 100.0 / int(columns.level[best])
-    except OverflowError:
-        raise ValueError(
-            f"charge_uah of the sample at ts_ms {int(columns.ts[best])} is too large for a float;"
-            " analyze with --use-charge-counter off to use levels alone"
-        ) from None
-
-
 def build_intervals(records, use_charge_counter: str = "auto") -> list[DischargeInterval]:
     """Extract discharge intervals from adjacent record pairs.
 
@@ -189,7 +170,7 @@ def build_intervals(records, use_charge_counter: str = "auto") -> list[Discharge
     """
     mode = check_charge_counter_mode(use_charge_counter)
     columns = LogColumns.from_records(records)
-    found = _discharge_intervals(columns, mode)
+    found = _fold([columns], mode).intervals()
     return [
         DischargeInterval(start, end, drop, columns.app_sets[apps])
         for start, end, drop, apps in zip(
@@ -207,53 +188,206 @@ class _Intervals(NamedTuple):
     apps: np.ndarray
 
 
-def _discharge_intervals(columns: LogColumns, mode: str) -> _Intervals:
-    """build_intervals on the columns of records whose ts increase strictly."""
-    n = len(columns)
-    if n < 2:
-        raise TooFewSamples(f"need at least 2 records, got {n}")
+class _Rows(NamedTuple):
+    """The columns of consecutive log rows that the intervals read."""
 
-    full_scale = _infer_full_scale_uah(columns) if mode != "off" else None
-    if mode == "on" and full_scale is None:
-        raise ChargeCounterUnavailable("log has no discharging sample with a charge counter")
+    ts: np.ndarray
+    level: np.ndarray
+    charge: np.ndarray
+    charge_null: np.ndarray
+    discharging: np.ndarray
+    apps: np.ndarray
 
-    # Pair i joins rows i and i + 1.
-    ts, level, charge, apps = columns.ts, columns.level, columns.charge, columns.apps
-    discharging = columns.status == _DISCHARGING
-    pairs = discharging[:-1] & discharging[1:]
-    counted = np.zeros(n - 1, dtype=bool)
-    if full_scale is not None:
-        counted = ~columns.charge_null[:-1] & ~columns.charge_null[1:]
-    if mode == "on":
-        missing = np.flatnonzero(pairs & ~counted)
-        if missing.size:
-            first = int(ts[missing[0]])
-            raise ChargeCounterUnavailable(f"charge_uah missing on a discharging sample at ts {first}")
 
-    drop = (level[:-1] - level[1:]).astype(float)
-    censored = np.where(counted, (charge[:-1] == 0) | (charge[1:] == 0), level[:-1] == 0)
-    by_counter = np.flatnonzero(pairs & counted & ~censored)
-    drop[by_counter] = (charge[by_counter] - charge[by_counter + 1]) / full_scale * 100.0
-    used = np.flatnonzero(pairs & ~censored & (drop >= 0))
-    if not used.size:
-        raise TooFewSamples("no usable discharge intervals in the log")
+class _Runs:
+    """The used pairs of one way to take the counted pairs, as runs of coalesced pairs, a stretch at a time.
 
-    # A run of coalesced pairs goes on while the next used pair is the
-    # next pair and starts with the same app set.
-    opens = np.ones(used.size, dtype=bool)
-    opens[1:] = (used[1:] != used[:-1] + 1) | (apps[used[1:]] != apps[used[:-1]])
-    firsts = np.flatnonzero(opens)
-    lasts = np.append(firsts[1:], used.size) - 1
-    # Each run's drops are added one by one in pair order, so that every
-    # sum is the one a running total gives (np.add.reduceat adds pairwise).
-    drops = drop[used].tolist()
-    sums = [reduce(add, drops[first : last + 1]) for first, last in zip(firsts.tolist(), lasts.tolist())]
-    return _Intervals(
-        start=ts[used[firsts]],
-        end=ts[used[lasts] + 1],
-        drop=np.array(sums, dtype=float),
-        apps=apps[used[firsts]],
-    )
+    Each stretch of pairs directly follows the one before it.  It adds
+    its runs as columns, the ts that start and end each, its set id, its
+    pair count and whether it opens a run (only the first may continue
+    the run before), and its used pairs' integer drops, unscaled and in
+    the smallest dtype that holds them, with where the counter gave them.
+    """
+
+    def __init__(self):
+        self.parts: list[tuple] = []
+        self.last = (-2, -1)  # the last used pair and its set id
+        self.overflow: OverflowError | None = None  # a counter drop past float range
+
+    def copy(self) -> "_Runs":
+        twin = _Runs()
+        twin.parts, twin.last, twin.overflow = list(self.parts), self.last, self.overflow
+        return twin
+
+    def add(self, rows: _Rows, first_pair: int, used: np.ndarray, raw: np.ndarray, by_counter: np.ndarray) -> None:
+        """Add the used pairs of rows, indices of pairs from first_pair on, with each pair's raw drop."""
+        if raw.dtype == object:  # Python ints: float() each, as scaling would, so that one past float range raises
+            try:
+                raw = raw.astype(float)
+            except OverflowError as exc:
+                self.overflow = self.overflow or exc
+                return
+        if not used.size:
+            return
+        # A run of coalesced pairs goes on while the next used pair is the
+        # next pair and starts with the same app set.
+        sets = rows.apps[used]
+        opens = np.ones(used.size, dtype=bool)
+        opens[1:] = (used[1:] != used[:-1] + 1) | (sets[1:] != sets[:-1])
+        firsts = np.flatnonzero(opens)
+        lasts = np.append(firsts[1:], used.size) - 1
+        new = np.ones(firsts.size, dtype=bool)
+        new[0] = (int(used[0]) + first_pair, int(sets[0])) != (self.last[0] + 1, self.last[1])
+        self.last = (int(used[-1]) + first_pair, int(sets[-1]))
+        raw = raw[used]
+        if raw.dtype != float:  # non-negative ints
+            raw = raw.astype(np.min_scalar_type(raw.max()))
+        runs = (rows.ts[used[firsts]], rows.ts[used[lasts] + 1], sets[firsts], lasts - firsts + 1, new)
+        self.parts.append((*runs, raw, by_counter[used]))
+
+    def intervals(self, full_scale: float | None) -> _Intervals:
+        """The runs as intervals, counter drops scaled by full_scale; build_intervals' errors past the full scale."""
+        if self.overflow is not None:
+            raise self.overflow
+        if not self.parts:
+            raise TooFewSamples("no usable discharge intervals in the log")
+        start, end, sets, lens, new, raw, by_counter = map(np.concatenate, zip(*self.parts))
+        firsts = np.flatnonzero(new)  # the runs that are not the last one continued
+        lasts = np.append(firsts[1:], new.size) - 1
+        drop = raw.astype(float)
+        if full_scale is not None:
+            with np.errstate(over="ignore"):  # a drop past float range is inf, as in Python floats
+                drop[by_counter] = drop[by_counter] / full_scale * 100.0
+        return _Intervals(start[firsts], end[lasts], _run_sums(drop, np.add.reduceat(lens, firsts)), sets[firsts])
+
+
+# Runs of at most this many pairs are summed by vector steps, one per
+# place in a run; a longer run by one np.add.accumulate of its own.
+_VECTOR_STEPS = 64
+
+
+def _run_sums(drop: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The sum of each run of drop, runs of lens items one after another.
+
+    Each run's items are added one by one in order, so that every sum is
+    the one a running total gives (np.add.reduceat adds pairwise, while
+    np.add.accumulate adds in order): step k adds the kth item of every
+    short run that long.
+    """
+    firsts = np.cumsum(lens) - lens
+    sums = drop[firsts]
+    short = lens <= _VECTOR_STEPS
+    for k in range(1, min(int(lens.max()), _VECTOR_STEPS)):
+        going = np.flatnonzero(short & (lens > k))
+        sums[going] += drop[firsts[going] + k]
+    for run in np.flatnonzero(~short).tolist():
+        sums[run] = np.add.accumulate(drop[firsts[run] : firsts[run] + lens[run]])[-1]
+    return sums
+
+
+class _Fold:
+    """build_intervals over a log's blocks, one at a time: LogColumns that share one name and set table.
+
+    Per block it takes the pairs inside the block and the pair that joins
+    it to the last row before it, and carries only what the intervals
+    need: the row count, the full-scale sample, the set ids of
+    discharging rows, the first discharging pair without a counter, the
+    last row, and the runs.  Whether counted pairs take the counter is
+    known only at the end, from the full-scale sample, so mode auto keeps
+    the runs both ways until a block holds that sample; until a stretch
+    holds a counted pair the two are one.  Its errors wait for the end,
+    so a bad line anywhere in the log is raised first.
+    """
+
+    def __init__(self, mode: str):
+        self.mode = mode
+        self.rows = 0
+        self.best: tuple[int, int, int] | None = None  # the full-scale sample's level, charge and ts
+        self.uncounted: int | None = None  # the ts that starts the first discharging pair without a counter
+        self.discharging = np.zeros(0, dtype=bool)  # by set id: whether a discharging row holds the set
+        self.names: list[str] = []
+        self.sets: list[np.ndarray] = []
+        self.last: _Rows | None = None
+        # The runs as counted pairs take the counter, and as they take the level: auto keeps both,
+        # one object until a counted pair comes before any full-scale sample.
+        self.by_counter = _Runs() if mode != "off" else None
+        self.by_level = {"auto": self.by_counter, "on": None, "off": _Runs()}[mode]
+
+    def add(self, block: LogColumns) -> None:
+        self.names, self.sets = block.app_names, block.app_ids
+        discharging = block.status == _DISCHARGING
+        rows = _Rows(block.ts, block.level, block.charge, block.charge_null, discharging, block.apps)
+        seen = np.zeros(len(self.sets), dtype=bool)
+        seen[: self.discharging.size] = self.discharging
+        seen[block.apps[discharging]] = True
+        self.discharging = seen
+        if self.mode != "off":
+            self._full_scale_sample(rows)
+        if self.last is not None:
+            self._stretch(_Rows(*map(np.concatenate, zip(self.last, (column[:1] for column in rows)))), self.rows - 1)
+        self._stretch(rows, self.rows)
+        self.rows += len(block)
+        self.last = _Rows(*(column[-1:].copy() for column in rows))
+
+    def _full_scale_sample(self, rows: _Rows) -> None:
+        """Keep the discharging sample with a positive counter and level of the highest level, earliest on ties."""
+        found = np.flatnonzero(rows.discharging & ~rows.charge_null & (rows.charge > 0) & (rows.level > 0))
+        if not found.size:
+            return
+        best = found[np.argmax(rows.level[found])]  # argmax takes the first of equals: the earliest
+        if self.best is None or rows.level[best] > self.best[0]:
+            self.best = (int(rows.level[best]), int(rows.charge[best]), int(rows.ts[best]))
+        if self.mode == "auto":  # counted pairs take the counter
+            self.by_level = None
+
+    def _stretch(self, rows: _Rows, first_pair: int) -> None:
+        """Add the pairs of rows, which are pairs first_pair on, to the runs."""
+        ts, level, charge, null, discharging, _ = rows
+        pairs = discharging[:-1] & discharging[1:]
+        counted = pairs & ~null[:-1] & ~null[1:]
+        if self.mode == "on" and self.uncounted is None and (pairs > counted).any():
+            self.uncounted = int(ts[np.argmax(pairs > counted)])
+        level_drop = level[:-1] - level[1:]
+        if self.by_level is not None:
+            if self.by_level is self.by_counter and counted.any():
+                self.by_level = self.by_counter.copy()
+            used = np.flatnonzero(pairs & (level[:-1] != 0) & (level_drop >= 0))
+            self.by_level.add(rows, first_pair, used, level_drop, np.zeros_like(pairs))
+        if self.by_counter is not None and self.by_counter is not self.by_level:
+            by_counter = counted & (charge[:-1] != 0) & (charge[1:] != 0)
+            raw = np.where(by_counter, charge[:-1] - charge[1:], level_drop)
+            uncensored = by_counter | (pairs & ~counted & (level[:-1] != 0))
+            self.by_counter.add(rows, first_pair, np.flatnonzero(uncensored & (raw >= 0)), raw, by_counter)
+
+    def intervals(self) -> _Intervals:
+        """The intervals of the blocks added, or the error that build_intervals gives the log."""
+        if self.rows < 2:
+            raise TooFewSamples(f"need at least 2 records, got {self.rows}")
+        full_scale = None
+        if self.best is not None:
+            level, charge, ts = self.best
+            try:
+                full_scale = charge * 100.0 / level
+            except OverflowError:
+                raise ValueError(
+                    f"charge_uah of the sample at ts_ms {ts} is too large for a float;"
+                    " analyze with --use-charge-counter off to use levels alone"
+                ) from None
+        if self.mode == "on":
+            if full_scale is None:
+                raise ChargeCounterUnavailable("log has no discharging sample with a charge counter")
+            if self.uncounted is not None:
+                raise ChargeCounterUnavailable(f"charge_uah missing on a discharging sample at ts {self.uncounted}")
+        return (self.by_counter if full_scale is not None else self.by_level).intervals(full_scale)
+
+
+def _fold(blocks, mode: str) -> _Fold:
+    """The _Fold of blocks, LogColumns that share one name and set table, whose ts increase strictly."""
+    fold = _Fold(mode)
+    for block in blocks:
+        fold.add(block)
+        del block  # hold no block while the next is read
+    return fold
 
 
 @dataclass(frozen=True)
@@ -338,11 +472,26 @@ def attribute(records, use_charge_counter: str = "auto") -> AttributionResult:
 
 def attribute_columns(columns: LogColumns, use_charge_counter: str = "auto") -> AttributionResult:
     """attribute on a log's columns, valid as every LogColumns is; that ts increase strictly is the caller's to keep."""
-    found = _discharge_intervals(columns, check_charge_counter_mode(use_charge_counter))
-    names, sets = columns.app_names, columns.app_ids
+    return _attribute([columns], use_charge_counter)
+
+
+def attribute_log(path, use_charge_counter: str = "auto") -> AttributionResult:
+    """attribute on the log at path, read one block at a time (recorder.log_blocks).
+
+    It holds one block, the set table and, per used pair, its integer
+    drop, never the log's columns.  Errors are load_log's and then
+    attribute's: a bad line anywhere wins over a log too short to analyse.
+    """
+    return _attribute(log_blocks(path), use_charge_counter)  # the mode is checked before the log is opened
+
+
+def _attribute(blocks, use_charge_counter: str) -> AttributionResult:
+    """attribute on blocks, LogColumns that share one name and set table, whose ts increase strictly."""
+    fold = _fold(blocks, check_charge_counter_mode(use_charge_counter))
+    found = fold.intervals()
+    names, sets = fold.names, fold.sets
     discharging = np.zeros(len(names), dtype=bool)
-    discharging_sets = np.unique(columns.apps[columns.status == _DISCHARGING]).tolist()
-    discharging[np.concatenate([sets[i] for i in discharging_sets])] = True
+    discharging[np.concatenate([sets[i] for i in np.flatnonzero(fold.discharging).tolist()])] = True
     universe = set(map(names.__getitem__, np.flatnonzero(discharging).tolist()))
     used, rows = np.unique(found.apps, return_inverse=True)
     grouping = _grouping(names, [sets[i] for i in used.tolist()], all_apps=universe)

@@ -23,7 +23,7 @@ import threading
 from . import __version__
 from .analyzer import (
     CHARGE_COUNTER_MODES,
-    attribute_columns,
+    attribute_log,
     check_battery_constants,
     write_result_csv,
     write_result_json,
@@ -31,7 +31,7 @@ from .analyzer import (
 )
 from .errors import DegenerateSystem, SemoError, TooFewSamples
 from .inspector import describe, evaluate
-from .recorder import RecorderConfig, export_columns_csv, load_columns, run_loop, sample_dict, write_log
+from .recorder import RecorderConfig, export_columns_csv, load_columns, load_curve, run_loop, sample_dict, write_log
 from .simulator import load_scenario, simulate
 from .sources import FileTreeSource
 
@@ -85,7 +85,7 @@ def cmd_record(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    series = load_columns(args.log).curve(tail=args.tail)
+    series = load_curve(args.log, tail=args.tail)
     if args.json:
         print(json.dumps({"series": [[ts, level] for ts, level in series]}))
     else:
@@ -98,9 +98,8 @@ def cmd_curve(args) -> int:
 def cmd_analyze(args) -> int:
     # Before any output: a bad constant must fail even when given alone.
     check_battery_constants(args.capacity_mah, args.voltage_mv)
-    columns = load_columns(args.log)
     try:
-        result = attribute_columns(columns, use_charge_counter=args.use_charge_counter)
+        result = attribute_log(args.log, use_charge_counter=args.use_charge_counter)
     except (TooFewSamples, DegenerateSystem) as exc:
         print(f"error: analysis degenerate: {exc}", file=sys.stderr)
         return EXIT_WARNINGS

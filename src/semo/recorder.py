@@ -15,8 +15,10 @@ digits, so that every value and every difference of two fits in int64;
 numpy then reads the values of all lines at once, and refuses a leading
 zero, which JSON's grammar refuses.  The timestamps must increase
 strictly, across blocks too.  App lists are kept as int32 arrays of name
-ids into one name table per read: each distinct apps text is decoded
-once by json.loads, and LogColumns checks the sets that rows use.  A
+ids into one name table per read: each distinct apps text of a block is
+decoded once by json.loads, and LogColumns checks the sets that rows
+use.  `semo analyze` and `semo curve` hold one block at a time
+(log_blocks, load_curve); load_columns holds the whole log.  A
 block holding a line the pattern leaves out (other spacing or key order,
 escapes, longer integers), a leading zero or a row or set that
 LogColumns refuses is read again line by line by record_from_json, so
@@ -382,23 +384,15 @@ class LogColumns:
         )
         return _filled(LogRecord, len(self), sample=samples, apps=map(self.app_sets.__getitem__, self.apps.tolist()))
 
-    def curve(self, tail: int | None = None) -> list[tuple[int, int]]:
-        """(ts_ms, level_pct) pairs: every row for tail None, else the last tail rows (the real-time view)."""
-        start = 0
-        if tail is not None:
-            if tail < 0:
-                raise ValueError(f"tail must be non-negative: {tail}")
-            start = max(len(self) - tail, 0)
-        return list(zip(self.ts[start:].tolist(), self.level[start:].tolist()))
 
-
-def _concat(parts: list[LogColumns], apps: _AppTable) -> LogColumns:
-    """One LogColumns of parts, whose app ids all come from apps; it empties parts."""
+def _concat(parts: list[LogColumns]) -> LogColumns:
+    """One LogColumns of parts, blocks that share one name and set table; it empties parts."""
     if not parts:
-        return _columns_of_records([], apps)
+        return _columns_of_records([], _AppTable())
+    names, sets = parts[0].app_names, parts[0].app_ids
     columns = {name: np.concatenate([getattr(part, name) for part in parts]) for name in _COLUMNS}
     parts.clear()  # free the blocks before the check, so that it adds nothing to the read's peak memory
-    return LogColumns(**columns, app_names=apps.names, app_ids=apps.sets)
+    return LogColumns(**columns, app_names=names, app_ids=sets)
 
 
 def _json_list(text: bytes) -> list | None:
@@ -415,8 +409,10 @@ class _AppTable:
 
     names is the one name table: equal names share one id and one
     string.  sets holds each distinct list once, so equal lists share one
-    set id.  Each distinct apps text is decoded once, and its values are
-    interned unchecked: LogColumns checks the sets that its rows use.
+    set id.  Each distinct apps text of a block is decoded once, and its
+    values are interned unchecked: LogColumns checks the sets that its
+    rows use.  Only names and sets outlive the read: the blocks' columns
+    hold them, and the dicts that find an id go with the table.
     """
 
     def __init__(self):
@@ -424,13 +420,12 @@ class _AppTable:
         self.sets: list[np.ndarray] = []
         self._name_ids: dict = {}  # each decoded name, or other JSON value, to its id
         self._set_ids: dict[bytes, int] = {}
-        self._text_ids: dict[bytes, int] = {}
 
-    def text_ids(self, texts) -> np.ndarray:
+    def text_ids(self, texts: list[bytes]) -> np.ndarray:
         """The set id of each apps text, or -1 where it spells no list of hashable JSON values."""
-        new = [text for text in dict.fromkeys(texts) if text not in self._text_ids]
-        self._text_ids.update(zip(new, self.list_ids(list(map(_json_list, new)))))
-        return np.fromiter(map(self._text_ids.__getitem__, texts), np.intp, len(texts))
+        distinct = list(dict.fromkeys(texts))
+        ids = dict(zip(distinct, self.list_ids(list(map(_json_list, distinct)))))
+        return np.fromiter(map(ids.__getitem__, texts), np.intp, len(texts))
 
     def list_ids(self, lists: list) -> list[int]:
         """The set id of each list or tuple of names, or -1 for None or a list holding a JSON array or object."""
@@ -649,7 +644,7 @@ def _first_not_increasing(ts: np.ndarray, prev_ts: int | None) -> int | None:
     return int(down[0]) + 1 if down.size else None
 
 
-def _block_columns(block: bytes, first_line: int, apps: _AppTable, prev_ts: int | None) -> LogColumns:
+def _block_columns(block: memoryview, first_line: int, apps: _AppTable, prev_ts: int | None) -> LogColumns:
     """The columns of block, whole lines of which the first is line first_line.
 
     A block holding a line the pattern leaves out, a value with a leading
@@ -682,10 +677,14 @@ def _block_columns(block: bytes, first_line: int, apps: _AppTable, prev_ts: int 
 
 
 def _iter_columns(fh, apps: _AppTable | None = None):
-    """Yield the LogColumns of each block of a log opened in binary mode.
+    """Yield the LogColumns of each block of a log opened in binary mode, holding one block at a time.
 
-    apps is the table of every block's app lists; without one each block
-    gets its own, so that memory stays bounded by the block size.
+    apps is the table of every block's app lists, which then share one
+    name and set table that grows with the log's distinct app lists;
+    without one each block gets its own, so that memory stays bounded
+    by the block size.  A block is one read cut after its last newline;
+    the next read starts again at the line cut off.  Reading a block
+    holds its bytes, its columns and the parse's temporaries.
     Timestamps must increase strictly, across blocks too.  A record is
     committed once its newline is on disk: an unterminated final line,
     a write cut short by power loss, is skipped with a warning.  The
@@ -693,22 +692,21 @@ def _iter_columns(fh, apps: _AppTable | None = None):
     LogWriter cuts it off.
     """
     committed = fh.tell()
-    line, prev_ts, rest = 1, None, b""
+    line, prev_ts = 1, None
     while chunk := fh.read(BLOCK_BYTES):
-        rest += chunk
-        del chunk
-        cut = rest.rfind(b"\n") + 1
+        while not (cut := chunk.rfind(b"\n") + 1) and (more := fh.read(BLOCK_BYTES)):
+            chunk += more  # a line longer than a block
         if not cut:
-            continue
-        cols = _block_columns(rest[:cut], line, apps if apps is not None else _AppTable(), prev_ts)
-        rest = rest[cut:]
+            log.warning("ignoring unterminated final line %d of the log (%d bytes)", line, len(chunk))
+            break
+        fh.seek(cut - len(chunk), os.SEEK_CUR)
+        cols = _block_columns(memoryview(chunk)[:cut], line, apps if apps is not None else _AppTable(), prev_ts)
+        del chunk
         line += len(cols)
         committed += cut
         prev_ts = int(cols.ts[-1])
         yield cols
         del cols  # hold one block at a time
-    if rest:
-        log.warning("ignoring unterminated final line %d of the log (%d bytes)", line, len(rest))
     fh.seek(committed)
 
 
@@ -717,11 +715,47 @@ def load_log(path: str | Path) -> list[LogRecord]:
     return load_columns(path).records()
 
 
-def load_columns(path: str | Path) -> LogColumns:
-    """Load and validate a whole log as columns; an empty file yields no rows."""
-    apps = _AppTable()
+def log_blocks(path: str | Path):
+    """Yield the LogColumns of each block of the log at path, as _iter_columns reads them.
+
+    The blocks share one name and set table, so a set id means one app
+    list in every block.  A block's LogParseError is raised when the read
+    reaches it, after the blocks before it were yielded.
+    """
     with open(path, "rb") as fh:
-        return _concat(list(_iter_columns(fh, apps)), apps)
+        yield from _iter_columns(fh, _AppTable())
+
+
+def load_columns(path: str | Path) -> LogColumns:
+    """Load and validate a whole log as columns; an empty file yields no rows.
+
+    It holds every block and then their concatenation, which the
+    constructor checks again: about twice the columns' size.  load_log
+    and `semo export` read this; `semo analyze` and `semo curve` read
+    log_blocks and load_curve, which hold one block at a time.
+    """
+    return _concat(list(log_blocks(path)))
+
+
+def load_curve(path: str | Path, tail: int | None = None) -> list[tuple[int, int]]:
+    """The (ts_ms, level_pct) pairs of the log at path: every row for tail None, else the last tail rows.
+
+    The log is read a block at a time, and only the ts and level of
+    every row, or of the last tail rows and one block, are held.  A
+    negative tail is refused after the read, so a bad line wins.
+    """
+    ts, level = [], []
+    with open(path, "rb") as fh:
+        for cols in _iter_columns(fh):
+            ts.append(cols.ts)
+            level.append(cols.level)
+            if tail is not None:  # copies of the last rows, so that no block stays held
+                cut = max(sum(map(len, ts)) - max(tail, 0), 0)
+                ts, level = [np.concatenate(ts)[cut:].copy()], [np.concatenate(level)[cut:].copy()]
+    if tail is not None and tail < 0:
+        raise ValueError(f"tail must be non-negative: {tail}")
+    empty = np.zeros(0, np.int64)
+    return list(zip(np.concatenate([empty, *ts]).tolist(), np.concatenate([empty, *level]).tolist()))
 
 
 def export_columns_csv(columns: LogColumns, path) -> None:

@@ -301,3 +301,28 @@ def reference_simulate(scenario: Scenario) -> list[LogRecord]:
         if energy == 0.0:  # the device powers off: no sample and no event after this one
             break
     return records
+
+
+def phone_like_scenario(n_records: int, seed: int = 1) -> Scenario:
+    """A phone sampled each minute: a counter, five app sessions a day and a charger every night."""
+    apps = {"browser": 300.0, "chat": 150.0, "game": 900.0, "maps": 600.0, "music": 200.0}
+    events = []
+    for day in range(n_records // 1440 + 1):
+        t0 = day * 1440
+        for k, app in enumerate(apps):
+            start = t0 + 60 + 150 * k
+            events.append(ScheduleEvent(start * 60, EventKind.START, app))
+            events.append(ScheduleEvent((start + 45 + 10 * k) * 60, EventKind.STOP, app))
+        events.append(ScheduleEvent((t0 + 960) * 60, EventKind.PLUG_IN))
+        events.append(ScheduleEvent((t0 + 1440) * 60, EventKind.PLUG_OUT))
+    return Scenario(
+        capacity_mah=4000.0,
+        nominal_voltage_mv=3850,
+        baseline_mw=150.0,
+        apps=apps,
+        schedule=tuple(events),
+        duration_s=(n_records - 1) * 60,
+        sample_interval_s=60,
+        noise=NoiseModel(sigma_mw=25.0, seed=seed),
+        initial_level_pct=100.0,
+    )

@@ -1,11 +1,15 @@
 import csv
+import gc
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from semo import (
+    AppSet,
     BatteryStatus,
     ChargeCounterUnavailable,
     DischargeInterval,
@@ -25,10 +29,17 @@ from semo import (
 )
 import semo.analyzer as analyzer_module
 import semo.recorder as recorder_module
-from semo.analyzer import attribute_columns, write_result_csv
-from semo.recorder import load_columns, load_log
+from semo.analyzer import attribute_columns, attribute_log, write_result_csv
+from semo.recorder import load_columns, load_log, log_blocks
 
-from _helpers import churn_scenario, make_record, make_sample, random_exact_scenario, weighted_sse
+from _helpers import (
+    churn_scenario,
+    make_record,
+    make_sample,
+    phone_like_scenario,
+    random_exact_scenario,
+    weighted_sse,
+)
 
 MIN = 60_000  # one minute in ms
 HOUR = 3_600_000
@@ -300,11 +311,141 @@ class TestColumnsOfTheLog:
         write_log(path, [make_record(k * HOUR, level, apps=apps, **kw) for k, (level, apps, kw) in enumerate(rows)])
         monkeypatch.setattr(recorder_module, "BLOCK_BYTES", block_bytes)
         result = attribute_columns(load_columns(path))
-        assert result == attribute(load_log(path))
+        assert result == attribute(load_log(path)) == attribute_log(path)
         assert [(g.apps, g.flags) for g in result.groups] == [
             (("a",), ()), (("b", "y"), ()), (("m",), ()), (("z",), ()), (("base", "on"), (INSEPARABLE_FLAG,))
         ]
         assert result.unobserved == ("idle",)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # every outcome is compared, errors too
+        return type(exc), str(exc)
+
+
+def streamed_intervals(blocks, mode="auto") -> list[DischargeInterval]:
+    """The intervals of a log's blocks, folded a block at a time as attribute_log folds them."""
+    fold = analyzer_module._fold(blocks, mode)
+    found = fold.intervals()
+    return [
+        DischargeInterval(start, end, drop, AppSet(map(fold.names.__getitem__, fold.sets[apps].tolist())))
+        for start, end, drop, apps in zip(
+            found.start.tolist(), found.end.tolist(), found.drop.tolist(), found.apps.tolist()
+        )
+    ]
+
+
+def oracle_outcome(records, mode):
+    """pairwise_intervals, or the type of error that build_intervals raises for the log in mode."""
+    if len(records) < 2:
+        return TooFewSamples
+    if mode == "on":
+        pairs = [
+            (a.sample, b.sample) for a, b in zip(records, records[1:])
+            if a.sample.status is b.sample.status is BatteryStatus.DISCHARGING
+        ]
+        if full_scale_uah(records) is None or any(a.charge_uah is None or b.charge_uah is None for a, b in pairs):
+            return ChargeCounterUnavailable
+    return pairwise_intervals(records, mode) or TooFewSamples
+
+
+@st.composite
+def streamed_logs(draw):
+    """long_run_logs whose counter may start late, so that the full-scale sample sits in a late block,
+    and may read 0 for a span, so that counted pairs are censored before the counter is known to scale."""
+    records = draw(long_run_logs())
+    first_counted = draw(st.integers(0, len(records)))
+    zeros = range(*sorted(draw(st.lists(st.integers(0, len(records)), min_size=2, max_size=2))))
+    for k, record in enumerate(records):
+        charge = record.sample.charge_uah
+        if k < first_counted:
+            charge = None
+        elif k in zeros and charge is not None:
+            charge = 0
+        records[k] = LogRecord(replace(record.sample, charge_uah=charge), record.apps)
+    return records
+
+
+class TestStreamedAnalysis:
+    """attribute_log folds the log a block at a time, into what the whole log gives."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(records=streamed_logs(), block_bytes=st.integers(1, 1200))
+    def test_same_as_whole_log_and_pairwise_oracle(self, tmp_path_factory, records, block_bytes):
+        path = tmp_path_factory.mktemp("logs") / "log.jsonl"
+        write_log(path, records)
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", block_bytes):
+            blocks = list(log_blocks(path))  # what attribute_log folds
+        for mode in ("auto", "on", "off"):
+            want = oracle_outcome(records, mode)
+            got = outcome(streamed_intervals, blocks, mode)
+            if isinstance(want, list):
+                assert got == want, mode  # float drops compared bit for bit
+            else:
+                assert got[0] is want, (mode, got)
+            assert outcome(analyzer_module._attribute, blocks, mode) == outcome(attribute, load_log(path), mode), mode
+
+    def test_runs_past_the_vector_steps_sum_in_order(self, tmp_path):
+        """Runs of 1 to 300 pairs, each across several blocks, with counter drops whose order changes their sum."""
+        records, ts, charge = [], 0, 4_000_000
+        for run, length in enumerate([1, 2, 63, 64, 65, 300, 2]):
+            for _ in range(length):
+                records.append(make_record(ts, 90, apps=(f"app{run % 2}",), charge_uah=charge))
+                ts += MIN
+                charge -= 1 + (ts // MIN) ** 3 % 997
+        records.append(make_record(ts, 90, charge_uah=charge))
+        path = tmp_path / "log.jsonl"
+        write_log(path, records)
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", 1000):
+            intervals = streamed_intervals(log_blocks(path))
+        assert intervals == pairwise_intervals(records)
+        assert [iv.t_end_ms - iv.t_start_ms for iv in intervals] == [n * MIN for n in (1, 2, 63, 64, 65, 300, 2)]
+
+    def test_too_few_samples_counts_rows_across_blocks(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", 1):  # one line a block
+            write_log(path, [make_record(0, 80)])
+            with pytest.raises(TooFewSamples, match=r"^need at least 2 records, got 1$"):
+                attribute_log(path)
+            write_log(path, [make_record(k * MIN, 80 - k, apps=("a",) if k % 2 else ()) for k in range(3)])
+            assert attribute_log(path) == attribute(load_log(path))
+            write_log(path, [make_record(k * MIN, 80, status=BatteryStatus.CHARGING) for k in range(3)])
+            with pytest.raises(TooFewSamples, match=r"^no usable discharge intervals in the log$"):
+                attribute_log(path)
+
+    def test_counter_overflow_raises_as_the_whole_log_does(self, tmp_path):
+        """A counter drop past float range is the error, after the full-scale check, even on an unused pair."""
+        records = [
+            make_record(0, 90, charge_uah=1000),
+            make_record(MIN, 89, charge_uah=10**400),  # a rise: unused, yet its drop is scaled
+            make_record(2 * MIN, 88, charge_uah=10**400 - 5),
+        ]
+        path = tmp_path / "log.jsonl"
+        write_log(path, records)
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", 1):
+            got = outcome(attribute_log, path)
+        assert got == outcome(attribute, records) == (OverflowError, "int too large to convert to float")
+        assert outcome(attribute_log, path, "off") == outcome(attribute, records, "off")
+
+
+def test_analysis_memory_flat_in_log_length(tmp_path):
+    """attribute_log holds one block, the set table and a compact drop per used pair, whatever the log's length."""
+    peaks = []
+    for n in (10_000, 40_000):
+        path = tmp_path / f"log{n}.jsonl"
+        write_log(path, simulate(phone_like_scenario(n)))
+        attribute_log(path)  # first use: numpy's lazy imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            attribute_log(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], f"peak {peaks[0]} B at 10k lines, {peaks[1]} B at 40k"
 
 
 class TestChargeCounter:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 
@@ -22,8 +23,9 @@ from semo import (
     table1_scenario,
     write_log,
 )
+import semo.recorder as recorder_module
 from semo.cli import main
-from semo.recorder import record_to_json
+from semo.recorder import load_log, record_to_json
 from semo.simulator import MAX_SAMPLES
 
 from _helpers import LINUX_FAULTS, make_record, write_source_dir
@@ -166,6 +168,24 @@ class TestCurve:
         assert payload["series"][0] == [0, 100]
         assert len(payload["series"]) == 5
 
+    @pytest.mark.parametrize("block_bytes", [1, 200, 1 << 20])
+    @pytest.mark.parametrize("tail", [None, 0, 1, 2, 4, 5, 9])
+    def test_blocks_give_the_whole_log_curve(self, capsys, sample_log, block_bytes, tail):
+        want = [(record.sample.ts_ms, record.sample.level_pct) for record in load_log(sample_log)]
+        want = want if tail is None else want[max(len(want) - tail, 0) :]
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", block_bytes):
+            assert recorder_module.load_curve(sample_log, tail) == want
+            argv = ["curve", str(sample_log), "--json"] + ([] if tail is None else ["--tail", str(tail)])
+            code, out, err = run_cli(capsys, *argv)
+        assert (code, json.loads(out), err) == (0, {"series": [list(point) for point in want]}, "")
+
+    def test_bad_line_wins_over_a_negative_tail(self, capsys, sample_log):
+        with open(sample_log, "a", encoding="utf-8") as fh:
+            fh.write("[1,2]\n")
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", 1):
+            code, out, err = run_cli(capsys, "curve", str(sample_log), "--tail", "-1")
+        assert (code, out, err) == (1, "", "error: log line 6: record must be a JSON object\n")
+
 
 class TestAnalyze:
     def test_missing_log_exits_one(self, capsys, tmp_path):
@@ -200,6 +220,25 @@ class TestAnalyze:
         path.write_bytes(record_to_json(make_record(0, 100)).encode() + b"\n" + bad_line + b"\n")
         code, out, err = run_cli(capsys, "analyze", str(path))
         assert (code, out, err) == (1, "", f"error: log line 2: {message}\n")
+
+    @pytest.mark.parametrize(
+        "first_lines,mode",
+        [
+            ([make_record(0, 80, charge_uah=1000), make_record(MIN, 79, charge_uah=None)], "on"),  # a counter gap
+            ([make_record(0, 80), make_record(MIN, 81)], "auto"),  # no usable pair
+            ([make_record(0, 80)], "auto"),  # one row before the bad line
+        ],
+        ids=["counter-gap", "no-usable-pair", "one-row"],
+    )
+    def test_bad_line_in_a_later_block_wins(self, capsys, tmp_path, first_lines, mode):
+        """The analysis reads the whole log before it judges it: a bad line in the last block is the error."""
+        path = tmp_path / "log.jsonl"
+        text = "".join(record_to_json(record) + "\n" for record in first_lines) + "[1,2]\n"
+        path.write_text(text, encoding="utf-8")
+        line = len(first_lines) + 1
+        with mock.patch.object(recorder_module, "BLOCK_BYTES", 1):  # one line a block
+            code, out, err = run_cli(capsys, "analyze", str(path), "--use-charge-counter", mode)
+        assert (code, out, err) == (1, "", f"error: log line {line}: record must be a JSON object\n")
 
     @pytest.mark.parametrize("mode", ["auto", "on"])
     def test_counter_past_float_range_names_the_sample_and_the_way_round(self, capsys, tmp_path, mode):

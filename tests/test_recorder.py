@@ -6,9 +6,11 @@ import hashlib
 import json
 import logging
 import os
+import tempfile
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -45,6 +47,7 @@ from semo.recorder import (
     LogColumns,
     export_columns_csv,
     load_columns,
+    load_curve,
     record_from_json,
     record_to_json,
     sample_dict,
@@ -1424,7 +1427,11 @@ class TestTornFinalLine:
 
 
 def curve(records, tail=None):
-    return LogColumns.from_records(records).curve(tail)
+    """load_curve of a log of records."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "log.jsonl"
+        write_log(path, records)
+        return load_curve(path, tail)
 
 
 class TestCurve:
